@@ -32,8 +32,6 @@ def _add_common(p):
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--threads", type=int, default=1, help="worker pool size")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for the fractional-operator binary cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +63,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    results = run_single(cfg, args.out, cache_dir=args.cache_dir)
+    results = run_single(cfg, args.out)
     for diag in results:
         err = diag.get("l2_errors")
         err_txt = ("  l2_err=" + "/".join(f"{e:.3e}" for e in err)) if err else ""
@@ -80,8 +78,7 @@ def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    tables = run_convergence(cfg, args.out, threads=args.threads,
-                             cache_dir=args.cache_dir)
+    tables = run_convergence(cfg, args.out, threads=args.threads)
     for suffix, rows in tables.items():
         for r in rows:
             order = "-" if r.order is None else f"{r.order:.2f}"

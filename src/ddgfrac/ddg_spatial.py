@@ -78,16 +78,35 @@ class DdgOperators:
     """Assembled weak second-derivative operator with boundary closure.
 
     q DOFs are recovered as  q = M^-1 (A u + bc_left * g_left(t)
-    + bc_right * g_right(t)).
+    + bc_right * g_right(t)).  On the uniform mesh A is block tridiagonal:
+    every interior cell row holds (lower, diag, upper), and the two
+    boundary cells replace diag with ``first``/``last`` (one block when
+    K = 1).  ``A`` gathers the dense matrix on request.
     """
 
-    A: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
     bc_left: np.ndarray
     bc_right: np.ndarray
     flux: FluxParams
     bc: BoundarySpec
     mesh: Mesh1D
     basis: ElementBasis
+
+    @property
+    def A(self) -> np.ndarray:
+        K, n = self.mesh.K, self.basis.n_nodes
+        A4 = np.zeros((K, n, K, n))
+        k = np.arange(K)
+        A4[k, :, k, :] = self.diag
+        A4[k[1:], :, k[:-1], :] = self.lower
+        A4[k[:-1], :, k[1:], :] = self.upper
+        A4[0, :, 0, :] = self.first
+        A4[-1, :, -1, :] = self.last
+        return A4.reshape(K * n, K * n)
 
 
 def numerical_flux_deriv(traces_minus, traces_plus, h: float, flux: FluxParams) -> float:
@@ -100,14 +119,16 @@ def numerical_flux_deriv(traces_minus, traces_plus, h: float, flux: FluxParams) 
 def assemble_q_operator(
     mesh: Mesh1D, basis: ElementBasis, flux: FluxParams, bc: BoundarySpec
 ) -> DdgOperators:
-    """Assemble A and the Dirichlet closure vectors for the weak form above."""
+    """Assemble the blocks of A and the Dirichlet closure vectors.
+
+    Each block sums the same face terms, in the same order, as a per-face
+    accumulation into the dense matrix would.
+    """
     if flux.beta0 <= 0:
         raise ValueError("penalization requires beta0 > 0")
     K, n, h = mesh.K, basis.n_nodes, mesh.dx
-    ndof = K * n
-    A = np.zeros((ndof, ndof))
-    bL = np.zeros(ndof)
-    bR = np.zeros(ndof)
+    bL = np.zeros(K * n)
+    bR = np.zeros(K * n)
 
     # reference trace rows; physical derivatives pick up 2/dx per order
     vl, dl, sl = basis.trace_left
@@ -116,44 +137,44 @@ def assemble_q_operator(
     sl_x, sr_x = (2.0 / h) ** 2 * sl, (2.0 / h) ** 2 * sr
 
     vol = -(2.0 / h) * basis.diff.T @ basis.mass @ basis.diff
-    for k in range(K):
-        A[k * n:(k + 1) * n, k * n:(k + 1) * n] += vol
 
-    for face in range(1, K):
-        rows_m = slice((face - 1) * n, face * n)
-        rows_p = slice(face * n, (face + 1) * n)
-        cols = slice((face - 1) * n, (face + 1) * n)
-        flux_row = np.concatenate([
-            -flux.beta0 / h * vr + 0.5 * dr_x - flux.beta1 * h * sr_x,
-            +flux.beta0 / h * vl + 0.5 * dl_x + flux.beta1 * h * sl_x,
-        ])
-        jump_row = np.concatenate([-vr, vl])
-        # -(du/dx)* [phi]
-        A[rows_m, cols] += np.outer(vr, flux_row)
-        A[rows_p, cols] -= np.outer(vl, flux_row)
-        # -{dphi/dx} [u]
-        A[rows_m, cols] -= np.outer(0.5 * dr_x, jump_row)
-        A[rows_p, cols] -= np.outer(0.5 * dl_x, jump_row)
+    # interior face: -(du/dx)* [phi] - {dphi/dx} [u], split by the side of
+    # the test (rows) and trial (columns) cell; flux_m/flux_p weigh the
+    # minus/plus cell's DOFs in (du/dx)*
+    flux_m = -flux.beta0 / h * vr + 0.5 * dr_x - flux.beta1 * h * sr_x
+    flux_p = +flux.beta0 / h * vl + 0.5 * dl_x + flux.beta1 * h * sl_x
+    minus_flux, minus_avg = np.outer(vr, flux_m), np.outer(0.5 * dr_x, -vr)
+    plus_flux, plus_avg = np.outer(vl, flux_p), np.outer(0.5 * dl_x, vl)
+    upper = np.outer(vr, flux_p) - np.outer(0.5 * dr_x, vl)
+    lower = -np.outer(vl, flux_m) - np.outer(0.5 * dl_x, -vr)
+    # a cell is the + side of its left face and the - side of its right face
+    diag = vol - plus_flux - plus_avg + minus_flux - minus_avg
 
     # boundary faces need the full degree-dependent penalty even when a run
     # uses a small interior beta0 (half-cell trace constant)
     b0_bdry = max(flux.beta0, 0.5 * (basis.N + 1.0) ** 2)
 
-    # left boundary face: mirrored ghost, [u] = 2u - 2g, [phi] = +phi
-    rows = slice(0, n)
-    A[rows, rows] -= np.outer(vl, 2.0 * b0_bdry / h * vl + dl_x)
+    # left boundary face: mirrored ghost, [u] = 2u - 2g, [phi] = +phi;
+    # -{dphi/dx}[u] is the second term
+    left_flux = np.outer(vl, 2.0 * b0_bdry / h * vl + dl_x)
+    left_avg = np.outer(0.5 * dl_x, 2.0 * vl)
     bL[:n] += 2.0 * b0_bdry / h * vl
-    A[rows, rows] -= np.outer(0.5 * dl_x, 2.0 * vl)  # -{dphi/dx}[u]
     bL[:n] += dl_x
 
     # right boundary face: mirrored ghost, [u] = 2g - 2u, [phi] = -phi
-    rows = slice((K - 1) * n, K * n)
-    A[rows, rows] += np.outer(vr, -2.0 * b0_bdry / h * vr + dr_x)
+    right_flux = np.outer(vr, -2.0 * b0_bdry / h * vr + dr_x)
+    right_avg = np.outer(0.5 * dr_x, 2.0 * vr)
     bR[(K - 1) * n:] += 2.0 * b0_bdry / h * vr
-    A[rows, rows] += np.outer(0.5 * dr_x, 2.0 * vr)
     bR[(K - 1) * n:] -= dr_x
 
-    return DdgOperators(A=A, bc_left=bL, bc_right=bR, flux=flux, bc=bc,
+    if K == 1:
+        first = last = vol - left_flux - left_avg + right_flux + right_avg
+    else:
+        first = vol + minus_flux - minus_avg - left_flux - left_avg
+        last = vol - plus_flux - plus_avg + right_flux + right_avg
+
+    return DdgOperators(lower=lower, diag=diag, upper=upper, first=first,
+                        last=last, bc_left=bL, bc_right=bR, flux=flux, bc=bc,
                         mesh=mesh, basis=basis)
 
 

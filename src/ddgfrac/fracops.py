@@ -1,5 +1,5 @@
-"""Riemann-Liouville integrals of piecewise polynomials and the dense
-Galerkin matrix of the two-sided fractional integral of order mu = 2 - alpha.
+"""Riemann-Liouville integrals of piecewise polynomials and the block-Toeplitz
+Galerkin operator of the two-sided fractional integral of order mu = 2 - alpha.
 
 The operator applied to a function g supported on [a, b] (zero extension
 outside) is
@@ -8,7 +8,11 @@ outside) is
 
 and the matrix B holds the inner products of that image against every test
 basis function.  On a uniform mesh B is block Toeplitz, so only one block
-per cell offset is ever computed:
+per cell offset is ever computed, and the operator is kept as those K
+blocks: memory grows linearly in K and there is no DOF cap.  The solver
+applies B through FFTs above a crossover size (``models.BlockOperator``);
+``FracOperator.B`` gathers the blocks into the dense matrix on request, for
+the small-size fused path and for tests.  The blocks are
 
 * self cell: the power rule turns I^mu of a polynomial into a finite sum of
   y^(r+mu) terms, integrated exactly against a Gauss-Jacobi(0, mu) rule;
@@ -25,10 +29,7 @@ taken on the finite domain).
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,6 @@ from .specfun import (
     shifted_monomial_coeffs,
 )
 
-MAX_DENSE_DOF = 20_000
-
 # point counts for the analytic-kernel quadratures; the nearest admissible
 # singularity sits one cell away, giving a Bernstein ellipse rho ~= 5.8 and
 # errors far below assembly tolerance at these sizes
@@ -53,14 +52,36 @@ _N_FAR = 14
 
 @dataclass(frozen=True)
 class FracOperator:
-    """Dense Galerkin matrix of the Riesz fractional integral of order mu."""
+    """Galerkin operator of the Riesz fractional integral of order mu.
+
+    ``left[m]`` is the unscaled left-integral block between cells k and
+    k - m; the right-integral blocks are its reflections ``right[m]``.
+    """
 
     mu: float
     alpha: float
-    B: np.ndarray
+    left: np.ndarray
     riesz_scale: float
     mesh: Mesh1D
     basis: ElementBasis
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.left[:, ::-1, ::-1]
+
+    def toeplitz_blocks(self) -> np.ndarray:
+        """Scaled blocks T[d + K - 1] = B[k, k - d] for offsets |d| < K."""
+        diag = self.left[:1] + self.right[:1]
+        return self.riesz_scale * np.concatenate(
+            [self.right[:0:-1], diag, self.left[1:]])
+
+    @property
+    def B(self) -> np.ndarray:
+        """Dense matrix gathered from the blocks (reference and small sizes)."""
+        K, n = self.mesh.K, self.basis.n_nodes
+        offset = np.arange(K)[:, None] - np.arange(K)[None, :] + K - 1
+        B4 = self.toeplitz_blocks()[offset]               # (K, K, n, n)
+        return B4.transpose(0, 2, 1, 3).reshape(K * n, K * n)
 
 
 def _basis_monomial_coeffs(basis: ElementBasis, h: float) -> np.ndarray:
@@ -120,34 +141,20 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
 
 
 def assemble_frac_operator(mesh: Mesh1D, basis: ElementBasis, alpha: float) -> FracOperator:
-    """Assemble the dense matrix of the two-sided fractional integral.
+    """Assemble the offset blocks of the two-sided fractional integral.
 
     The integrals are truncated to [a, b] (zero extension outside), and the
-    matrix couples every pair of cells.  The right-sided integral blocks come
-    from the left-sided ones through the exact reflection identity of a
+    operator couples every pair of cells.  The right-sided integral blocks
+    come from the left-sided ones through the exact reflection identity of a
     symmetric nodal basis on a uniform mesh.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"fractional order must lie in (1, 2), got {alpha}")
-    K, n = mesh.K, basis.n_nodes
-    ndof = K * n
-    if ndof > MAX_DENSE_DOF:
-        raise ValueError(f"dense fractional operator capped at {MAX_DENSE_DOF} DOFs")
-
     mu = 2.0 - alpha
-    left = _left_integral_blocks(mesh, basis, mu)
-    right = left[:, ::-1, ::-1]
-
-    B4 = np.zeros((K, n, K, n))
-    for m in range(K):
-        k = np.arange(K - m)
-        B4[k + m, :, k, :] += left[m]
-        B4[k, :, k + m, :] += right[m]
-
-    scale = 1.0 / (2.0 * math.cos(0.5 * math.pi * mu))
     return FracOperator(
-        mu=mu, alpha=alpha, B=scale * B4.reshape(ndof, ndof),
-        riesz_scale=scale, mesh=mesh, basis=basis,
+        mu=mu, alpha=alpha, left=_left_integral_blocks(mesh, basis, mu),
+        riesz_scale=1.0 / (2.0 * math.cos(0.5 * math.pi * mu)),
+        mesh=mesh, basis=basis,
     )
 
 
@@ -336,55 +343,3 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
     out = (2.0 / h) * scale * weak @ basis.mass_inv.T
     return out.ravel()
 
-
-# binary cache of assembled operators, keyed by the defining parameters
-
-_CACHE_MAGIC = b"DDGFROP1"
-_CACHE_VERSION = 1
-
-
-def _cache_key(a: float, b: float, K: int, N: int, alpha: float) -> bytes:
-    text = f"{a!r}|{b!r}|{K}|{N}|{alpha!r}"
-    return hashlib.sha256(text.encode()).digest()
-
-
-def operator_cache_path(cache_dir: str, mesh: Mesh1D, basis: ElementBasis,
-                        alpha: float) -> str:
-    key = _cache_key(mesh.a, mesh.b, mesh.K, basis.N, alpha)
-    return os.path.join(cache_dir, f"fracop_{key.hex()[:16]}.bin")
-
-
-def save_frac_operator(op: FracOperator, path: str) -> None:
-    key = _cache_key(op.mesh.a, op.mesh.b, op.mesh.K, op.basis.N, op.alpha)
-    n = op.B.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        fh.write(key)
-        fh.write(struct.pack("<Q", n))
-        fh.write(np.ascontiguousarray(op.B, dtype="<f8").tobytes())
-
-
-def load_frac_operator(path: str, mesh: Mesh1D, basis: ElementBasis,
-                       alpha: float) -> FracOperator | None:
-    """Load a cached matrix; returns None on any mismatch."""
-    if not os.path.exists(path):
-        return None
-    key = _cache_key(mesh.a, mesh.b, mesh.K, basis.N, alpha)
-    n = mesh.K * basis.n_nodes
-    with open(path, "rb") as fh:
-        if fh.read(8) != _CACHE_MAGIC:
-            return None
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CACHE_VERSION or fh.read(32) != key:
-            return None
-        (stored_n,) = struct.unpack("<Q", fh.read(8))
-        if stored_n != n:
-            return None
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n)
-    mu = 2.0 - alpha
-    return FracOperator(
-        mu=mu, alpha=alpha, B=data.copy(),
-        riesz_scale=1.0 / (2.0 * math.cos(0.5 * math.pi * mu)),
-        mesh=mesh, basis=basis,
-    )

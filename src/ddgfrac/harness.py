@@ -180,11 +180,10 @@ def _problem_for(cfg: RunConfig, alpha: float, N: int, K: int):
     return spec
 
 
-def simulate(cfg: RunConfig, alpha: float, N: int, K: int,
-             cache_dir: Optional[str] = None):
+def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     """One simulation; returns (problem, final state, diagnostics dict)."""
     spec = _problem_for(cfg, alpha, N, K)
-    problem = build_problem(spec, cache_dir=cache_dir)
+    problem = build_problem(spec)
     control = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c,
                          dt_override=cfg.dt_override,
                          snapshot_times=cfg.snapshot_times)
@@ -197,7 +196,7 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int,
     state, snaps, dt, n_steps = integrate(
         problem.rhs, problem.initial_state(), control,
         problem.mesh.dx_min, alpha, observer=observer,
-        dt_cap=problem.stable_dt_cap(),
+        dt_cap=problem.stable_dt_cap(), labels=problem.roles,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
@@ -254,14 +253,14 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
     return written
 
 
-def run_single(cfg: RunConfig, out_dir: str, cache_dir: Optional[str] = None) -> list:
+def run_single(cfg: RunConfig, out_dir: str) -> list:
     """Execute the config's (alpha, N, K) grid as plain runs with snapshots."""
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for alpha in cfg.alphas:
         for N in cfg.N_list:
             for K in cfg.K_list:
-                problem, state, snaps, diag = simulate(cfg, alpha, N, K, cache_dir)
+                problem, state, snaps, diag = simulate(cfg, alpha, N, K)
                 tag = f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
                 case_dir = os.path.join(out_dir, tag)
                 os.makedirs(case_dir, exist_ok=True)
@@ -279,8 +278,7 @@ def run_single(cfg: RunConfig, out_dir: str, cache_dir: Optional[str] = None) ->
     return results
 
 
-def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1,
-                    cache_dir: Optional[str] = None) -> dict:
+def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
     """Run the (alpha, N, K) grid and emit per-field convergence CSV tables."""
     os.makedirs(out_dir, exist_ok=True)
     grid = [(alpha, N, K) for alpha in cfg.alphas for N in cfg.N_list
@@ -288,7 +286,7 @@ def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1,
 
     def job(cell):
         alpha, N, K = cell
-        problem, state, _snaps, diag = simulate(cfg, alpha, N, K, cache_dir)
+        problem, state, _snaps, diag = simulate(cfg, alpha, N, K)
         if "l2_errors" not in diag:
             raise ConfigError(
                 f"problem {cfg.problem!r} has no exact solution; "

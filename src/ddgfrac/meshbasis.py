@@ -262,8 +262,11 @@ def mass_solve(mesh: Mesh1D, basis: ElementBasis, rhs: np.ndarray) -> np.ndarray
 
 
 def mass_solve_mat(mesh: Mesh1D, basis: ElementBasis, X: np.ndarray) -> np.ndarray:
-    """Mass inverse applied to every column of a dense matrix."""
+    """Cell mass inverse applied to every column of each n-row block of X.
+
+    X is a dense K*n-row matrix, or any stack of cell blocks with n rows.
+    """
     n = basis.n_nodes
-    blocks = X.reshape(mesh.K, n, X.shape[1])
+    blocks = X.reshape(-1, n, X.shape[1])
     out = np.einsum("ij,kjc->kic", basis.mass_inv, blocks)
     return (2.0 / mesh.dx) * out.reshape(X.shape)

@@ -8,11 +8,15 @@ Families and their state layouts (element-major DOFs per component):
   u1 = p + i q and u2 = v + i w.
 
 The fractional Laplacian enters every family through the same composition
-F c = M^-1 B M^-1 (A c + boundary data), precomputed as one dense matrix
-plus two affine vectors; alpha = 2 swaps B for the mass matrix (classical
-limit).  Nonlinear products are formed at the nodal points (collocation),
-and manufactured forcing terms are separable T(t) h(x) pairs whose spatial
-profiles are projected once at setup.
+F c = E c + boundary data with E = M^-1 B M^-1 A; alpha = 2 swaps B for
+the mass matrix (classical limit).  How E is applied depends on the size:
+below ``MATRIX_FREE_MIN_DOF`` DOFs per component it is fused into one dense
+matrix; from there on ``BlockOperator`` applies it from the blocks of A
+(block tridiagonal) and B (block Toeplitz, through FFTs) without forming
+it, so no size cap remains.  Both paths share one block representation
+and agree to round-off.  Nonlinear products are formed at the nodal points
+(collocation), and manufactured forcing terms are separable T(t) h(x) pairs
+whose spatial profiles are projected once at setup.
 
 Problems with inhomogeneous Dirichlet data evolve the lifted variable
 u - l(x, t), where l interpolates the boundary values linearly in x.  The
@@ -29,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from scipy.sparse.linalg import LinearOperator
 
 from .ddg_spatial import (
     BoundarySpec,
@@ -40,6 +45,7 @@ from .ddg_spatial import (
     default_flux,
 )
 from .fracops import (
+    FracOperator,
     assemble_frac_operator,
     project_riesz_poly,
     riesz_frac_deriv_poly,
@@ -60,6 +66,13 @@ FAMILIES = ("diffusion", "convection_diffusion", "nls", "coupled_nls")
 _N_COMPONENTS = {"diffusion": 1, "convection_diffusion": 1, "nls": 2, "coupled_nls": 4}
 _DEFAULT_CFL = {"diffusion": 0.1, "convection_diffusion": 0.1,
                 "nls": 0.05, "coupled_nls": 0.05}
+
+# Crossover in DOFs per component for one apply of E, measured on a 2-core
+# x86 host (numpy 2.4, OpenBLAS) over N = 1..3, alpha in {1.1, 1.6, 2} and
+# 1, 2 or 4 components: the dense matrix wins at n = 512 (by up to 2x for
+# alpha < 2), n = 600 is a tie, and BlockOperator wins every case from
+# n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
+MATRIX_FREE_MIN_DOF = 768
 
 _STATE_ROLES = {
     1: ("u",),
@@ -203,7 +216,8 @@ class SemiDiscreteProblem:
     mesh: object
     basis: object
     qop: DdgOperators
-    E: np.ndarray = field(repr=False)
+    E: object = field(repr=False)          # dense matrix or LinearOperator
+    apply_E: Callable = field(repr=False)  # E applied to every row of an array
     wL: np.ndarray = field(repr=False)
     wR: np.ndarray = field(repr=False)
     forcing_dofs: list = field(repr=False, default_factory=list)
@@ -214,6 +228,11 @@ class SemiDiscreteProblem:
     @property
     def n(self) -> int:
         return self.mesh.K * self.basis.n_nodes
+
+    @property
+    def roles(self) -> tuple:
+        """Names of the state components, in layout order."""
+        return _STATE_ROLES[self.spec.n_components]
 
     def stable_dt_cap(self, safety: float = 2.0) -> float:
         """Step bound from the measured spectral radius of the stiff part.
@@ -227,7 +246,7 @@ class SemiDiscreteProblem:
         v = rng.standard_normal(self.n)
         rho = 1.0
         for _ in range(30):
-            w = self.E @ v
+            w = self.apply_E(v)
             rho = np.linalg.norm(w)
             if rho == 0.0:
                 return math.inf
@@ -242,6 +261,8 @@ class SemiDiscreteProblem:
                 u0 = spec.ic[0](nodes)
                 speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
                 rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
+        elif spec.family == "nls":
+            rho_eff = abs(spec.eps1) * rho
         else:
             rho_eff = max(abs(spec.eps1), abs(spec.eps3)) * rho
         return safety / (1.15 * rho_eff)
@@ -257,7 +278,7 @@ class SemiDiscreteProblem:
         ncomp = self.spec.n_components
         comps = [FieldVector(flat[i * self.n:(i + 1) * self.n].copy(),
                              self.mesh, self.basis) for i in range(ncomp)]
-        return StateStack(components=comps, roles=_STATE_ROLES[ncomp])
+        return StateStack(components=comps, roles=self.roles)
 
     def initial_state(self) -> np.ndarray:
         if self.spec.ic is None:
@@ -268,7 +289,7 @@ class SemiDiscreteProblem:
 
     def _frac_apply(self, comps: np.ndarray, t: float) -> np.ndarray:
         """F applied to all components at once; comps has shape (ncomp, n)."""
-        out = comps @ self.E.T
+        out = self.apply_E(comps)
         if self.lift_nodal is None:  # lifted fields carry homogeneous data
             for i, bc in enumerate(self.spec.bcs):
                 gl, gr = bc.left_at(t), bc.right_at(t)
@@ -367,44 +388,94 @@ class SemiDiscreteProblem:
         return sq
 
 
-def build_problem(spec: ProblemSpec, cache_dir: Optional[str] = None) -> SemiDiscreteProblem:
+class BlockOperator:
+    """E = M^-1 B M^-1 A applied from its blocks, without forming E.
+
+    The DDG stage M^-1 A is block tridiagonal: one (K, n) @ (n, 3n) product
+    gives the diagonal, lower and upper terms, and the two boundary cells
+    add a correction.  The fractional stage M^-1 B is block Toeplitz and is
+    applied as its length-2K circulant embedding: rfft over cells, one
+    n x n product per frequency (``symbol``, shape (n, n, K + 1)), irfft.
+    At alpha = 2 only the DDG stage runs.
+    """
+
+    def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
+        mesh, basis = qop.mesh, qop.basis
+        K, n = mesh.K, basis.n_nodes
+        fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
+        blocks = np.stack([qop.diag, qop.lower, qop.upper,
+                           qop.first - qop.diag, fix_last])
+        MA = mass_solve_mat(mesh, basis, blocks.reshape(-1, n)).reshape(5, n, n)
+        self.K, self.n = K, n
+        self.band = np.hstack([b.T for b in MA[:3]])
+        self.fix_first, self.fix_last = MA[3].T, MA[4].T
+        self.symbol = None
+        if fop is not None:
+            T = fop.toeplitz_blocks()               # offsets 1-K .. K-1
+            circ = np.concatenate([T[K - 1:], np.zeros((1, n, n)), T[:K - 1]])
+            circ = mass_solve_mat(mesh, basis, circ.reshape(-1, n))
+            # the symbol is small at high frequencies, where a float64 FFT
+            # leaves it eps * max|symbol| off; a long double FFT (80-bit on
+            # x86) removes that share of the apply's round-off for alpha -> 1
+            symbol = np.fft.rfft(circ.reshape(2 * K, n, n).astype(np.longdouble), axis=0)
+            self.symbol = np.ascontiguousarray(symbol.transpose(1, 2, 0), dtype=complex)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """E applied to every row of X, shape (K*n,) or (m, K*n)."""
+        return self.frac(self.ddg(X))
+
+    def ddg(self, X: np.ndarray) -> np.ndarray:
+        """M^-1 A applied to every row of X."""
+        K, n = self.K, self.n
+        c = X.reshape(-1, K, n)
+        Y = (c.reshape(-1, n) @ self.band).reshape(-1, K, 3, n)
+        q = Y[:, :, 0].copy()
+        q[:, 1:] += Y[:, :-1, 1]
+        q[:, :-1] += Y[:, 1:, 2]
+        q[:, 0] += c[:, 0] @ self.fix_first
+        q[:, -1] += c[:, -1] @ self.fix_last
+        return q.reshape(X.shape)
+
+    def frac(self, q: np.ndarray) -> np.ndarray:
+        """M^-1 B applied to every row of q (identity at alpha = 2)."""
+        if self.symbol is None:
+            return q
+        K, n = self.K, self.n
+        # frequencies on the last axis: (m, n, K + 1) per component and node
+        qh = np.fft.rfft(q.reshape(-1, K, n).transpose(0, 2, 1), n=2 * K)
+        ph = (self.symbol[None] * qh[:, None]).sum(axis=2)
+        p = np.fft.irfft(ph, n=2 * K)[:, :, :K]
+        return p.transpose(0, 2, 1).reshape(q.shape)
+
+
+def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
-    ``cache_dir`` enables the binary on-disk cache of the dense fractional
-    matrix, keyed by (domain, K, N, alpha).
+    E is fused into a dense matrix below ``MATRIX_FREE_MIN_DOF`` DOFs per
+    component and applied by a ``BlockOperator`` from there on.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
     basis = build_basis(spec.N)
     qop = assemble_q_operator(mesh, basis, spec.flux, BoundarySpec())
+    fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
-    MA = mass_solve_mat(mesh, basis, qop.A)
-    if spec.alpha == 2.0:
-        E = MA
-        wL = mass_solve(mesh, basis, qop.bc_left)
-        wR = mass_solve(mesh, basis, qop.bc_right)
+    ndof = mesh.K * basis.n_nodes
+    if ndof < MATRIX_FREE_MIN_DOF:
+        E = mass_solve_mat(mesh, basis, qop.A)
+        frac = lambda v: v
+        if fop is not None:
+            MB = mass_solve_mat(mesh, basis, fop.B)
+            E = MB @ E
+            frac = lambda v: MB @ v
+        apply_E = lambda X: X @ E.T
     else:
-        fop = None
-        if cache_dir is not None:
-            from .fracops import load_frac_operator, operator_cache_path
-
-            path = operator_cache_path(cache_dir, mesh, basis, spec.alpha)
-            fop = load_frac_operator(path, mesh, basis, spec.alpha)
-        if fop is None:
-            fop = assemble_frac_operator(mesh, basis, spec.alpha)
-            if cache_dir is not None:
-                from .fracops import operator_cache_path, save_frac_operator
-
-                import os
-
-                os.makedirs(cache_dir, exist_ok=True)
-                save_frac_operator(
-                    fop, operator_cache_path(cache_dir, mesh, basis, spec.alpha)
-                )
-        MB = mass_solve_mat(mesh, basis, fop.B)
-        E = MB @ MA
-        wL = MB @ mass_solve(mesh, basis, qop.bc_left)
-        wR = MB @ mass_solve(mesh, basis, qop.bc_right)
+        apply_E = BlockOperator(qop, fop)
+        frac = apply_E.frac
+        E = LinearOperator((ndof, ndof), matvec=apply_E, dtype=float,
+                           matmat=lambda V: apply_E(V.T).T)
+    wL = frac(mass_solve(mesh, basis, qop.bc_left))
+    wR = frac(mass_solve(mesh, basis, qop.bc_right))
 
     forcing_dofs = []
     for i in range(spec.n_components):
@@ -432,7 +503,7 @@ def build_problem(spec: ProblemSpec, cache_dir: Optional[str] = None) -> SemiDis
         quad_back = (rule.weights[:, None] * quad_eval) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
-                               E=E, wL=wL, wR=wR, forcing_dofs=forcing_dofs,
+                               E=E, apply_E=apply_E, wL=wL, wR=wR, forcing_dofs=forcing_dofs,
                                lift_nodal=lift_nodal, quad_eval=quad_eval,
                                quad_back=quad_back)
 

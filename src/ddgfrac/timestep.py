@@ -8,13 +8,20 @@ hit exactly by the same mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a stage or state stops being finite."""
+    """Raised when a stage or state stops being finite.
+
+    ``state`` holds the non-finite result of the failed step, when known.
+    """
+
+    def __init__(self, message: str, state: Optional[np.ndarray] = None):
+        super().__init__(message)
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,8 @@ def erk4_step(rhs: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarr
     k4 = rhs(t + dt, state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise IntegrationError(f"non-finite state after step at t = {t:.6g}, dt = {dt:.3g}")
+        raise IntegrationError(
+            f"non-finite state after step at t = {t:.6g}, dt = {dt:.3g}", out)
     return out
 
 
@@ -66,13 +74,16 @@ def integrate(
     alpha: float,
     observer: Optional[Callable[[float, np.ndarray], None]] = None,
     dt_cap: Optional[float] = None,
+    labels: Sequence[str] = ("state",),
 ):
     """March state0 from t0 to T; returns (state, snapshots, dt, n_steps).
 
     Snapshot times are landed on exactly by shortening the step; snapshots
     maps each requested time to a copy of the state there.  ``dt_cap``
     bounds the CFL-rule step where the spatial operator's measured spectral
-    radius demands it (an explicit override is taken literally).
+    radius demands it (an explicit override is taken literally).  The state
+    is ``len(labels)`` equal blocks, named by ``labels`` when a step
+    diverges.
     """
     dt = cfl_timestep(control, dx_min, alpha, dt_cap)
     if dt <= 0:
@@ -87,16 +98,31 @@ def integrate(
     snapshots = {}
     if observer is not None:
         observer(t, state)
+    peak0 = float(np.abs(state).max(initial=0.0))
 
-    for target in events:
-        while t < target - 1e-13 * max(1.0, abs(target)):
-            step = min(dt, target - t)
-            state = erk4_step(rhs, state, t, step)
-            t += step
-            n_steps += 1
-            if observer is not None:
-                observer(t, state)
-        t = target
-        if target < control.T or target in control.snapshot_times:
-            snapshots[target] = state.copy()
+    # a diverging run overflows inside the RHS kernels before the state
+    # check sees it; report it once, below, instead of as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in events:
+            while t < target - 1e-13 * max(1.0, abs(target)):
+                step = min(dt, target - t)
+                try:
+                    state = erk4_step(rhs, state, t, step)
+                except IntegrationError as exc:
+                    # name the first non-finite entry by its state block
+                    size = exc.state.size // len(labels)
+                    i = int(np.flatnonzero(~np.isfinite(exc.state))[0])
+                    raise IntegrationError(
+                        f"non-finite state in component {labels[i // size]!r} "
+                        f"(DOF {i % size}) after the step from t = {t:.6g} with "
+                        f"dt = {step:.3g}; max |state| grew from {peak0:.3g} at "
+                        f"t = {control.t0:.6g} to {np.abs(state).max():.3g} over "
+                        f"{n_steps} steps", exc.state) from None
+                t += step
+                n_steps += 1
+                if observer is not None:
+                    observer(t, state)
+            t = target
+            if target < control.T or target in control.snapshot_times:
+                snapshots[target] = state.copy()
     return state, snapshots, dt, n_steps

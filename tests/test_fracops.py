@@ -1,4 +1,4 @@
-"""Fractional integrals of piecewise polynomials and the dense operator."""
+"""Fractional integrals of piecewise polynomials and the block operator."""
 
 import math
 
@@ -9,11 +9,8 @@ from ddgfrac.fracops import (
     apply_frac,
     assemble_frac_operator,
     frac_integral_element,
-    load_frac_operator,
-    operator_cache_path,
     project_riesz_poly,
     riesz_frac_deriv_poly,
-    save_frac_operator,
 )
 from ddgfrac.meshbasis import (
     FieldVector,
@@ -128,11 +125,29 @@ def test_operator_classical_limit():
     assert np.abs(B - M).max() <= 5e-3 * np.abs(M).max()
 
 
-def test_operator_alpha_range_and_size_guard():
+def test_operator_alpha_range():
     mesh, basis = build_mesh(0.0, 1.0, 2), build_basis(1)
     for alpha in (1.0, 2.0, 0.5, 2.5):
         with pytest.raises(ValueError):
             assemble_frac_operator(mesh, basis, alpha)
+
+
+def test_operator_blocks_have_no_size_cap():
+    # 24,576 DOFs: past the old dense cap, yet only K blocks are stored
+    mesh, basis = build_mesh(-1.0, 1.0, 8192), build_basis(2)
+    op = assemble_frac_operator(mesh, basis, 1.5)
+    assert op.left.shape == (8192, 3, 3)
+    assert op.toeplitz_blocks().shape == (2 * 8192 - 1, 3, 3)
+    assert np.all(np.isfinite(op.left))
+
+
+def test_dense_view_gathers_toeplitz_blocks():
+    mesh, basis = build_mesh(-1.0, 1.0, 5), build_basis(2)
+    op = assemble_frac_operator(mesh, basis, 1.3)
+    B, n, s = op.B, 3, op.riesz_scale
+    assert np.array_equal(B[3 * n:4 * n, 1 * n:2 * n], s * op.left[2])
+    assert np.array_equal(B[1 * n:2 * n, 3 * n:4 * n], s * op.right[2])
+    assert np.array_equal(B[2 * n:3 * n, 2 * n:3 * n], s * (op.left[0] + op.right[0]))
 
 
 def test_apply_frac_zero_linearity_psd():
@@ -217,16 +232,3 @@ def test_project_riesz_poly_matches_operator_path():
     diff = l2_norm(FieldVector(via_B - via_series, mesh, basis))
     assert diff <= 1e-12
 
-
-def test_operator_cache_roundtrip(tmp_path):
-    mesh, basis = build_mesh(-1.0, 1.0, 6), build_basis(2)
-    op = assemble_frac_operator(mesh, basis, 1.25)
-    path = operator_cache_path(str(tmp_path), mesh, basis, 1.25)
-    save_frac_operator(op, path)
-    loaded = load_frac_operator(path, mesh, basis, 1.25)
-    assert loaded is not None
-    assert np.array_equal(loaded.B, op.B)
-    # key mismatch refuses to load
-    assert load_frac_operator(path, mesh, basis, 1.35) is None
-    other_mesh = build_mesh(-1.0, 1.0, 7)
-    assert load_frac_operator(path, other_mesh, basis, 1.25) is None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -108,17 +109,7 @@ def test_convergence_requires_exact_solution(tmp_path):
         run_convergence(cfg, str(tmp_path / "out"))
 
 
-def test_cache_roundtrip_through_build(tmp_path):
-    cfg = RunConfig(problem="ex1", alphas=[1.3], N_list=[1], K_list=[8], T=0.05)
-    run_single(cfg, str(tmp_path / "o1"), cache_dir=str(tmp_path / "cache"))
-    cached = list((tmp_path / "cache").glob("fracop_*.bin"))
-    assert len(cached) == 1
-    # second run loads from cache and reproduces the same diagnostics
-    r2 = run_single(cfg, str(tmp_path / "o2"), cache_dir=str(tmp_path / "cache"))
-    assert r2[0]["l2_errors"][0] > 0
-
-
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, "ok.json", {"problem": "ex1", "alpha": 1.3, "N": 1,
                                       "K": 8, "T": 0.05})
     assert cli_main(["run", "--config", ok, "--out", str(tmp_path / "r")]) == 0
@@ -130,7 +121,14 @@ def test_cli_exit_codes(tmp_path):
     blow = _write(tmp_path, "blow.json", {"problem": "ex1", "alpha": 1.3,
                                           "N": 2, "K": 16, "T": 100.0,
                                           "dt_override": 0.5})
-    assert cli_main(["run", "--config", blow, "--out", str(tmp_path / "r3")]) == 3
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["run", "--config", blow, "--out", str(tmp_path / "r3")]) == 3
+    assert [str(w.message) for w in caught] == []
+    report = capsys.readouterr().err
+    assert "numerical failure: non-finite state in component 'u'" in report
+    assert "with dt = 0.5;" in report and "max |state| grew from" in report
 
     code = cli_main(["admissibility", "--N", "1", "--beta0", "0", "--beta1", "0",
                      "--samples", "3000", "--out", str(tmp_path / "adm")])

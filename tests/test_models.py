@@ -1,13 +1,26 @@
 """Problem families, manufactured forcings, and exact-solution library."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
-from ddgfrac.fracops import riesz_frac_deriv_poly
-from ddgfrac.meshbasis import FieldVector, l2_norm, project
+from ddgfrac.ddg_spatial import BoundarySpec, assemble_q_operator, default_flux
+from ddgfrac.fracops import assemble_frac_operator, riesz_frac_deriv_poly
+from ddgfrac.meshbasis import (
+    FieldVector,
+    build_basis,
+    build_mesh,
+    l2_norm,
+    mass_solve,
+    mass_solve_mat,
+    project,
+)
 from ddgfrac.models import (
+    MATRIX_FREE_MIN_DOF,
+    BlockOperator,
     ProblemSpec,
     build_problem,
     exact_solution_library,
@@ -197,3 +210,119 @@ def test_epsilon_values():
         gamma_fn(3.8) / gamma_fn(5.0), rel=1e-14)
     assert example_epsilon("ex8", 1.1) == pytest.approx(
         gamma_fn(4.9) / (2 * gamma_fn(6.0)), rel=1e-14)
+
+
+def test_stable_dt_cap_scales_with_the_family_coefficient():
+    # cap = safety / (1.15 |coefficient| rho(E)) on a fixed mesh, so the cap
+    # pins which coefficient each family scales the radius by
+    def cap(name, **coeffs):
+        spec = make_example(name, 1.5, 16, 2)
+        for key, value in coeffs.items():
+            setattr(spec, key, value)
+        return build_problem(spec).stable_dt_cap()
+
+    assert cap("ex1", eps=0.25) == pytest.approx(4.0 * cap("ex1", eps=1.0), rel=1e-12)
+    # nls: |eps1| alone; eps3 (default 1) belongs to the coupled family only
+    nls = cap("ex7", eps1=0.05)
+    assert nls == pytest.approx(20.0 * cap("ex7", eps1=1.0), rel=1e-12)
+    assert cap("ex7", eps1=0.05, eps3=1000.0) == nls
+    # coupled_nls: the larger of |eps1| and |eps3|
+    unit = cap("ex8", eps1=1.0, eps3=1.0)
+    assert cap("ex8", eps1=0.1, eps3=0.5) == pytest.approx(2.0 * unit, rel=1e-12)
+    assert cap("ex8", eps1=-0.5, eps3=0.1) == pytest.approx(2.0 * unit, rel=1e-12)
+
+
+AGREE_ALPHAS = (1.05, 1.3, 1.5, 1.7, 1.95, 2.0)
+
+
+def _operators(K, N, alpha):
+    mesh, basis = build_mesh(-1.0, 1.0, K), build_basis(N)
+    qop = assemble_q_operator(mesh, basis, default_flux(N), BoundarySpec())
+    fop = None if alpha == 2.0 else assemble_frac_operator(mesh, basis, alpha)
+    return qop, fop
+
+
+def _rel(got, want):
+    """Norm-wise relative difference over all entries."""
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _ddg_by_blocks(qop, X):
+    """M^-1 A applied to the rows of X one block row at a time."""
+    mesh, basis = qop.mesh, qop.basis
+    c = X.reshape(X.shape[0], mesh.K, -1)
+    q = c @ qop.diag.T
+    q[:, 1:] += c[:, :-1] @ qop.lower.T
+    q[:, :-1] += c[:, 1:] @ qop.upper.T
+    q[:, 0] += c[:, 0] @ (qop.first - qop.diag).T
+    q[:, -1] += c[:, -1] @ (qop.last - qop.diag).T
+    return ((2.0 / mesh.dx) * q @ basis.mass_inv.T).reshape(X.shape)
+
+
+def _frac_by_offsets(fop, X):
+    """M^-1 B applied to the rows of X by summing its blocks offset by offset."""
+    mesh, basis, K = fop.mesh, fop.basis, fop.mesh.K
+    c = X.reshape(X.shape[0], K, -1)
+    p = c @ (fop.left[0] + fop.right[0]).T
+    for d in range(1, K):
+        p[:, d:] += c[:, :K - d] @ fop.left[d].T
+        p[:, :K - d] += c[:, d:] @ fop.right[d].T
+    p = (2.0 / mesh.dx) * fop.riesz_scale * p @ basis.mass_inv.T
+    return p.reshape(X.shape)
+
+
+def test_block_operator_matches_dense_view():
+    # N = 0..8, every alpha, 1/2/4 components.  For K <= 128 the whole apply
+    # is checked against the dense views A and B.  At K = 1024 the dense
+    # views would need up to 680 MB, so each stage is checked on its own
+    # against block-by-block sums: composed, the two float64 round-offs of
+    # this ill-conditioned product (alpha = 1.05 at N = 8) reach 1e-13.
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for K in (1, 2, 3, 17, 128, 1024):
+        for N in range(9):
+            for alpha in AGREE_ALPHAS:
+                qop, fop = _operators(K, N, alpha)
+                mesh, basis = qop.mesh, qop.basis
+                op = BlockOperator(qop, fop)
+                X = rng.standard_normal((4, K * (N + 1)))
+                if K == 1024:
+                    q, ref_q = op.ddg(X), _ddg_by_blocks(qop, X)
+                    pairs = [(q[:m], ref_q[:m]) for m in (1, 2, 4)]
+                    if fop is not None:
+                        ref_p = _frac_by_offsets(fop, q)
+                        pairs += [(op.frac(q[:m]), ref_p[:m]) for m in (1, 2, 4)]
+                else:
+                    MA = mass_solve_mat(mesh, basis, qop.A)
+                    MB = (np.eye(K * (N + 1)) if fop is None
+                          else mass_solve_mat(mesh, basis, fop.B))
+                    ref = X @ MA.T @ MB.T
+                    pairs = [(op(X[:m]), ref[:m]) for m in (1, 2, 4)]
+                    for bc in (qop.bc_left, qop.bc_right):
+                        w = mass_solve(mesh, basis, bc)
+                        pairs.append((op.frac(w), MB @ w))
+                worst = max([worst] + [_rel(got, want) for got, want in pairs])
+                assert op(X[0]).shape == X[0].shape
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("name,alpha", [("ex1", 1.5), ("ex7", 1.1), ("manakov", 2.0)])
+def test_problem_above_crossover_matches_dense_path(name, alpha):
+    spec = make_example(name, alpha, 300, 2)
+    prob = build_problem(spec)
+    assert prob.n >= MATRIX_FREE_MIN_DOF and isinstance(prob.E, LinearOperator)
+    mesh, basis, qop = prob.mesh, prob.basis, prob.qop
+    MB = (np.eye(prob.n) if alpha == 2.0 else
+          mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B))
+    E = MB @ mass_solve_mat(mesh, basis, qop.A)
+    dense = dataclasses.replace(prob, E=E, apply_E=lambda X: X @ E.T)
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, prob.n))
+    assert _rel(X @ prob.E.T, X @ E.T) <= 1e-13
+    assert _rel(prob.E @ X[0], E @ X[0]) <= 1e-13
+    assert _rel(prob.wL, MB @ mass_solve(mesh, basis, qop.bc_left)) <= 1e-13
+    assert _rel(prob.wR, MB @ mass_solve(mesh, basis, qop.bc_right)) <= 1e-13
+    assert prob.stable_dt_cap() == pytest.approx(dense.stable_dt_cap(), rel=1e-13)
+    s = prob.initial_state() + 0.1 * rng.standard_normal(spec.n_components * prob.n)
+    assert _rel(prob.rhs(0.2, s), dense.rhs(0.2, s)) <= 1e-13

@@ -1,6 +1,8 @@
 """RK4 stepping and the fractional CFL rule."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +46,28 @@ def test_nan_raises_with_diagnostic():
     with pytest.raises(IntegrationError, match="non-finite"):
         erk4_step(rhs, np.array([1.0]), 0.0, 0.1)
 
+
+
+def test_divergence_report_names_component_time_and_growth():
+    # only the second block grows (amplification ~65 per step at z = 5) and
+    # overflows inside the matmul before the state check sees it
+    G = np.diag([0.0, 0.0, 50.0, 50.0])
+    ctrl = RunControl(t0=0.0, T=100.0, cfl_c=0.1, dt_override=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationError) as info:
+            integrate(lambda t, u: G @ u, np.ones(4), ctrl, 0.1, 1.5,
+                      labels=("re", "im"))
+    assert [str(w.message) for w in caught] == []
+    msg = str(info.value)
+    m = re.fullmatch(r"non-finite state in component 'im' \(DOF 0\) after the "
+                     r"step from t = (\S+) with dt = 0\.1; max \|state\| grew "
+                     r"from 1 at t = 0 to (\S+) over (\d+) steps", msg)
+    assert m, msg
+    t_fail, peak, steps = float(m.group(1)), float(m.group(2)), int(m.group(3))
+    assert t_fail == pytest.approx(0.1 * steps)
+    assert 1e290 < peak < 1e309 and steps > 100
+    assert not np.all(np.isfinite(info.value.state))
 
 def test_cfl_formula():
     ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1)
