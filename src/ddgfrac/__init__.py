@@ -10,13 +10,11 @@ from .ddg_spatial import (
     check_admissibility,
     convection_rhs,
     default_flux,
-    fractional_diffusion_rhs,
     numerical_flux_deriv,
     assemble_q_operator,
 )
 from .fracops import (
     FracOperator,
-    apply_frac,
     assemble_frac_operator,
     frac_integral_element,
     riesz_frac_deriv_poly,
@@ -35,7 +33,6 @@ from .meshbasis import (
 from .models import (
     ProblemSpec,
     SemiDiscreteProblem,
-    StateStack,
     build_problem,
     exact_solution_library,
     forcing_library,

@@ -30,8 +30,6 @@ EXIT_INADMISSIBLE = 4
 def _add_common(p):
     p.add_argument("--config", required=True, help="path to a JSON run config")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("converge", help="convergence study over (alpha, N, K)")
     _add_common(conv)
+    conv.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     adm = sub.add_parser("admissibility", help="check a numerical-flux pair")
     adm.add_argument("--N", type=int, required=True)
@@ -60,10 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    results = run_single(cfg, args.out)
+    results = run_single(load_config(args.config), args.out)
     for diag in results:
         err = diag.get("l2_errors")
         err_txt = ("  l2_err=" + "/".join(f"{e:.3e}" for e in err)) if err else ""
@@ -75,10 +71,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    tables = run_convergence(cfg, args.out, threads=args.threads)
+    tables = run_convergence(load_config(args.config), args.out, threads=args.threads)
     for suffix, rows in tables.items():
         for r in rows:
             order = "-" if r.order is None else f"{r.order:.2f}"

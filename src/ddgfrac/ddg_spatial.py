@@ -25,8 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .fracops import FracOperator, apply_frac
-from .meshbasis import ElementBasis, FieldVector, Mesh1D, mass_solve
+from .meshbasis import ElementBasis, FieldVector, Mesh1D
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class DdgOperators:
     bc_left: np.ndarray
     bc_right: np.ndarray
     flux: FluxParams
-    bc: BoundarySpec
     mesh: Mesh1D
     basis: ElementBasis
 
@@ -116,9 +114,8 @@ def numerical_flux_deriv(traces_minus, traces_plus, h: float, flux: FluxParams) 
     return flux.beta0 / h * (up - um) + 0.5 * (dp + dm) + flux.beta1 * h * (sp - sm)
 
 
-def assemble_q_operator(
-    mesh: Mesh1D, basis: ElementBasis, flux: FluxParams, bc: BoundarySpec
-) -> DdgOperators:
+def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
+                        flux: FluxParams) -> DdgOperators:
     """Assemble the blocks of A and the Dirichlet closure vectors.
 
     Each block sums the same face terms, in the same order, as a per-face
@@ -174,30 +171,8 @@ def assemble_q_operator(
         last = vol - plus_flux - plus_avg + right_flux + right_avg
 
     return DdgOperators(lower=lower, diag=diag, upper=upper, first=first,
-                        last=last, bc_left=bL, bc_right=bR, flux=flux, bc=bc,
+                        last=last, bc_left=bL, bc_right=bR, flux=flux,
                         mesh=mesh, basis=basis)
-
-
-def apply_q(ops: DdgOperators, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """q DOFs for given solution DOFs, including Dirichlet data at time t."""
-    rhs = ops.A @ u
-    gl, gr = ops.bc.left_at(t), ops.bc.right_at(t)
-    if gl != 0.0:
-        rhs = rhs + gl * ops.bc_left
-    if gr != 0.0:
-        rhs = rhs + gr * ops.bc_right
-    return mass_solve(ops.mesh, ops.basis, rhs)
-
-
-def fractional_diffusion_rhs(
-    u: FieldVector, ops: DdgOperators, fop: FracOperator, eps: float
-) -> FieldVector:
-    """eps * riesz_int(q) with q the weak second derivative (homogeneous BC)."""
-    if not u.mesh.compatible_with(ops.mesh) or u.basis.N != ops.basis.N:
-        raise ValueError("field and operators live on different mesh/basis pairs")
-    q = FieldVector(mass_solve(ops.mesh, ops.basis, ops.A @ u.values), u.mesh, u.basis)
-    p = apply_frac(fop, q)
-    return FieldVector(eps * p.values, u.mesh, u.basis)
 
 
 @dataclass(frozen=True)

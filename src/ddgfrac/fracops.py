@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshbasis import ElementBasis, FieldVector, Mesh1D, mass_solve
+from .meshbasis import ElementBasis, Mesh1D
 from .specfun import (
     gamma_fn,
     gauss_jacobi,
@@ -158,14 +158,6 @@ def assemble_frac_operator(mesh: Mesh1D, basis: ElementBasis, alpha: float) -> F
     )
 
 
-def apply_frac(op: FracOperator, q: FieldVector) -> FieldVector:
-    """Solve M p = B q with the block-diagonal mass inverse."""
-    if not q.mesh.compatible_with(op.mesh) or q.basis.N != op.basis.N:
-        raise ValueError("field and operator live on different mesh/basis pairs")
-    p = mass_solve(op.mesh, op.basis, op.B @ q.values)
-    return FieldVector(p, q.mesh, q.basis)
-
-
 def frac_integral_element(
     mu: float,
     coeffs,
@@ -222,25 +214,15 @@ def frac_integral_element(
     return 0.5 * width * rule.integrate(vals) / gamma_fn(mu)
 
 
-@dataclass(frozen=True)
-class MonomialFracDeriv:
-    """Closed-form one-sided Caputo derivatives of shifted monomials on [a, b].
+def _caputo_factors(alpha: float, degree: int) -> np.ndarray:
+    """Gamma(p + 1) / Gamma(p + 1 - alpha) for p = 2..degree.
 
-    The order-alpha derivative annihilates degrees 0 and 1 and maps
-    (x - a)^p to factor[p] * (x - a)^(p - alpha) (mirrored for the right
-    side), which is everything needed to differentiate a global polynomial.
+    The one-sided order-alpha Caputo derivative on [a, b] annihilates
+    degrees 0 and 1 and maps (x - a)^p to this factor times
+    (x - a)^(p - alpha) (mirrored for the right side).
     """
-
-    alpha: float
-    a: float
-    b: float
-    max_degree: int = 12
-
-    def factors(self) -> np.ndarray:
-        f = np.zeros(self.max_degree + 1)
-        for p in range(2, self.max_degree + 1):
-            f[p] = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - self.alpha)
-        return f
+    return np.array([gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha)
+                     for p in range(2, degree + 1)])
 
 
 def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
@@ -251,8 +233,6 @@ def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
     classical limit -p''(x).
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.size - 1 > 12:
-        raise ValueError("polynomial degree capped at 12")
     shape = np.shape(x)
     xs = np.asarray(x, dtype=float).ravel()
 
@@ -266,13 +246,12 @@ def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
     if c.size <= 2:
         out = np.zeros_like(xs)
         return out.reshape(shape) if shape else 0.0
-    tables = MonomialFracDeriv(alpha=alpha, a=a, b=b, max_degree=c.size - 1)
-    g = tables.factors()[: c.size]
+    g = _caputo_factors(alpha, c.size - 1)
     ca = shifted_monomial_coeffs(c, 0.0, a)
     db = shifted_monomial_coeffs(c, 0.0, b) * (-1.0) ** np.arange(c.size)
     j = np.arange(2, c.size)  # degrees 0 and 1 are annihilated
-    left = ((xs[:, None] - a) ** (j[None, :] - alpha)) @ (ca[2:] * g[2:])
-    right = ((b - xs[:, None]) ** (j[None, :] - alpha)) @ (db[2:] * g[2:])
+    left = ((xs[:, None] - a) ** (j[None, :] - alpha)) @ (ca[2:] * g)
+    right = ((b - xs[:, None]) ** (j[None, :] - alpha)) @ (db[2:] * g)
     out = (left + right) / (2.0 * math.cos(0.5 * math.pi * alpha))
     return out.reshape(shape) if shape else float(out[0])
 
@@ -302,11 +281,10 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
     weak = np.zeros((K, n))
 
     if c.size > 2:
-        tables = MonomialFracDeriv(alpha=alpha, a=a, b=b, max_degree=c.size - 1)
-        g = tables.factors()[: c.size]
-        ca = (shifted_monomial_coeffs(c, 0.0, a) * g)[2:]
+        g = _caputo_factors(alpha, c.size - 1)
+        ca = shifted_monomial_coeffs(c, 0.0, a)[2:] * g
         db = (shifted_monomial_coeffs(c, 0.0, b)
-              * (-1.0) ** np.arange(c.size) * g)[2:]
+              * (-1.0) ** np.arange(c.size))[2:] * g
         jj = np.arange(2, c.size)
 
         gl = gauss_legendre(_N_SMOOTH)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .meshbasis import eval_field
+from .meshbasis import FieldVector, eval_field
 from .models import SemiDiscreteProblem, build_problem, make_example
 from .ddg_spatial import FluxParams
 from .timestep import RunControl, integrate
@@ -57,7 +57,6 @@ CONFIG_SCHEMA = {
         "cross_coupling": {"type": "number"},
         "snapshot_times": {"type": "array", "items": {"type": "number"}},
         "points_per_cell": {"type": "integer", "minimum": 1, "maximum": 64},
-        "seed": {"type": "integer", "minimum": 0},
         "label": {"type": "string"},
     },
 }
@@ -86,7 +85,6 @@ class RunConfig:
     cross_coupling: Optional[float] = None
     snapshot_times: tuple = ()
     points_per_cell: int = 8
-    seed: int = 0
     label: str = ""
 
 
@@ -126,7 +124,6 @@ def load_config(path: str) -> RunConfig:
         cross_coupling=raw.get("cross_coupling"),
         snapshot_times=tuple(raw.get("snapshot_times", ())),
         points_per_cell=raw.get("points_per_cell", 8),
-        seed=raw.get("seed", 0),
         label=raw.get("label", ""),
     )
 
@@ -167,6 +164,26 @@ def write_rows_csv(path: str, rows) -> None:
         for r in rows:
             fh.write(f"{_fmt(r.alpha)},{r.N},{r.K},{_fmt(r.dt)},"
                      f"{_fmt(r.l2_error)},{_fmt(r.order)},{r.wall_time_ms}\n")
+
+
+def case_tag(cfg: RunConfig, alpha: float, N: int, K: int) -> str:
+    """Name of one grid cell, also its case directory under ``run``."""
+    return f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
+
+
+def grid_cells(cfg: RunConfig) -> list:
+    """The config's (alpha, N, K) cells; no two may share a case tag."""
+    cells, seen = [], set()
+    for alpha in cfg.alphas:
+        for N in cfg.N_list:
+            for K in cfg.K_list:
+                tag = case_tag(cfg, alpha, N, K)
+                if tag in seen:
+                    raise ConfigError(f"grid repeats the cell {tag} (case tags "
+                                      "give alpha to 6 significant digits)")
+                seen.add(tag)
+                cells.append((alpha, N, K))
+    return cells
 
 
 def _problem_for(cfg: RunConfig, alpha: float, N: int, K: int):
@@ -228,61 +245,50 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
                    t: float, points_per_cell: int = 8) -> list:
     """Plot-ready text columns; complex fields write (x, re, im) triples.
 
-    Returns the list of files written (one per physical field).
+    Writes one file per physical field, and returns their paths: a single
+    field uses ``path`` itself, several get ``_u1``, ``_u2`` suffixes.
     """
     xs = snapshot_grid(problem, points_per_cell)
-    ncomp = problem.spec.n_components
-    full = problem.full_fields(flat.reshape(ncomp, problem.n), t)
-    stack = problem.wrap(full.ravel())
-    cols = [eval_field(c, xs) for c in stack.components]
+    spec = problem.spec
+    full = problem.full_fields(flat.reshape(spec.n_components, problem.n), t)
+    base, ext = os.path.splitext(path)
     written = []
-    if ncomp == 1:
-        data = np.column_stack([xs, cols[0]])
-        np.savetxt(path, data, fmt="%.17g")
-        written.append(path)
-    elif ncomp == 2:
-        np.savetxt(path, np.column_stack([xs, cols[0], cols[1]]), fmt="%.17g")
-        written.append(path)
-    else:
-        base, ext = os.path.splitext(path)
-        for i, tag in enumerate(("u1", "u2")):
-            fp = f"{base}_{tag}{ext}"
-            np.savetxt(fp, np.column_stack([xs, cols[2 * i], cols[2 * i + 1]]),
-                       fmt="%.17g")
-            written.append(fp)
+    for comps, tag in zip(spec.fields, spec.field_tags):
+        cols = [eval_field(FieldVector(full[i], problem.mesh, problem.basis), xs)
+                for i in comps]
+        fp = f"{base}_{tag}{ext}" if tag else path
+        np.savetxt(fp, np.column_stack([xs] + cols), fmt="%.17g")
+        written.append(fp)
     return written
 
 
 def run_single(cfg: RunConfig, out_dir: str) -> list:
     """Execute the config's (alpha, N, K) grid as plain runs with snapshots."""
+    cells = grid_cells(cfg)
     os.makedirs(out_dir, exist_ok=True)
     results = []
-    for alpha in cfg.alphas:
-        for N in cfg.N_list:
-            for K in cfg.K_list:
-                problem, state, snaps, diag = simulate(cfg, alpha, N, K)
-                tag = f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
-                case_dir = os.path.join(out_dir, tag)
-                os.makedirs(case_dir, exist_ok=True)
-                files = write_snapshot(
-                    os.path.join(case_dir, f"snapshot_t{diag['T']:.6f}.txt"),
-                    problem, state, diag["T"], cfg.points_per_cell)
-                for t_snap, s in sorted(snaps.items()):
-                    files += write_snapshot(
-                        os.path.join(case_dir, f"snapshot_t{t_snap:.6f}.txt"),
-                        problem, s, t_snap, cfg.points_per_cell)
-                with open(os.path.join(case_dir, "diagnostics.json"), "w") as fh:
-                    json.dump(diag, fh, indent=1, sort_keys=True)
-                diag["files"] = files
-                results.append(diag)
+    for alpha, N, K in cells:
+        problem, state, snaps, diag = simulate(cfg, alpha, N, K)
+        case_dir = os.path.join(out_dir, case_tag(cfg, alpha, N, K))
+        os.makedirs(case_dir, exist_ok=True)
+        files = write_snapshot(
+            os.path.join(case_dir, f"snapshot_t{diag['T']:.6f}.txt"),
+            problem, state, diag["T"], cfg.points_per_cell)
+        for t_snap, s in sorted(snaps.items()):
+            files += write_snapshot(
+                os.path.join(case_dir, f"snapshot_t{t_snap:.6f}.txt"),
+                problem, s, t_snap, cfg.points_per_cell)
+        with open(os.path.join(case_dir, "diagnostics.json"), "w") as fh:
+            json.dump(diag, fh, indent=1, sort_keys=True)
+        diag["files"] = files
+        results.append(diag)
     return results
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
     """Run the (alpha, N, K) grid and emit per-field convergence CSV tables."""
+    grid = grid_cells(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    grid = [(alpha, N, K) for alpha in cfg.alphas for N in cfg.N_list
-            for K in cfg.K_list]
 
     def job(cell):
         alpha, N, K = cell

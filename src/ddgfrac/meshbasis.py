@@ -32,16 +32,6 @@ class Mesh1D:
     def dx(self) -> float:
         return (self.b - self.a) / self.K
 
-    def cell_left(self, k):
-        return self.boundaries[k]
-
-    def compatible_with(self, other: "Mesh1D") -> bool:
-        return (
-            self.K == other.K
-            and self.a == other.a
-            and self.b == other.b
-        )
-
 
 def build_mesh(a: float, b: float, K: int) -> Mesh1D:
     """Uniform mesh with K cells; dx_min = (b - a)/K."""
@@ -169,18 +159,6 @@ class FieldVector:
     @property
     def by_cell(self) -> np.ndarray:
         return self.values.reshape(self.mesh.K, self.basis.n_nodes)
-
-    def copy(self) -> "FieldVector":
-        return FieldVector(self.values.copy(), self.mesh, self.basis)
-
-
-def check_same_space(u: FieldVector, v: FieldVector) -> None:
-    if not u.mesh.compatible_with(v.mesh) or u.basis.N != v.basis.N:
-        raise ValueError("fields live on different mesh/basis pairs")
-
-
-def zeros_like_space(mesh: Mesh1D, basis: ElementBasis) -> FieldVector:
-    return FieldVector(np.zeros(mesh.K * basis.n_nodes), mesh, basis)
 
 
 def cell_centers_and_points(mesh: Mesh1D, ref_points: np.ndarray) -> np.ndarray:

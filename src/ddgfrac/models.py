@@ -1,11 +1,12 @@
 """Semi-discrete right-hand sides for the four problem families.
 
-Families and their state layouts (element-major DOFs per component):
-
-* ``diffusion`` / ``convection_diffusion``: one real field u;
-* ``nls``: real/imaginary split u = p + i q, state (p, q);
-* ``coupled_nls``: two complex fields, state (p, q, v, w) with
-  u1 = p + i q and u2 = v + i w.
+Every family evolves one or two physical fields (``_LAYOUT``).  A real
+field is one state component; a complex field u = p + i q is two, (p, q).
+The state stacks the components field by field, each element-major, so
+``diffusion`` / ``convection_diffusion`` hold (u), ``nls`` holds (p, q) and
+``coupled_nls`` holds (p1, q1, p2, q2).  The right-hand side, the step cap,
+the norms, the errors, the component names and the snapshot files all
+follow this grouping (``ProblemSpec.fields``).
 
 The fractional Laplacian enters every family through the same composition
 F c = E c + boundary data with E = M^-1 B M^-1 A; alpha = 2 swaps B for
@@ -14,9 +15,9 @@ below ``MATRIX_FREE_MIN_DOF`` DOFs per component it is fused into one dense
 matrix; from there on ``BlockOperator`` applies it from the blocks of A
 (block tridiagonal) and B (block Toeplitz, through FFTs) without forming
 it, so no size cap remains.  Both paths share one block representation
-and agree to round-off.  Nonlinear products are formed at the nodal points
-(collocation), and manufactured forcing terms are separable T(t) h(x) pairs
-whose spatial profiles are projected once at setup.
+and agree to round-off.  Nonlinear products are formed at Gauss points and
+projected back, and manufactured forcing terms are separable T(t) h(x)
+pairs whose spatial profiles are projected once at setup.
 
 Problems with inhomogeneous Dirichlet data evolve the lifted variable
 u - l(x, t), where l interpolates the boundary values linearly in x.  The
@@ -60,12 +61,12 @@ from .meshbasis import (
     mass_solve_mat,
     project,
 )
-from .specfun import gamma_fn
+from .specfun import gamma_fn, gauss_legendre
 
-FAMILIES = ("diffusion", "convection_diffusion", "nls", "coupled_nls")
-_N_COMPONENTS = {"diffusion": 1, "convection_diffusion": 1, "nls": 2, "coupled_nls": 4}
-_DEFAULT_CFL = {"diffusion": 0.1, "convection_diffusion": 0.1,
-                "nls": 0.05, "coupled_nls": 0.05}
+# (number of physical fields, whether they are complex) per family
+_LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
+           "nls": (1, True), "coupled_nls": (2, True)}
+FAMILIES = tuple(_LAYOUT)
 
 # Crossover in DOFs per component for one apply of E, measured on a 2-core
 # x86 host (numpy 2.4, OpenBLAS) over N = 1..3, alpha in {1.1, 1.6, 2} and
@@ -74,40 +75,12 @@ _DEFAULT_CFL = {"diffusion": 0.1, "convection_diffusion": 0.1,
 # n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
 MATRIX_FREE_MIN_DOF = 768
 
-_STATE_ROLES = {
-    1: ("u",),
-    2: ("re", "im"),
-    4: ("re_u1", "im_u1", "re_u2", "im_u2"),
-}
-
-
-@dataclass
-class StateStack:
-    """Labelled stack of field components for one problem family."""
-
-    components: list
-    roles: tuple
-
-    def __post_init__(self):
-        if len(self.components) not in _STATE_ROLES:
-            raise ValueError(f"unsupported component count {len(self.components)}")
-        if len(self.components) != len(self.roles):
-            raise ValueError("component/role count mismatch")
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([c.values for c in self.components])
-
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Space-time reference solution, one callable per real component."""
+    """Space-time reference solution, one callable per state component."""
 
     components: tuple
-    is_complex: bool
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.components) // 2 if self.is_complex else len(self.components)
 
 
 @dataclass(frozen=True)
@@ -149,12 +122,21 @@ class ForcingTerms:
     """Separable forcing sum_i T_i(t) h_i(x) for every state component."""
 
     components: tuple  # tuple over components of tuples of (time_fn, space_fn)
-    fractional_route: str = "two-sided Caputo on the finite domain"
 
 
 @dataclass
 class ProblemSpec:
     """Everything needed to assemble one semi-discrete problem.
+
+    Field j of a real family solves u_t = -eps_j (-lap)^(alpha/2) u
+    - f(u)_x + g; of a complex family
+
+        i (u_j)_t = eps_j (-lap)^(alpha/2) u_j - sum_k coupling[j][k] u_k
+                    - nl_eps_j nonlinearity(rho)_j u_j + i g_j
+
+    with densities rho_k = |u_k|^2.  ``eps`` and ``nl_eps`` take one value
+    per field (a scalar is shared by all fields); ``nonlinearity`` maps the
+    list of densities to one factor per field.
 
     ``lift`` holds per-component (time_fn, linear poly coeffs) pairs for
     problems posed with inhomogeneous Dirichlet data; the evolved state is
@@ -169,17 +151,11 @@ class ProblemSpec:
     T: float
     label: str = "custom"
     flux: Optional[FluxParams] = None
-    eps: float = 1.0
-    eps1: float = 1.0
-    eps2: float = 1.0
-    eps3: float = 1.0
-    eps4: float = 1.0
-    varpi1: float = 0.0
-    varpi2: float = 0.0
+    eps: float | tuple = 1.0         # fractional coefficient per field
+    nl_eps: float | tuple = 1.0      # nonlinear coefficient per field
+    nonlinearity: Optional[Callable] = None
+    coupling: Optional[tuple] = None  # fields x fields linear coupling
     conv: Optional[ConvectionFlux] = None
-    nls_f: Optional[Callable] = None
-    coupled_f: Optional[Callable] = None
-    coupled_g: Optional[Callable] = None
     ic: Optional[list] = None        # per-component callables of x
     bcs: Optional[list] = None       # per-component BoundarySpec
     forcing: Optional[ForcingTerms] = None
@@ -193,19 +169,47 @@ class ProblemSpec:
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
         if self.cfl_c is None:
-            self.cfl_c = _DEFAULT_CFL[self.family]
+            self.cfl_c = 0.05 if self.is_complex else 0.1
         if self.flux is None:
             self.flux = default_flux(self.N)
         if self.bcs is None:
             self.bcs = [BoundarySpec()] * self.n_components
+        self.eps, self.nl_eps = (
+            tuple(v) if isinstance(v, (tuple, list)) else (v,) * self.n_fields
+            for v in (self.eps, self.nl_eps))
+        if len(self.eps) != self.n_fields or len(self.nl_eps) != self.n_fields:
+            raise ValueError(f"{self.family} takes {self.n_fields} coefficient(s) per term")
         if self.family == "convection_diffusion" and self.conv is None:
             raise ValueError("convection_diffusion requires a convective flux")
+        if self.is_complex and self.nonlinearity is None:
+            raise ValueError(f"{self.family} requires a nonlinearity")
         if self.lift is not None and len(self.lift) != self.n_components:
             raise ValueError("lift data must cover every component")
 
     @property
+    def n_fields(self) -> int:
+        return _LAYOUT[self.family][0]
+
+    @property
+    def is_complex(self) -> bool:
+        return _LAYOUT[self.family][1]
+
+    @property
     def n_components(self) -> int:
-        return _N_COMPONENTS[self.family]
+        return self.n_fields * (2 if self.is_complex else 1)
+
+    @property
+    def fields(self) -> list:
+        """State component indices of each physical field, in layout order."""
+        width = 2 if self.is_complex else 1
+        return [list(range(j * width, (j + 1) * width)) for j in range(self.n_fields)]
+
+    @property
+    def field_tags(self) -> tuple:
+        """Per-field name suffix: none for a single field, else u1, u2."""
+        if self.n_fields == 1:
+            return ("",)
+        return tuple(f"u{j + 1}" for j in range(self.n_fields))
 
 
 @dataclass
@@ -232,7 +236,9 @@ class SemiDiscreteProblem:
     @property
     def roles(self) -> tuple:
         """Names of the state components, in layout order."""
-        return _STATE_ROLES[self.spec.n_components]
+        parts = ("re", "im") if self.spec.is_complex else ("u",)
+        return tuple(f"{p}_{tag}" if tag else p
+                     for tag in self.spec.field_tags for p in parts)
 
     def stable_dt_cap(self, safety: float = 2.0) -> float:
         """Step bound from the measured spectral radius of the stiff part.
@@ -252,19 +258,12 @@ class SemiDiscreteProblem:
                 return math.inf
             v = w / rho
         spec = self.spec
-        if spec.n_components == 1:
-            rho_eff = abs(spec.eps) * rho
-            if spec.conv is not None and spec.ic is not None:
-                from .meshbasis import cell_centers_and_points
-
-                nodes = cell_centers_and_points(self.mesh, self.basis.ref_nodes)
-                u0 = spec.ic[0](nodes)
-                speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
-                rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
-        elif spec.family == "nls":
-            rho_eff = abs(spec.eps1) * rho
-        else:
-            rho_eff = max(abs(spec.eps1), abs(spec.eps3)) * rho
+        rho_eff = max(abs(e) for e in spec.eps) * rho
+        if spec.conv is not None and spec.ic is not None:
+            nodes = cell_centers_and_points(self.mesh, self.basis.ref_nodes)
+            u0 = spec.ic[0](nodes)
+            speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
+            rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
         return safety / (1.15 * rho_eff)
 
     def _product_dofs(self, vals: np.ndarray) -> np.ndarray:
@@ -273,12 +272,6 @@ class SemiDiscreteProblem:
 
     def _at_quad(self, flat_comp: np.ndarray) -> np.ndarray:
         return flat_comp.reshape(self.mesh.K, -1) @ self.quad_eval.T
-
-    def wrap(self, flat: np.ndarray) -> StateStack:
-        ncomp = self.spec.n_components
-        comps = [FieldVector(flat[i * self.n:(i + 1) * self.n].copy(),
-                             self.mesh, self.basis) for i in range(ncomp)]
-        return StateStack(components=comps, roles=self.roles)
 
     def initial_state(self) -> np.ndarray:
         if self.spec.ic is None:
@@ -316,76 +309,57 @@ class SemiDiscreteProblem:
 
     def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
         spec = self.spec
-        ncomp = spec.n_components
-        comps = flat.reshape(ncomp, self.n)
+        comps = flat.reshape(spec.n_components, self.n)
         F = self._frac_apply(comps, t)
         full = self.full_fields(comps, t)
         out = np.empty_like(comps)
 
-        if ncomp == 1:
-            out[0] = spec.eps * F[0] + self._forcing(t, 0)
+        if not spec.is_complex:
+            out[0] = spec.eps[0] * F[0] + self._forcing(t, 0)
             if spec.conv is not None:
                 # convection_rhs already carries the -d/dx f(u) sign
                 u = FieldVector(full[0], self.mesh, self.basis)
                 out[0] += convection_rhs(u, spec.conv, spec.bcs[0], t).values
-        elif ncomp == 2:
-            # nonlinear products at quadrature points, projected back: keeps
-            # the (f q, p) = (f p, q) cancellation exact and avoids the nodal
-            # aliasing of high-degree products
-            p, q = (self._at_quad(c) for c in full)
-            fr = spec.nls_f(p * p + q * q)
-            out[0] = (-spec.eps1 * F[1] - spec.eps2 * self._product_dofs(fr * q)
-                      + self._forcing(t, 0))
-            out[1] = (+spec.eps1 * F[0] + spec.eps2 * self._product_dofs(fr * p)
-                      + self._forcing(t, 1))
-        else:
-            p, q, v, w = (self._at_quad(c) for c in full)
-            rho1, rho2 = p * p + q * q, v * v + w * w
-            fv = spec.coupled_f(rho1, rho2)
-            gv = spec.coupled_g(rho1, rho2)
-            w1, w2 = spec.varpi1, spec.varpi2
-            fp, fq = self._product_dofs(fv * p), self._product_dofs(fv * q)
-            gvv, gw = self._product_dofs(gv * v), self._product_dofs(gv * w)
-            pl, ql, vl, wl = full
-            out[0] = (-spec.eps1 * F[1] - w1 * ql - w2 * wl - spec.eps2 * fq
-                      + self._forcing(t, 0))
-            out[1] = (+spec.eps1 * F[0] + w1 * pl + w2 * vl + spec.eps2 * fp
-                      + self._forcing(t, 1))
-            out[2] = (-spec.eps3 * F[3] - w2 * ql - w1 * wl - spec.eps4 * gw
-                      + self._forcing(t, 2))
-            out[3] = (+spec.eps3 * F[2] + w2 * pl + w1 * vl + spec.eps4 * gvv
-                      + self._forcing(t, 3))
+            return out.ravel()
+
+        # nonlinear products at quadrature points, projected back: keeps the
+        # (f q, p) = (f p, q) cancellation exact and avoids the nodal
+        # aliasing of high-degree products
+        re, im = full[0::2], full[1::2]
+        at_quad = [(self._at_quad(p), self._at_quad(q)) for p, q in zip(re, im)]
+        factors = spec.nonlinearity([p * p + q * q for p, q in at_quad])
+        for j, ((p, q), f) in enumerate(zip(at_quad, factors)):
+            d_re = -spec.eps[j] * F[2 * j + 1]
+            d_im = +spec.eps[j] * F[2 * j]
+            if spec.coupling is not None:
+                for k, w in enumerate(spec.coupling[j]):
+                    d_re = d_re - w * im[k]
+                    d_im = d_im + w * re[k]
+            out[2 * j] = (d_re - spec.nl_eps[j] * self._product_dofs(f * q)
+                          + self._forcing(t, 2 * j))
+            out[2 * j + 1] = (d_im + spec.nl_eps[j] * self._product_dofs(f * p)
+                              + self._forcing(t, 2 * j + 1))
         return out.ravel()
 
     def field_errors(self, flat: np.ndarray, t: float) -> list:
         """L2 errors per physical field (complex fields combine re/im parts)."""
         if self.spec.exact is None:
             raise ValueError("problem has no exact solution")
-        exact = self.spec.exact
-        ncomp = self.spec.n_components
-        full = self.full_fields(flat.reshape(ncomp, self.n), t)
+        full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
         comp_err = [
             l2_error(FieldVector(full[i], self.mesh, self.basis),
                      lambda x, g=g: g(x, t))
-            for i, g in enumerate(exact.components)
+            for i, g in enumerate(self.spec.exact.components)
         ]
-        if exact.is_complex:
-            return [math.hypot(comp_err[2 * i], comp_err[2 * i + 1])
-                    for i in range(exact.n_fields)]
-        return comp_err
+        return [math.hypot(*(comp_err[i] for i in f)) for f in self.spec.fields]
 
     def l2_norms_squared(self, flat: np.ndarray, t: float = 0.0) -> list:
         """Discrete squared L2 norm per physical field."""
-        ncomp = self.spec.n_components
-        full = self.full_fields(flat.reshape(ncomp, self.n), t)
+        full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
         mass = 0.5 * self.mesh.dx * self.basis.mass
         sq = [float(np.einsum("ki,ij,kj->", c.reshape(self.mesh.K, -1), mass,
                               c.reshape(self.mesh.K, -1))) for c in full]
-        if ncomp == 2:
-            return [sq[0] + sq[1]]
-        if ncomp == 4:
-            return [sq[0] + sq[1], sq[2] + sq[3]]
-        return sq
+        return [sum(sq[i] for i in f) for f in self.spec.fields]
 
 
 class BlockOperator:
@@ -457,7 +431,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
     basis = build_basis(spec.N)
-    qop = assemble_q_operator(mesh, basis, spec.flux, BoundarySpec())
+    qop = assemble_q_operator(mesh, basis, spec.flux)
     fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
     ndof = mesh.K * basis.n_nodes
@@ -494,10 +468,8 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         lift_nodal = [P.polyval(nodes, c).ravel() for _fn, c in spec.lift]
 
     quad_eval = quad_back = None
-    if spec.n_components > 1:
+    if spec.is_complex:
         # enough points for exact projection of cubic products of the fields
-        from .specfun import gauss_legendre
-
         rule = gauss_legendre(min(2 * basis.N + 3, 64))
         quad_eval = basis.eval_matrix(rule.nodes)
         quad_back = (rule.weights[:, None] * quad_eval) @ basis.mass_inv.T
@@ -506,24 +478,6 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
                                E=E, apply_E=apply_E, wL=wL, wR=wR, forcing_dofs=forcing_dofs,
                                lift_nodal=lift_nodal, quad_eval=quad_eval,
                                quad_back=quad_back)
-
-
-def rhs_diffusion(t: float, state: StateStack, problem: SemiDiscreteProblem) -> StateStack:
-    if problem.spec.n_components != 1:
-        raise ValueError("rhs_diffusion applies to scalar families")
-    return problem.wrap(problem.rhs(t, state.flat()))
-
-
-def rhs_nls(t: float, state: StateStack, problem: SemiDiscreteProblem) -> StateStack:
-    if problem.spec.family != "nls":
-        raise ValueError("rhs_nls applies to the nls family")
-    return problem.wrap(problem.rhs(t, state.flat()))
-
-
-def rhs_coupled_nls(t: float, state: StateStack, problem: SemiDiscreteProblem) -> StateStack:
-    if problem.spec.family != "coupled_nls":
-        raise ValueError("rhs_coupled_nls applies to the coupled family")
-    return problem.wrap(problem.rhs(t, state.flat()))
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +526,7 @@ def exact_solution_library(name: str, alpha: float = 2.0) -> ExactSolution:
     """
     if name in ("ex1", "ex2", "ex3", "ex4"):
         u0 = _polyval(_POLY_IC[name])
-        return ExactSolution(
-            components=(lambda x, t, f=u0: math.exp(-t) * f(x),),
-            is_complex=False,
-        )
+        return ExactSolution(components=(lambda x, t, f=u0: math.exp(-t) * f(x),))
     if name == "ex7":
         u0 = _polyval(_POLY_IC["ex7"])
         return ExactSolution(
@@ -583,13 +534,12 @@ def exact_solution_library(name: str, alpha: float = 2.0) -> ExactSolution:
                 lambda x, t, f=u0: math.cos(t) * f(x),
                 lambda x, t, f=u0: -math.sin(t) * f(x),
             ),
-            is_complex=True,
         )
     if name == "ex8":
         u0 = _polyval(_POLY_IC["ex8"])
         re = lambda x, t, f=u0: math.cos(t) * f(x)
         im = lambda x, t, f=u0: -math.sin(t) * f(x)
-        return ExactSolution(components=(re, im, re, im), is_complex=True)
+        return ExactSolution(components=(re, im, re, im))
     if name == "ex9":
         return _manakov_exact()
     raise KeyError(f"no exact solution registered for {name!r}")
@@ -611,7 +561,6 @@ def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
             lambda x, t: u1(x, t).real, lambda x, t: u1(x, t).imag,
             lambda x, t: u2(x, t).real, lambda x, t: u2(x, t).imag,
         ),
-        is_complex=True,
     )
 
 
@@ -707,13 +656,23 @@ def _lifted_setup(name: str, alpha: float, oscillatory: bool):
                  ForcingProfile(poly=lift_c, frac_scale=0.0, base=None,
                                 alpha=alpha, domain=dom))
         comps.append(tuple(forcing.components[i]) + (extra,))
-    forcing = ForcingTerms(components=tuple(comps),
-                           fractional_route=forcing.fractional_route)
+    forcing = ForcingTerms(components=tuple(comps))
     return ic, bcs, lift, forcing, exact
 
 
 def burgers_flux() -> ConvectionFlux:
     return ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u)
+
+
+def _cubic(rho):
+    """|u|^2 u nonlinearity: each field's factor is its own density."""
+    return rho
+
+
+def _total_density(rho):
+    """Both fields feel rho_1 + rho_2."""
+    total = rho[0] + rho[1]
+    return total, total
 
 
 def _sech(x):
@@ -783,8 +742,7 @@ def make_example(name: str, alpha: float, K: int, N: int,
         return ProblemSpec(
             family="nls", alpha=alpha, domain=_DOMAINS[name], K=K, N=N,
             T=0.5 if T is None else T, label=name, flux=flux,
-            eps1=example_epsilon(name, alpha), eps2=1.0,
-            nls_f=lambda rho: rho,
+            eps=example_epsilon(name, alpha), nonlinearity=_cubic,
             ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
         )
     if name == "ex8":
@@ -793,22 +751,21 @@ def make_example(name: str, alpha: float, K: int, N: int,
         return ProblemSpec(
             family="coupled_nls", alpha=alpha, domain=_DOMAINS[name], K=K, N=N,
             T=0.5 if T is None else T, label=name, flux=flux,
-            eps1=eps, eps2=1.0, eps3=eps, eps4=1.0, varpi1=1.0, varpi2=1.0,
-            coupled_f=lambda r1, r2: r1 + r2, coupled_g=lambda r1, r2: r1 + r2,
+            eps=eps, coupling=((1.0, 1.0), (1.0, 1.0)), nonlinearity=_total_density,
             ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
         )
     if name == "nls_soliton":
         return ProblemSpec(
             family="nls", alpha=alpha, domain=(-25.0, 25.0), K=K, N=N,
             T=1.0 if T is None else T, label=name, flux=flux,
-            eps1=2.0, eps2=2.0, nls_f=lambda rho: rho,
+            eps=2.0, nl_eps=2.0, nonlinearity=_cubic,
             ic=initial_condition_library("nls_soliton"), cfl_c=cfl_c,
         )
     if name == "nls_two_soliton":
         return ProblemSpec(
             family="nls", alpha=alpha, domain=(-25.0, 25.0), K=K, N=N,
             T=1.0 if T is None else T, label=name, flux=flux,
-            eps1=1.0, eps2=2.0, nls_f=lambda rho: rho,
+            eps=1.0, nl_eps=2.0, nonlinearity=_cubic,
             ic=initial_condition_library("nls_two_soliton"), cfl_c=cfl_c,
         )
     if name == "coupled_strong":
@@ -817,8 +774,7 @@ def make_example(name: str, alpha: float, K: int, N: int,
         return ProblemSpec(
             family="coupled_nls", alpha=alpha, domain=(-40.0, 40.0), K=K, N=N,
             T=20.0 if T is None else T, label=name, flux=flux,
-            eps1=1.0, eps2=1.0, eps3=1.0, eps4=1.0, varpi1=1.0, varpi2=w2,
-            coupled_f=lambda r1, r2: r1 + r2, coupled_g=lambda r1, r2: r1 + r2,
+            coupling=((1.0, w2), (w2, 1.0)), nonlinearity=_total_density,
             ic=initial_condition_library("colliding_sech_pair"), cfl_c=cfl_c,
         )
     if name == "manakov":
@@ -826,9 +782,7 @@ def make_example(name: str, alpha: float, K: int, N: int,
         return ProblemSpec(
             family="coupled_nls", alpha=alpha, domain=(-40.0, 40.0), K=K, N=N,
             T=5.0 if T is None else T, label=name, flux=flux,
-            eps1=1.0, eps2=1.0, eps3=1.0, eps4=1.0, varpi1=0.0, varpi2=0.0,
-            coupled_f=lambda r1, r2, b=beta: r1 + b * r2,
-            coupled_g=lambda r1, r2, b=beta: b * r1 + r2,
+            nonlinearity=lambda rho, b=beta: (rho[0] + b * rho[1], b * rho[0] + rho[1]),
             ic=initial_condition_library("colliding_sech_pair"),
             exact=_manakov_exact() if beta == 1.0 and alpha == 2.0 else None,
             cfl_c=cfl_c,

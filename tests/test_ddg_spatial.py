@@ -10,24 +10,23 @@ from ddgfrac.ddg_spatial import (
     BoundarySpec,
     ConvectionFlux,
     FluxParams,
-    apply_q,
     assemble_q_operator,
     check_admissibility,
     convection_rhs,
     default_flux,
-    fractional_diffusion_rhs,
     numerical_flux_deriv,
 )
 from ddgfrac.fracops import assemble_frac_operator
 from ddgfrac.meshbasis import (
-    FieldVector,
     build_basis,
     build_mesh,
     global_mass_matrix,
     l2_error,
+    mass_solve,
     mass_solve_mat,
     project,
 )
+from ddgfrac.models import BlockOperator
 
 
 def test_flux_continuous_data():
@@ -62,20 +61,24 @@ def test_flux_side_swap_identity():
     assert f1 - avg == pytest.approx(-(f2 - avg), rel=1e-12, abs=1e-13)
 
 
+def _q_with_data(ops, u, g_left, g_right):
+    """q = M^-1 (A u + g_left bc_left + g_right bc_right), A from its blocks."""
+    rhs = ops.A @ u + g_left * ops.bc_left + g_right * ops.bc_right
+    return mass_solve(ops.mesh, ops.basis, rhs)
+
+
 def test_q_of_linear_field_vanishes():
     mesh, basis = build_mesh(0.0, 1.0, 4), build_basis(2)
-    ops = assemble_q_operator(mesh, basis, default_flux(2),
-                              BoundarySpec(left=0.0, right=1.0))
+    ops = assemble_q_operator(mesh, basis, default_flux(2))
     u = project(lambda x: x, mesh, basis)
-    assert np.abs(apply_q(ops, u.values)).max() <= 1e-11
+    assert np.abs(_q_with_data(ops, u.values, 0.0, 1.0)).max() <= 1e-11
 
 
 def test_q_of_quadratic_is_two():
     mesh, basis = build_mesh(0.0, 1.0, 5), build_basis(3)
-    ops = assemble_q_operator(mesh, basis, default_flux(3),
-                              BoundarySpec(left=0.0, right=1.0))
+    ops = assemble_q_operator(mesh, basis, default_flux(3))
     u = project(lambda x: x * x, mesh, basis)
-    q = apply_q(ops, u.values)
+    q = _q_with_data(ops, u.values, 0.0, 1.0)
     assert np.abs(q - 2.0).max() <= 1e-10
 
 
@@ -83,7 +86,7 @@ def test_assembly_matches_symbolic_weak_form():
     """Independent sympy assembly of the 4x4 system: K=2 cells on [0,2], N=1."""
     beta0 = 3.0
     mesh, basis = build_mesh(0.0, 2.0, 2), build_basis(1)
-    ops = assemble_q_operator(mesh, basis, FluxParams(beta0, 0.0), BoundarySpec())
+    ops = assemble_q_operator(mesh, basis, FluxParams(beta0, 0.0))
 
     x = sp.Symbol("x")
     # (expression, (cell_left, cell_right)); zero outside the cell
@@ -126,42 +129,47 @@ def test_assembly_matches_symbolic_weak_form():
     assert ops.A == pytest.approx(got, abs=1e-12)
 
 
+def _fused_and_block_E(mesh, basis, N, alpha):
+    """E = M^-1 B M^-1 A as the dense fused matrix and as a BlockOperator."""
+    ops = assemble_q_operator(mesh, basis, default_flux(N))
+    fop = assemble_frac_operator(mesh, basis, alpha)
+    E = mass_solve_mat(mesh, basis, fop.B) @ mass_solve_mat(mesh, basis, ops.A)
+    return E, BlockOperator(ops, fop)
+
+
 def test_fractional_diffusion_rhs_zero_and_energy():
+    # u_t = eps E u through both applies of E the solver uses
     mesh, basis = build_mesh(-1.0, 1.0, 8), build_basis(2)
-    ops = assemble_q_operator(mesh, basis, default_flux(2), BoundarySpec())
-    fop = assemble_frac_operator(mesh, basis, 1.5)
-    zero = FieldVector(np.zeros(24), mesh, basis)
-    assert np.abs(fractional_diffusion_rhs(zero, ops, fop, 0.7).values).max() == 0.0
+    E, op = _fused_and_block_E(mesh, basis, 2, 1.5)
+    assert np.abs(0.7 * (E @ np.zeros(24))).max() == 0.0
+    assert np.abs(0.7 * op(np.zeros(24))).max() == 0.0
 
     M = global_mass_matrix(mesh, basis)
     rng = np.random.default_rng(3)
     scale = np.abs(M).max()
     for _ in range(100):
         u = rng.standard_normal(24)
-        r = fractional_diffusion_rhs(FieldVector(u, mesh, basis), ops, fop, 1.0).values
-        assert u @ M @ r <= 1e-10 * scale * (u @ u)
+        for r in (E @ u, op(u)):
+            assert u @ M @ r <= 1e-10 * scale * (u @ u)
 
 
 def test_heat_limit_decay_rate():
     # alpha -> 2 on [0, 2]: sin(pi x) decays at rate -eps pi^2
     eps = 0.8
     mesh, basis = build_mesh(0.0, 2.0, 32), build_basis(3)
-    ops = assemble_q_operator(mesh, basis, default_flux(3), BoundarySpec())
-    fop = assemble_frac_operator(mesh, basis, 2.0 - 1e-3)
-    u = project(lambda x: np.sin(np.pi * x), mesh, basis)
-    r = fractional_diffusion_rhs(u, ops, fop, eps).values
+    E, op = _fused_and_block_E(mesh, basis, 3, 2.0 - 1e-3)
+    u = project(lambda x: np.sin(np.pi * x), mesh, basis).values
     M = global_mass_matrix(mesh, basis)
-    rate = (u.values @ M @ r) / (u.values @ M @ u.values)
-    assert rate == pytest.approx(-eps * math.pi**2, rel=0.02)
+    for r in (eps * (E @ u), eps * op(u)):
+        rate = (u @ M @ r) / (u @ M @ u)
+        assert rate == pytest.approx(-eps * math.pi**2, rel=0.02)
 
 
 def test_composed_operator_dissipative():
     for alpha in (1.1, 1.5, 1.9):
         for N in (1, 2, 3):
             mesh, basis = build_mesh(-1.0, 1.0, 16), build_basis(N)
-            ops = assemble_q_operator(mesh, basis, default_flux(N), BoundarySpec())
-            E = mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B) \
-                @ mass_solve_mat(mesh, basis, ops.A)
+            E, _op = _fused_and_block_E(mesh, basis, N, alpha)
             assert np.linalg.eigvals(E).real.max() <= 1e-8
 
 
@@ -201,7 +209,7 @@ def test_convection_linear_advection_order():
 def test_assemble_rejects_zero_penalty():
     mesh, basis = build_mesh(0.0, 1.0, 2), build_basis(1)
     with pytest.raises(ValueError):
-        assemble_q_operator(mesh, basis, FluxParams(0.0, 0.0), BoundarySpec())
+        assemble_q_operator(mesh, basis, FluxParams(0.0, 0.0))
     with pytest.raises(ValueError):
         FluxParams(-1.0, 0.0)
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ddgfrac.ddg_spatial import assemble_q_operator, default_flux
 from ddgfrac.fracops import (
-    apply_frac,
     assemble_frac_operator,
     frac_integral_element,
     project_riesz_poly,
@@ -19,8 +19,10 @@ from ddgfrac.meshbasis import (
     global_mass_matrix,
     l2_norm,
     mass_solve,
+    mass_solve_mat,
     project,
 )
+from ddgfrac.models import BlockOperator
 from ddgfrac.specfun import gamma_fn, gauss_legendre
 
 # oracles computed with 40-digit adaptive quadrature
@@ -28,6 +30,7 @@ I_S2_MU04_X17 = 0.1578291447916741529     # I^0.4 of s^2 on [0,1] at x=1.7
 B11_MU05 = 1.0638460810704871412          # 1/(Gamma(2.5) cos(pi/4))
 RIESZ_X2_A15_X05 = -2.2567583341910251478
 RIESZ_X11_A11_X1 = -44.458853207226804721
+RIESZ_X13_A11_X1 = -53.469902862750574191
 LEFT_CAPUTO_X11_A11_X1 = 13.909793835549355
 
 
@@ -150,47 +153,47 @@ def test_dense_view_gathers_toeplitz_blocks():
     assert np.array_equal(B[2 * n:3 * n, 2 * n:3 * n], s * (op.left[0] + op.right[0]))
 
 
+def _frac_applies(mesh, basis, alpha):
+    """M^-1 B as the dense matrix and as ``BlockOperator.frac``."""
+    op = assemble_frac_operator(mesh, basis, alpha)
+    MB = mass_solve_mat(mesh, basis, op.B)
+    block = BlockOperator(assemble_q_operator(mesh, basis, default_flux(basis.N)), op)
+    return op, (lambda q: MB @ q, block.frac)
+
+
 def test_apply_frac_zero_linearity_psd():
     mesh, basis = build_mesh(-1.0, 1.0, 8), build_basis(2)
-    op = assemble_frac_operator(mesh, basis, 1.4)
-    zero = FieldVector(np.zeros(24), mesh, basis)
-    assert np.abs(apply_frac(op, zero).values).max() == 0.0
-
-    rng = np.random.default_rng(1)
-    q1 = FieldVector(rng.standard_normal(24), mesh, basis)
-    q2 = FieldVector(rng.standard_normal(24), mesh, basis)
-    lin = apply_frac(op, FieldVector(2.0 * q1.values - 3.0 * q2.values, mesh, basis))
-    want = 2.0 * apply_frac(op, q1).values - 3.0 * apply_frac(op, q2).values
-    assert lin.values == pytest.approx(want, rel=1e-12, abs=1e-12)
-
+    op, applies = _frac_applies(mesh, basis, 1.4)
     M = global_mass_matrix(mesh, basis)
     scale = np.linalg.norm(op.B, 2)
-    for _ in range(100):
-        q = rng.standard_normal(24)
-        p = apply_frac(op, FieldVector(q, mesh, basis)).values
-        assert p @ M @ q >= -1e-10 * scale * (q @ q)
+    for apply in applies:
+        assert np.abs(apply(np.zeros(24))).max() == 0.0
+
+        rng = np.random.default_rng(1)
+        q1, q2 = rng.standard_normal(24), rng.standard_normal(24)
+        want = 2.0 * apply(q1) - 3.0 * apply(q2)
+        assert apply(2.0 * q1 - 3.0 * q2) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+        for _ in range(100):
+            q = rng.standard_normal(24)
+            assert apply(q) @ M @ q >= -1e-10 * scale * (q @ q)
 
 
 def test_apply_frac_boundedness():
-    rng = np.random.default_rng(12)
     mesh, basis = build_mesh(0.0, 1.0, 12), build_basis(2)
-    op = assemble_frac_operator(mesh, basis, 1.7)
+    op, applies = _frac_applies(mesh, basis, 1.7)
     # measure the operator constant once from the exact L2 operator norm
     M = global_mass_matrix(mesh, basis)
     R = np.linalg.cholesky(M)
     C = np.linalg.norm(np.linalg.solve(R, op.B @ np.linalg.inv(R.T)), 2)
     assert math.isfinite(C)
-    for _ in range(100):
-        q = FieldVector(rng.standard_normal(36), mesh, basis)
-        ratio = l2_norm(apply_frac(op, q)) / l2_norm(q)
-        assert ratio <= C * (1.0 + 1e-10)
-
-
-def test_apply_frac_tag_mismatch():
-    op = assemble_frac_operator(build_mesh(0.0, 1.0, 4), build_basis(1), 1.5)
-    other = FieldVector(np.zeros(10), build_mesh(0.0, 1.0, 5), build_basis(1))
-    with pytest.raises(ValueError):
-        apply_frac(op, other)
+    for apply in applies:
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            q = rng.standard_normal(36)
+            ratio = (l2_norm(FieldVector(apply(q), mesh, basis))
+                     / l2_norm(FieldVector(q, mesh, basis)))
+            assert ratio <= C * (1.0 + 1e-10)
 
 
 def test_riesz_poly_classical_limit():
@@ -213,9 +216,12 @@ def test_riesz_poly_x11():
     assert got == pytest.approx(RIESZ_X11_A11_X1, rel=1e-10)
 
 
-def test_riesz_poly_degree_cap():
-    with pytest.raises(ValueError):
-        riesz_frac_deriv_poly(1.5, np.zeros(14), 0.0, 1.0, 0.5)
+def test_riesz_poly_x13():
+    # past the degree 12 that was once a hard cap, same oracle and tolerance
+    c = np.zeros(14)
+    c[13] = 1.0
+    got = riesz_frac_deriv_poly(1.1, c, 0.0, 1.0, 1.0)
+    assert got == pytest.approx(RIESZ_X13_A11_X1, rel=1e-10)
 
 
 def test_project_riesz_poly_matches_operator_path():

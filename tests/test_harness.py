@@ -71,7 +71,7 @@ def test_converge_produces_orders(tmp_path):
 
 def test_converge_deterministic_modulo_walltime(tmp_path):
     cfg = RunConfig(problem="ex1", alphas=[1.3], N_list=[1], K_list=[8, 16],
-                    T=0.25, seed=7)
+                    T=0.25)
     run_convergence(cfg, str(tmp_path / "a"))
     run_convergence(cfg, str(tmp_path / "b"), threads=2)
 
@@ -138,3 +138,18 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert cli_main(["admissibility", "--N", "0", "--beta0", "1",
                      "--samples", "1000"]) == 0
+
+
+def test_cli_rejects_grid_cells_that_share_a_case_tag(tmp_path, capsys):
+    # a repeated K would divide by log(1) in the orders; alphas equal to six
+    # significant digits would share one case directory
+    twice_k = _write(tmp_path, "k.json", {"problem": "ex1", "alpha": 1.3, "N": 1,
+                                          "K": [8, 8], "T": 0.05})
+    close_alpha = _write(tmp_path, "a.json", {"problem": "ex1", "alpha": [1.6, 1.6000001],
+                                              "N": 1, "K": 8, "T": 0.05})
+    capsys.readouterr()
+    assert cli_main(["converge", "--config", twice_k, "--out", str(tmp_path / "c")]) == 2
+    assert "grid repeats the cell ex1_a1.3_N1_K8" in capsys.readouterr().err
+    assert cli_main(["run", "--config", close_alpha, "--out", str(tmp_path / "r")]) == 2
+    assert "grid repeats the cell ex1_a1.6_N1_K8" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

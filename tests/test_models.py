@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from ddgfrac.ddg_spatial import BoundarySpec, assemble_q_operator, default_flux
+from ddgfrac.ddg_spatial import assemble_q_operator, default_flux
 from ddgfrac.fracops import assemble_frac_operator, riesz_frac_deriv_poly
 from ddgfrac.meshbasis import (
     FieldVector,
@@ -28,9 +28,6 @@ from ddgfrac.models import (
     forcing_library,
     initial_condition_library,
     make_example,
-    rhs_coupled_nls,
-    rhs_diffusion,
-    rhs_nls,
 )
 from ddgfrac.specfun import gamma_fn
 from ddgfrac.timestep import RunControl, integrate
@@ -63,31 +60,19 @@ def test_manufactured_rhs_consistency_refines():
         assert min(orders) >= floor
 
 
-def test_rhs_wrappers_and_family_guards():
-    spec = make_example("ex1", 1.3, 6, 1)
-    prob = build_problem(spec)
-    state = prob.wrap(prob.initial_state())
-    out = rhs_diffusion(0.0, state, prob)
-    assert len(out.components) == 1
-    with pytest.raises(ValueError):
-        rhs_nls(0.0, state, prob)
-    with pytest.raises(ValueError):
-        rhs_coupled_nls(0.0, state, prob)
-
-
 def test_nls_linear_case_matches_hand_build():
-    # f == 1 with eps2 multiplying u reduces to the linear equation
+    # f == 1 with nl_eps multiplying u reduces to the linear equation
     spec = make_example("ex7", 1.5, 6, 2)
     spec.forcing = None
-    spec.nls_f = lambda rho: np.ones_like(rho)
+    spec.nonlinearity = lambda rho: [np.ones_like(r) for r in rho]
     prob = build_problem(spec)
     rng = np.random.default_rng(0)
     s = rng.standard_normal(2 * prob.n)
     p, q = s[:prob.n], s[prob.n:]
     r = prob.rhs(0.0, s)
-    eps1, eps2 = spec.eps1, spec.eps2
-    want_p = -eps1 * (prob.E @ q) - eps2 * q
-    want_q = +eps1 * (prob.E @ p) + eps2 * p
+    (eps,), (nl_eps,) = spec.eps, spec.nl_eps
+    want_p = -eps * (prob.E @ q) - nl_eps * q
+    want_q = +eps * (prob.E @ p) + nl_eps * p
     assert r[:prob.n] == pytest.approx(want_p, rel=1e-12, abs=1e-12)
     assert r[prob.n:] == pytest.approx(want_q, rel=1e-12, abs=1e-12)
 
@@ -125,7 +110,7 @@ def test_gauge_covariance_of_cubic_term():
 
 
 def test_coupled_symmetric_reduction_stays_equal():
-    spec = make_example("manakov", 1.6, 32, 2)   # identical components, varpi2=0
+    spec = make_example("manakov", 1.6, 32, 2)   # identical components, no coupling
     prob = build_problem(spec)
     s = prob.initial_state()
     n = prob.n
@@ -200,6 +185,30 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(family="convection_diffusion", alpha=1.5, domain=(0, 1),
                     K=4, N=1, T=1.0)  # missing convective flux
+    with pytest.raises(ValueError):
+        ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0)
+    with pytest.raises(ValueError):
+        ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
+                    T=1.0, eps=(1.0, 2.0, 3.0), nonlinearity=lambda rho: rho)
+    # a scalar coefficient is shared by every field
+    spec = ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
+                       T=1.0, eps=0.5, nl_eps=(1.0, 2.0), nonlinearity=lambda rho: rho)
+    assert spec.eps == (0.5, 0.5) and spec.nl_eps == (1.0, 2.0)
+    assert spec.fields == [[0, 1], [2, 3]] and spec.n_components == 4
+
+
+def test_fields_drive_roles_norms_and_errors():
+    for name, roles in (("ex1", ("u",)), ("ex7", ("re", "im")),
+                        ("ex8", ("re_u1", "im_u1", "re_u2", "im_u2"))):
+        spec = make_example(name, 1.5, 8, 2)
+        prob = build_problem(spec)
+        assert prob.roles == roles
+        s = prob.initial_state()
+        comps = prob.full_fields(s.reshape(spec.n_components, prob.n), 0.0)
+        sq = [l2_norm(FieldVector(c, prob.mesh, prob.basis)) ** 2 for c in comps]
+        want = [sum(sq[i] for i in f) for f in spec.fields]
+        assert prob.l2_norms_squared(s) == pytest.approx(want, rel=1e-12)
+        assert len(prob.field_errors(s, 0.0)) == spec.n_fields
 
 
 def test_epsilon_values():
@@ -213,23 +222,24 @@ def test_epsilon_values():
 
 
 def test_stable_dt_cap_scales_with_the_family_coefficient():
-    # cap = safety / (1.15 |coefficient| rho(E)) on a fixed mesh, so the cap
-    # pins which coefficient each family scales the radius by
-    def cap(name, **coeffs):
+    # cap = safety / (1.15 max_j |eps_j| rho(E)) on a fixed mesh, so the cap
+    # pins that every family scales the radius by its fractional coefficients
+    def cap(name, eps, nl_eps=None):
         spec = make_example(name, 1.5, 16, 2)
-        for key, value in coeffs.items():
-            setattr(spec, key, value)
+        spec.eps = eps
+        if nl_eps is not None:
+            spec.nl_eps = nl_eps
         return build_problem(spec).stable_dt_cap()
 
-    assert cap("ex1", eps=0.25) == pytest.approx(4.0 * cap("ex1", eps=1.0), rel=1e-12)
-    # nls: |eps1| alone; eps3 (default 1) belongs to the coupled family only
-    nls = cap("ex7", eps1=0.05)
-    assert nls == pytest.approx(20.0 * cap("ex7", eps1=1.0), rel=1e-12)
-    assert cap("ex7", eps1=0.05, eps3=1000.0) == nls
-    # coupled_nls: the larger of |eps1| and |eps3|
-    unit = cap("ex8", eps1=1.0, eps3=1.0)
-    assert cap("ex8", eps1=0.1, eps3=0.5) == pytest.approx(2.0 * unit, rel=1e-12)
-    assert cap("ex8", eps1=-0.5, eps3=0.1) == pytest.approx(2.0 * unit, rel=1e-12)
+    assert cap("ex1", (0.25,)) == pytest.approx(4.0 * cap("ex1", (1.0,)), rel=1e-12)
+    # nls: |eps| of its one field; the nonlinear coefficient plays no part
+    nls = cap("ex7", (0.05,))
+    assert nls == pytest.approx(20.0 * cap("ex7", (1.0,)), rel=1e-12)
+    assert cap("ex7", (0.05,), nl_eps=(1000.0,)) == nls
+    # coupled_nls: the larger |eps| of the two fields
+    unit = cap("ex8", (1.0, 1.0))
+    assert cap("ex8", (0.1, 0.5)) == pytest.approx(2.0 * unit, rel=1e-12)
+    assert cap("ex8", (-0.5, 0.1)) == pytest.approx(2.0 * unit, rel=1e-12)
 
 
 AGREE_ALPHAS = (1.05, 1.3, 1.5, 1.7, 1.95, 2.0)
@@ -237,7 +247,7 @@ AGREE_ALPHAS = (1.05, 1.3, 1.5, 1.7, 1.95, 2.0)
 
 def _operators(K, N, alpha):
     mesh, basis = build_mesh(-1.0, 1.0, K), build_basis(N)
-    qop = assemble_q_operator(mesh, basis, default_flux(N), BoundarySpec())
+    qop = assemble_q_operator(mesh, basis, default_flux(N))
     fop = None if alpha == 2.0 else assemble_frac_operator(mesh, basis, alpha)
     return qop, fop
 
