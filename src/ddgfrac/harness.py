@@ -210,10 +210,14 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
         history.append((t, problem.l2_norms_squared(state, t)))
 
     t0 = time.perf_counter()
+    dt_cap = problem.stable_dt_cap()
+    dt_cfl = control.cfl_c * problem.mesh.dx_min ** alpha
+    dt_bound = ("override" if cfg.dt_override is not None
+                else "cap" if dt_cap < dt_cfl else "cfl")
     state, snaps, dt, n_steps = integrate(
         problem.rhs, problem.initial_state(), control,
         problem.mesh.dx_min, alpha, observer=observer,
-        dt_cap=problem.stable_dt_cap(), labels=problem.roles,
+        dt_cap=dt_cap, labels=problem.roles,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
@@ -224,6 +228,7 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     diagnostics = {
         "problem": cfg.problem, "alpha": alpha, "N": N, "K": K,
         "T": spec.T, "dt": dt, "n_steps": n_steps,
+        "dt_cfl": dt_cfl, "dt_cap": dt_cap, "dt_bound": dt_bound,
         "wall_time_ms": wall_ms,
         "l2_norm_history": [[t, [math.sqrt(max(s, 0.0)) for s in sq]]
                             for t, sq in thinned],
@@ -253,10 +258,10 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
     full = problem.full_fields(flat.reshape(spec.n_components, problem.n), t)
     base, ext = os.path.splitext(path)
     written = []
-    for comps, tag in zip(spec.fields, spec.field_tags):
-        cols = [eval_field(FieldVector(full[i], problem.mesh, problem.basis), xs)
-                for i in comps]
-        fp = f"{base}_{tag}{ext}" if tag else path
+    for u, name in zip(full, problem.roles):
+        parts = (u.real, u.imag) if spec.is_complex else (u,)
+        cols = [eval_field(FieldVector(c, problem.mesh, problem.basis), xs) for c in parts]
+        fp = f"{base}_{name}{ext}" if len(full) > 1 else path
         np.savetxt(fp, np.column_stack([xs] + cols), fmt="%.17g")
         written.append(fp)
     return written
@@ -305,9 +310,9 @@ def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
     else:
         diags = [job(cell) for cell in grid]
 
-    n_fields = len(diags[0]["l2_errors"])
+    n_tables = len(diags[0]["l2_errors"])
     tables = {}
-    for f in range(n_fields):
+    for f in range(n_tables):
         rows = []
         for alpha in cfg.alphas:
             for N in cfg.N_list:
@@ -320,7 +325,7 @@ def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
                     rows.append(ConvergenceRow(
                         alpha=alpha, N=N, K=d["K"], dt=d["dt"], l2_error=e,
                         order=o, wall_time_ms=d["wall_time_ms"]))
-        suffix = "" if n_fields == 1 else f"_u{f + 1}"
+        suffix = "" if n_tables == 1 else f"_u{f + 1}"
         path = os.path.join(out_dir, f"convergence{suffix}.csv")
         write_rows_csv(path, rows)
         tables[suffix or "u"] = rows

@@ -171,13 +171,13 @@ def project(f, mesh: Mesh1D, basis: ElementBasis, n_quad: int = None) -> FieldVe
     """Element-wise L2 projection of f using a Gauss-Legendre(N+2) rule.
 
     ``n_quad`` overrides the point count when the integrand degree is known
-    to exceed what the default rule integrates exactly.
+    to exceed what the default rule integrates exactly.  A complex f gives
+    complex coefficients.
     """
     rule = gauss_legendre(basis.N + 2 if n_quad is None else n_quad)
     X = cell_centers_and_points(mesh, rule.nodes)
-    F = np.asarray(f(X), dtype=float)
-    if F.shape != X.shape:
-        F = np.broadcast_to(F, X.shape).copy()
+    F = np.asarray(f(X))
+    F = np.broadcast_to(F, X.shape).astype(np.promote_types(F.dtype, float))
     L = basis.eval_matrix(rule.nodes)
     # cell Jacobian dx/2 cancels against the mass-inverse scaling
     rhs = F @ (rule.weights[:, None] * L)
@@ -197,12 +197,7 @@ def eval_field(u: FieldVector, points) -> np.ndarray:
         raise ValueError("evaluation points must lie inside the domain")
     cell = np.clip(np.searchsorted(mesh.boundaries, pts, side="left") - 1, 0, mesh.K - 1)
     t = 2.0 * (pts - mesh.boundaries[cell]) / mesh.dx - 1.0
-    out = np.empty(pts.size)
-    coeffs = u.by_cell
-    for k in np.unique(cell):
-        sel = cell == k
-        out[sel] = basis.eval_matrix(t[sel]) @ coeffs[k]
-    return out
+    return np.einsum("pi,pi->p", basis.eval_matrix(t), u.by_cell[cell])
 
 
 def l2_norm(u: FieldVector) -> float:
@@ -212,13 +207,14 @@ def l2_norm(u: FieldVector) -> float:
 
 
 def l2_error(u: FieldVector, exact) -> float:
-    """Broken L2 distance to a function of x, by Gauss-Legendre(N+3) per cell."""
+    """Broken L2 distance to a function of x, by Gauss-Legendre(N+3) per cell
+    (complex fields and functions measure |u_h - u|)."""
     rule = gauss_legendre(u.basis.N + 3)
     X = cell_centers_and_points(u.mesh, rule.nodes)
     L = u.basis.eval_matrix(rule.nodes)
     uh = u.by_cell @ L.T
-    diff = uh - np.asarray(exact(X), dtype=float)
-    err2 = 0.5 * u.mesh.dx * np.einsum("g,kg->", rule.weights, diff * diff)
+    diff = uh - np.asarray(exact(X))
+    err2 = 0.5 * u.mesh.dx * np.einsum("g,kg->", rule.weights, (diff * diff.conj()).real)
     return float(np.sqrt(max(err2, 0.0)))
 
 

@@ -1,17 +1,17 @@
 """Semi-discrete right-hand sides for the four problem families.
 
-Every family evolves one or two physical fields (``_LAYOUT``).  A real
-field is one state component; a complex field u = p + i q is two, (p, q).
-The state stacks the components field by field, each element-major, so
-``diffusion`` / ``convection_diffusion`` hold (u), ``nls`` holds (p, q) and
-``coupled_nls`` holds (p1, q1, p2, q2).  The right-hand side, the step cap,
-the norms, the errors, the component names and the snapshot files all
-follow this grouping (``ProblemSpec.fields``).
+The state holds one row per physical field (``_LAYOUT``), each
+element-major: ``diffusion``, ``convection_diffusion`` and ``nls`` hold (u)
+and ``coupled_nls`` holds (u1, u2).  The rows are real for the first two
+families and complex for the Schrodinger ones, so the right-hand side, the
+norms, the errors, the row names and the snapshot files act on each field
+directly.  E stays real: a complex block goes through it as its real rows
+stacked over its imaginary rows, so E is never copied to complex.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c + boundary data with E = M^-1 B M^-1 A; alpha = 2 swaps B for
 the mass matrix (classical limit).  How E is applied depends on the size:
-below ``MATRIX_FREE_MIN_DOF`` DOFs per component it is fused into one dense
+below ``MATRIX_FREE_MIN_DOF`` DOFs per field it is fused into one dense
 matrix; from there on ``BlockOperator`` applies it from the blocks of A
 (block tridiagonal) and B (block Toeplitz, through FFTs) without forming
 it, so no size cap remains.  Both paths share one block representation
@@ -28,6 +28,7 @@ nonlinear terms while the evolved field keeps homogeneous boundary data.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -63,7 +64,7 @@ from .meshbasis import (
 )
 from .specfun import gamma_fn, gauss_legendre
 
-# (number of physical fields, whether they are complex) per family
+# (number of physical fields = state rows, whether they are complex) per family
 _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
            "nls": (1, True), "coupled_nls": (2, True)}
 FAMILIES = tuple(_LAYOUT)
@@ -78,7 +79,7 @@ MATRIX_FREE_MIN_DOF = 768
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Space-time reference solution, one callable per state component."""
+    """Space-time reference solution, one callable per field."""
 
     components: tuple
 
@@ -119,9 +120,9 @@ class ForcingProfile:
 
 @dataclass(frozen=True)
 class ForcingTerms:
-    """Separable forcing sum_i T_i(t) h_i(x) for every state component."""
+    """Separable forcing sum_i T_i(t) h_i(x) of u_t for every field."""
 
-    components: tuple  # tuple over components of tuples of (time_fn, space_fn)
+    components: tuple  # tuple over fields of tuples of (time_fn, space_fn)
 
 
 @dataclass
@@ -138,9 +139,11 @@ class ProblemSpec:
     per field (a scalar is shared by all fields); ``nonlinearity`` maps the
     list of densities to one factor per field.
 
-    ``lift`` holds per-component (time_fn, linear poly coeffs) pairs for
-    problems posed with inhomogeneous Dirichlet data; the evolved state is
-    then the lifted (homogeneous) field.
+    ``ic``, ``bcs``, ``forcing``, ``exact`` and ``lift`` hold one entry per
+    field (``n_components``), complex valued for the complex families.
+    ``lift`` holds (time_fn, linear poly coeffs) pairs for problems posed
+    with inhomogeneous Dirichlet data; the evolved state is then the lifted
+    (homogeneous) field.
     """
 
     family: str
@@ -156,11 +159,11 @@ class ProblemSpec:
     nonlinearity: Optional[Callable] = None
     coupling: Optional[tuple] = None  # fields x fields linear coupling
     conv: Optional[ConvectionFlux] = None
-    ic: Optional[list] = None        # per-component callables of x
-    bcs: Optional[list] = None       # per-component BoundarySpec
+    ic: Optional[list] = None        # per-field callables of x
+    bcs: Optional[list] = None       # per-field BoundarySpec
     forcing: Optional[ForcingTerms] = None
     exact: Optional[ExactSolution] = None
-    lift: Optional[list] = None      # per-component (time_fn, poly coeffs)
+    lift: Optional[list] = None      # per-field (time_fn, poly coeffs)
     cfl_c: Optional[float] = None
 
     def __post_init__(self):
@@ -174,42 +177,26 @@ class ProblemSpec:
             self.flux = default_flux(self.N)
         if self.bcs is None:
             self.bcs = [BoundarySpec()] * self.n_components
-        self.eps, self.nl_eps = (
-            tuple(v) if isinstance(v, (tuple, list)) else (v,) * self.n_fields
-            for v in (self.eps, self.nl_eps))
-        if len(self.eps) != self.n_fields or len(self.nl_eps) != self.n_fields:
-            raise ValueError(f"{self.family} takes {self.n_fields} coefficient(s) per term")
+        m = self.n_components
+        self.eps, self.nl_eps = (tuple(v) if isinstance(v, (tuple, list)) else (v,) * m
+                                 for v in (self.eps, self.nl_eps))
+        if len(self.eps) != m or len(self.nl_eps) != m:
+            raise ValueError(f"{self.family} takes {m} coefficient(s) per term")
         if self.family == "convection_diffusion" and self.conv is None:
             raise ValueError("convection_diffusion requires a convective flux")
         if self.is_complex and self.nonlinearity is None:
             raise ValueError(f"{self.family} requires a nonlinearity")
         if self.lift is not None and len(self.lift) != self.n_components:
-            raise ValueError("lift data must cover every component")
+            raise ValueError("lift data must cover every field")
 
     @property
-    def n_fields(self) -> int:
+    def n_components(self) -> int:
+        """Number of physical fields, one state row each."""
         return _LAYOUT[self.family][0]
 
     @property
     def is_complex(self) -> bool:
         return _LAYOUT[self.family][1]
-
-    @property
-    def n_components(self) -> int:
-        return self.n_fields * (2 if self.is_complex else 1)
-
-    @property
-    def fields(self) -> list:
-        """State component indices of each physical field, in layout order."""
-        width = 2 if self.is_complex else 1
-        return [list(range(j * width, (j + 1) * width)) for j in range(self.n_fields)]
-
-    @property
-    def field_tags(self) -> tuple:
-        """Per-field name suffix: none for a single field, else u1, u2."""
-        if self.n_fields == 1:
-            return ("",)
-        return tuple(f"u{j + 1}" for j in range(self.n_fields))
 
 
 @dataclass
@@ -235,10 +222,9 @@ class SemiDiscreteProblem:
 
     @property
     def roles(self) -> tuple:
-        """Names of the state components, in layout order."""
-        parts = ("re", "im") if self.spec.is_complex else ("u",)
-        return tuple(f"{p}_{tag}" if tag else p
-                     for tag in self.spec.field_tags for p in parts)
+        """Names of the state rows: u for a single field, else u1, u2."""
+        m = self.spec.n_components
+        return ("u",) if m == 1 else tuple(f"u{j + 1}" for j in range(m))
 
     def stable_dt_cap(self, safety: float = 2.0) -> float:
         """Step bound from the measured spectral radius of the stiff part.
@@ -281,8 +267,14 @@ class SemiDiscreteProblem:
         )
 
     def _frac_apply(self, comps: np.ndarray, t: float) -> np.ndarray:
-        """F applied to all components at once; comps has shape (ncomp, n)."""
-        out = self.apply_E(comps)
+        """F applied to all rows at once; comps has shape (ncomp, n)."""
+        if self.spec.is_complex:  # real rows over imaginary rows through the real E
+            m = len(comps)
+            X = self.apply_E(np.concatenate([comps.real, comps.imag]))
+            out = np.empty(comps.shape, dtype=complex)
+            out.real, out.imag = X[:m], X[m:]
+        else:
+            out = self.apply_E(comps)
         if self.lift_nodal is None:  # lifted fields carry homogeneous data
             for i, bc in enumerate(self.spec.bcs):
                 gl, gr = bc.left_at(t), bc.right_at(t)
@@ -312,7 +304,7 @@ class SemiDiscreteProblem:
         comps = flat.reshape(spec.n_components, self.n)
         F = self._frac_apply(comps, t)
         full = self.full_fields(comps, t)
-        out = np.empty_like(comps)
+        out = np.empty_like(F)
 
         if not spec.is_complex:
             out[0] = spec.eps[0] * F[0] + self._forcing(t, 0)
@@ -322,44 +314,33 @@ class SemiDiscreteProblem:
                 out[0] += convection_rhs(u, spec.conv, spec.bcs[0], t).values
             return out.ravel()
 
-        # nonlinear products at quadrature points, projected back: keeps the
-        # (f q, p) = (f p, q) cancellation exact and avoids the nodal
-        # aliasing of high-degree products
-        re, im = full[0::2], full[1::2]
-        at_quad = [(self._at_quad(p), self._at_quad(q)) for p, q in zip(re, im)]
-        factors = spec.nonlinearity([p * p + q * q for p, q in at_quad])
-        for j, ((p, q), f) in enumerate(zip(at_quad, factors)):
-            d_re = -spec.eps[j] * F[2 * j + 1]
-            d_im = +spec.eps[j] * F[2 * j]
+        # u_t = i (eps F + sum_k coupling u_k + nl_eps P(f u)) + g, with the
+        # nonlinear product formed at quadrature points and projected back
+        # (P): keeps Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing
+        # of high-degree products
+        at_quad = [self._at_quad(u) for u in full]
+        factors = spec.nonlinearity([(u * u.conj()).real for u in at_quad])
+        for j, (u, f) in enumerate(zip(at_quad, factors)):
+            d = spec.eps[j] * F[j] + spec.nl_eps[j] * self._product_dofs(f * u)
             if spec.coupling is not None:
-                for k, w in enumerate(spec.coupling[j]):
-                    d_re = d_re - w * im[k]
-                    d_im = d_im + w * re[k]
-            out[2 * j] = (d_re - spec.nl_eps[j] * self._product_dofs(f * q)
-                          + self._forcing(t, 2 * j))
-            out[2 * j + 1] = (d_im + spec.nl_eps[j] * self._product_dofs(f * p)
-                              + self._forcing(t, 2 * j + 1))
+                d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
+            out[j] = 1j * d + self._forcing(t, j)
         return out.ravel()
 
     def field_errors(self, flat: np.ndarray, t: float) -> list:
-        """L2 errors per physical field (complex fields combine re/im parts)."""
+        """L2 error per physical field."""
         if self.spec.exact is None:
             raise ValueError("problem has no exact solution")
         full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
-        comp_err = [
-            l2_error(FieldVector(full[i], self.mesh, self.basis),
-                     lambda x, g=g: g(x, t))
-            for i, g in enumerate(self.spec.exact.components)
-        ]
-        return [math.hypot(*(comp_err[i] for i in f)) for f in self.spec.fields]
+        return [l2_error(FieldVector(u, self.mesh, self.basis), lambda x, g=g: g(x, t))
+                for u, g in zip(full, self.spec.exact.components)]
 
     def l2_norms_squared(self, flat: np.ndarray, t: float = 0.0) -> list:
         """Discrete squared L2 norm per physical field."""
         full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
         mass = 0.5 * self.mesh.dx * self.basis.mass
-        sq = [float(np.einsum("ki,ij,kj->", c.reshape(self.mesh.K, -1), mass,
-                              c.reshape(self.mesh.K, -1))) for c in full]
-        return [sum(sq[i] for i in f) for f in self.spec.fields]
+        return [float(np.einsum("ki,ij,kj->", c.reshape(self.mesh.K, -1).conj(), mass,
+                                c.reshape(self.mesh.K, -1)).real) for c in full]
 
 
 class BlockOperator:
@@ -426,7 +407,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
     E is fused into a dense matrix below ``MATRIX_FREE_MIN_DOF`` DOFs per
-    component and applied by a ``BlockOperator`` from there on.
+    field and applied by a ``BlockOperator`` from there on.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
@@ -527,19 +508,9 @@ def exact_solution_library(name: str, alpha: float = 2.0) -> ExactSolution:
     if name in ("ex1", "ex2", "ex3", "ex4"):
         u0 = _polyval(_POLY_IC[name])
         return ExactSolution(components=(lambda x, t, f=u0: math.exp(-t) * f(x),))
-    if name == "ex7":
-        u0 = _polyval(_POLY_IC["ex7"])
-        return ExactSolution(
-            components=(
-                lambda x, t, f=u0: math.cos(t) * f(x),
-                lambda x, t, f=u0: -math.sin(t) * f(x),
-            ),
-        )
-    if name == "ex8":
-        u0 = _polyval(_POLY_IC["ex8"])
-        re = lambda x, t, f=u0: math.cos(t) * f(x)
-        im = lambda x, t, f=u0: -math.sin(t) * f(x)
-        return ExactSolution(components=(re, im, re, im))
+    if name in ("ex7", "ex8"):
+        u = lambda x, t, f=_polyval(_POLY_IC[name]): cmath.exp(-1j * t) * f(x)
+        return ExactSolution(components=(u,) if name == "ex7" else (u, u))
     if name == "ex9":
         return _manakov_exact()
     raise KeyError(f"no exact solution registered for {name!r}")
@@ -556,12 +527,7 @@ def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
         amp = math.sqrt(2.0) * r2 / np.cosh(r2 * x + 2.0 * r2 * v0 * t - D)
         return amp * np.exp(1j * (-v0 * x + (r2**2 - v0**2) * t))
 
-    return ExactSolution(
-        components=(
-            lambda x, t: u1(x, t).real, lambda x, t: u1(x, t).imag,
-            lambda x, t: u2(x, t).real, lambda x, t: u2(x, t).imag,
-        ),
-    )
+    return ExactSolution(components=(u1, u2))
 
 
 def forcing_library(name: str, alpha: float) -> ForcingTerms:
@@ -586,24 +552,13 @@ def forcing_library(name: str, alpha: float) -> ForcingTerms:
         return ForcingTerms(components=(
             ((lambda t: math.exp(-t), h1), (lambda t: math.exp(-2.0 * t), h2)),
         ))
-    if name == "ex7":
-        # residual of exp(-it) u0 in i u_t - eps (-lap)^(a/2) u + |u|^2 u = g,
-        # carried to the (p, q) system as (Re, Im) of -i g
-        h = ForcingProfile(poly=P.polyadd(u0c, P.polypow(u0c, 3)),
-                           frac_scale=-eps, base=u0c, alpha=alpha, domain=dom)
-        return ForcingTerms(components=(
-            ((lambda t: -math.sin(t), h),),
-            ((lambda t: -math.cos(t), h),),
-        ))
-    if name == "ex8":
-        h = ForcingProfile(poly=P.polyadd(3.0 * u0c, 2.0 * P.polypow(u0c, 3)),
-                           frac_scale=-eps, base=u0c, alpha=alpha, domain=dom)
-        per_complex = (
-            ((lambda t: -math.sin(t), h),),
-            ((lambda t: -math.cos(t), h),),
-        )
-        return ForcingTerms(components=per_complex + per_complex)
-    raise KeyError(name)
+    # residual g of exp(-it) u0 in i u_t - eps (-lap)^(a/2) u + f u = i g
+    # (ex7: f = |u|^2; ex8: f = |u1|^2 + |u2|^2 and the coupling adds u1 + u2)
+    poly = (P.polyadd(u0c, P.polypow(u0c, 3)) if name == "ex7"
+            else P.polyadd(3.0 * u0c, 2.0 * P.polypow(u0c, 3)))
+    h = ForcingProfile(poly=poly, frac_scale=-eps, base=u0c, alpha=alpha, domain=dom)
+    per_field = ((lambda t: -1j * cmath.exp(-1j * t), h),)
+    return ForcingTerms(components=(per_field,) if name == "ex7" else (per_field, per_field))
 
 
 def _linear_lift(u0c: np.ndarray, domain: tuple) -> Optional[np.ndarray]:
@@ -615,49 +570,36 @@ def _linear_lift(u0c: np.ndarray, domain: tuple) -> Optional[np.ndarray]:
     return np.array([(va * b - vb * a) / (b - a), (vb - va) / (b - a)])
 
 
-_TIME_REAL = ((lambda t: math.exp(-t), lambda t: -math.exp(-t)),)
-_TIME_OSC = (
-    (math.cos, lambda t: -math.sin(t)),
-    (lambda t: -math.sin(t), lambda t: -math.cos(t)),
-)
+# time factor T(t) of the manufactured solutions T(t) u0(x), and T'(t)
+_TIME_REAL = (lambda t: math.exp(-t), lambda t: -math.exp(-t))
+_TIME_OSC = (lambda t: cmath.exp(-1j * t), lambda t: -1j * cmath.exp(-1j * t))
 
 
 def _lifted_setup(name: str, alpha: float, oscillatory: bool):
-    """IC, BC, lift and extra forcing terms for one manufactured example."""
+    """IC, BC, lift and extra forcing terms for one manufactured example.
+
+    Every field of an example is T(t) u0(x), so all fields share them.
+    """
     dom = _DOMAINS[name]
     u0c = _POLY_IC[name]
     lift_c = _linear_lift(u0c, dom)
-    time_pairs = _TIME_OSC if oscillatory else _TIME_REAL
+    tf, tf_prime = _TIME_OSC if oscillatory else _TIME_REAL
     exact = exact_solution_library(name, alpha)
-    n_comp = len(exact.components)
+    m = len(exact.components)
     forcing = forcing_library(name, alpha)
-
-    bcs = []
-    for i in range(n_comp):
-        tf = time_pairs[i % len(time_pairs)][0]
-        va = float(P.polyval(dom[0], u0c))
-        vb = float(P.polyval(dom[1], u0c))
-        bcs.append(BoundarySpec(left=lambda t, f=tf, v=va: f(t) * v,
-                                right=lambda t, f=tf, v=vb: f(t) * v))
+    va, vb = (float(P.polyval(x, u0c)) for x in dom)
+    bcs = [BoundarySpec(left=lambda t: tf(t) * va, right=lambda t: tf(t) * vb)] * m
 
     if lift_c is None:
         ic = [lambda x, g=g: g(x, 0.0) for g in exact.components]
         return ic, bcs, None, forcing, exact
 
     tilde = P.polysub(u0c, lift_c)
-    lift = []
-    ic = []
-    comps = []
-    for i in range(n_comp):
-        tf, tf_prime = time_pairs[i % len(time_pairs)]
-        lift.append((tf, lift_c))
-        ic.append(lambda x, c=tilde, f=tf: f(0.0) * P.polyval(np.asarray(x, float), c))
-        extra = (lambda t, fp=tf_prime: -fp(t),
-                 ForcingProfile(poly=lift_c, frac_scale=0.0, base=None,
-                                alpha=alpha, domain=dom))
-        comps.append(tuple(forcing.components[i]) + (extra,))
-    forcing = ForcingTerms(components=tuple(comps))
-    return ic, bcs, lift, forcing, exact
+    ic = [lambda x: tf(0.0) * P.polyval(np.asarray(x, float), tilde)] * m
+    extra = (lambda t: -tf_prime(t), ForcingProfile(poly=lift_c, frac_scale=0.0, base=None,
+                                                    alpha=alpha, domain=dom))
+    forcing = ForcingTerms(components=tuple(c + (extra,) for c in forcing.components))
+    return ic, bcs, [(tf, lift_c)] * m, forcing, exact
 
 
 def burgers_flux() -> ConvectionFlux:
@@ -680,7 +622,7 @@ def _sech(x):
 
 
 def initial_condition_library(name: str) -> list:
-    """Per-component initial data for the non-manufactured runs."""
+    """Per-field initial data for the non-manufactured runs."""
     if name == "step_ramp":
         def ic(x):
             x = np.asarray(x, dtype=float)
@@ -690,8 +632,7 @@ def initial_condition_library(name: str) -> list:
     if name == "gauss2":
         return [lambda x: np.exp(-2.0 * np.asarray(x, dtype=float) ** 2)]
     if name == "nls_soliton":
-        u = lambda x: np.exp(2j * np.asarray(x, dtype=float)) * _sech(np.asarray(x))
-        return [lambda x: u(x).real, lambda x: u(x).imag]
+        return [lambda x: np.exp(2j * np.asarray(x, dtype=float)) * _sech(np.asarray(x))]
     if name == "nls_two_soliton":
         def u(x):
             x = np.asarray(x, dtype=float)
@@ -699,11 +640,10 @@ def initial_condition_library(name: str) -> list:
             for cj, xj in ((4.0, -10.0), (-4.0, 10.0)):
                 total += np.exp(0.5j * cj * (x - xj)) * _sech(x - xj)
             return total
-        return [lambda x: u(x).real, lambda x: u(x).imag]
+        return [u]
     if name == "colliding_sech_pair":
-        ex = _manakov_exact()
         return [lambda x, g=g: g(np.asarray(x, dtype=float), 0.0)
-                for g in ex.components]
+                for g in _manakov_exact().components]
     raise KeyError(f"unknown initial condition {name!r}")
 
 
@@ -769,7 +709,8 @@ def make_example(name: str, alpha: float, K: int, N: int,
             ic=initial_condition_library("nls_two_soliton"), cfl_c=cfl_c,
         )
     if name == "coupled_strong":
-        # linearly coupled cubic system; varpi1 is the cross-coupling knob
+        # linearly coupled cubic system; varpi1 sets the cross coupling w2
+        # (the self coupling w1 is 1), not the paper's varpi1
         w2 = 1.0 if varpi1 is None else varpi1
         return ProblemSpec(
             family="coupled_nls", alpha=alpha, domain=(-40.0, 40.0), K=K, N=N,

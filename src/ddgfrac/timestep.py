@@ -82,8 +82,8 @@ def integrate(
     maps each requested time to a copy of the state there.  ``dt_cap``
     bounds the CFL-rule step where the spatial operator's measured spectral
     radius demands it (an explicit override is taken literally).  The state
-    is ``len(labels)`` equal blocks, named by ``labels`` when a step
-    diverges.
+    keeps its dtype (real or complex) and is ``len(labels)`` equal blocks,
+    named by ``labels`` when a step diverges.
     """
     dt = cfl_timestep(control, dx_min, alpha, dt_cap)
     if dt <= 0:
@@ -92,7 +92,7 @@ def integrate(
     events = sorted(t for t in set(control.snapshot_times) if control.t0 < t <= control.T)
     events.append(control.T)
 
-    state = np.array(state0, dtype=float, copy=True)
+    state = np.array(state0, copy=True)
     t = control.t0
     n_steps = 0
     snapshots = {}

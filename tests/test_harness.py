@@ -92,12 +92,24 @@ def test_run_writes_snapshots_and_diagnostics(tmp_path):
     diag = json.loads((case / "diagnostics.json").read_text())
     assert diag["n_steps"] > 0
     assert "l2_errors" in diag
+    # which bound set dt, and both candidates: the CFL rule here; the
+    # spectral cap on the coarse Burgers profile run; an override when given
+    assert diag["dt_bound"] == "cfl" and diag["dt"] == diag["dt_cfl"] < diag["dt_cap"]
+    assert diag["dt_cfl"] == pytest.approx(0.05 * 0.25 ** 1.5, rel=1e-15)
+    for dt_override, bound in ((None, "cap"), (0.01, "override")):
+        cfg = RunConfig(problem="ex5", alphas=[1.5], N_list=[2], K_list=[8],
+                        T=0.05, dt_override=dt_override)
+        d = run_single(cfg, str(tmp_path / bound))[0]
+        assert d["dt_bound"] == bound and d["dt_cap"] < d["dt_cfl"]
+        assert d["dt"] == (d["dt_cap"] if dt_override is None else dt_override)
     assert results[0]["l2_errors"][0] < 5e-2
 
 
 def test_coupled_run_writes_one_file_per_field(tmp_path):
     cfg = RunConfig(problem="ex8", alphas=[1.1], N_list=[1], K_list=[6], T=0.05)
-    run_single(cfg, str(tmp_path / "out"))
+    errs = run_single(cfg, str(tmp_path / "out"))[0]["l2_errors"]
+    # the lifted manufactured solution: 1.09e-2 per field on this coarse mesh
+    assert len(errs) == 2 and max(errs) < 2e-2
     case = tmp_path / "out" / "ex8_a1.1_N1_K6"
     assert (case / "snapshot_t0.050000_u1.txt").exists()
     assert (case / "snapshot_t0.050000_u2.txt").exists()

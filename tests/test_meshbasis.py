@@ -119,18 +119,19 @@ def test_eval_field_matches_direct_lagrange():
     rng = np.random.default_rng(11)
     mesh, basis = build_mesh(0.0, 1.0, 6), build_basis(4)
     u = FieldVector(rng.standard_normal(6 * 5), mesh, basis)
-    cheb = np.cos(np.linspace(0.1, 3.0, 9))  # interior points of cell 2
-    pts = mesh.boundaries[2] + 0.5 * mesh.dx * (cheb * 0.98 + 1.0)
-    got = eval_field(u, pts)
-    # direct Lagrange product formula
-    t = 2.0 * (pts - mesh.boundaries[2]) / mesh.dx - 1.0
+    cheb = np.cos(np.linspace(0.1, 3.0, 9))  # interior points of each cell
+    cells = np.repeat(np.arange(6), cheb.size)
+    pts = mesh.boundaries[cells] + 0.5 * mesh.dx * (np.tile(cheb, 6) * 0.98 + 1.0)
+    got = eval_field(u, pts)   # all cells in one call
+    # direct Lagrange product formula, cell by cell
+    t = 2.0 * (pts - mesh.boundaries[cells]) / mesh.dx - 1.0
     want = np.zeros_like(pts)
     for i, ti in enumerate(basis.ref_nodes):
         li = np.ones_like(t)
         for j, tj in enumerate(basis.ref_nodes):
             if j != i:
                 li *= (t - tj) / (ti - tj)
-        want += u.by_cell[2, i] * li
+        want += u.by_cell[cells, i] * li
     assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -152,6 +153,22 @@ def test_l2_error_basics():
     assert l2_error(u, lambda x: x**2) <= 1e-13
     zero = FieldVector(np.zeros(15), mesh, basis)
     assert l2_error(zero, lambda x: np.ones_like(x)) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_project_and_l2_error_of_a_complex_function():
+    # both act on the real and imaginary parts; l2_error combines them as
+    # sqrt(err_re^2 + err_im^2)
+    mesh, basis = build_mesh(-1.0, 1.0, 6), build_basis(2)
+    re, im = (lambda x: np.cos(3.0 * x)), (lambda x: x**3 - x)
+    u = project(lambda x: re(x) + 1j * im(x), mesh, basis)
+    u_re, u_im = project(re, mesh, basis), project(im, mesh, basis)
+    assert u.values.dtype == complex
+    assert u.values.real == pytest.approx(u_re.values, rel=1e-14, abs=1e-15)
+    assert u.values.imag == pytest.approx(u_im.values, rel=1e-14, abs=1e-15)
+    g_re, g_im = np.exp, np.sin
+    err = l2_error(u, lambda x: g_re(x) + 1j * g_im(x))
+    want = math.hypot(l2_error(u_re, g_re), l2_error(u_im, g_im))
+    assert want > 0.1 and err == pytest.approx(want, rel=1e-13)
 
 
 def test_parseval_consistency():

@@ -40,7 +40,7 @@ def test_zero_state_unforced_families():
         spec = make_example(name, alpha, 8, 1)
         spec.forcing = None
         prob = build_problem(spec)
-        z = np.zeros(spec.n_components * prob.n)
+        z = np.zeros(spec.n_components * prob.n, dtype=complex if spec.is_complex else float)
         assert np.abs(prob.rhs(0.3, z)).max() == 0.0
 
 
@@ -60,25 +60,28 @@ def test_manufactured_rhs_consistency_refines():
         assert min(orders) >= floor
 
 
+def _complex_normal(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 def test_nls_linear_case_matches_hand_build():
     # f == 1 with nl_eps multiplying u reduces to the linear equation
+    # u_t = i (eps E u + nl_eps u)
     spec = make_example("ex7", 1.5, 6, 2)
     spec.forcing = None
     spec.nonlinearity = lambda rho: [np.ones_like(r) for r in rho]
     prob = build_problem(spec)
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal(2 * prob.n)
-    p, q = s[:prob.n], s[prob.n:]
-    r = prob.rhs(0.0, s)
+    u = _complex_normal(np.random.default_rng(0), prob.n)
+    r = prob.rhs(0.0, u)
     (eps,), (nl_eps,) = spec.eps, spec.nl_eps
-    want_p = -eps * (prob.E @ q) - nl_eps * q
-    want_q = +eps * (prob.E @ p) + nl_eps * p
-    assert r[:prob.n] == pytest.approx(want_p, rel=1e-12, abs=1e-12)
-    assert r[prob.n:] == pytest.approx(want_q, rel=1e-12, abs=1e-12)
+    want = 1j * (eps * (prob.E @ u) + nl_eps * u)
+    assert r.dtype == complex
+    assert r.real == pytest.approx(want.real, rel=1e-12, abs=1e-12)
+    assert r.imag == pytest.approx(want.imag, rel=1e-12, abs=1e-12)
 
 
 def test_nls_semidiscrete_norm_balance():
-    # |<p, p_t> + <q, q_t>| stays below 1e-8 of the squared norm (unforced)
+    # |Re <u, u_t>| stays below 1e-8 of the squared norm (unforced)
     spec = make_example("nls_soliton", 1.5, 96, 2)
     prob = build_problem(spec)
     s = prob.initial_state()
@@ -87,38 +90,35 @@ def test_nls_semidiscrete_norm_balance():
     K = prob.mesh.K
 
     def inner(a, b):
-        return float(np.einsum("ki,ij,kj->", a.reshape(K, -1), M, b.reshape(K, -1)))
+        return complex(np.einsum("ki,ij,kj->", a.reshape(K, -1).conj(), M, b.reshape(K, -1)))
 
-    n = prob.n
-    drift = inner(s[:n], r[:n]) + inner(s[n:], r[n:])
-    norm2 = inner(s[:n], s[:n]) + inner(s[n:], s[n:])
-    assert abs(drift) <= 1e-8 * norm2
+    drift = inner(s, r).real
+    norm2 = inner(s, s).real
+    assert norm2 > 0.0 and abs(drift) <= 1e-8 * norm2
 
 
 def test_gauge_covariance_of_cubic_term():
+    # rhs(e^{i theta} u) = e^{i theta} rhs(u)
     spec = make_example("nls_soliton", 1.5, 24, 2)
     prob = build_problem(spec)
-    rng = np.random.default_rng(4)
-    s = rng.standard_normal(2 * prob.n)
-    n = prob.n
-    theta = 0.77
-    c, sn = math.cos(theta), math.sin(theta)
-    rot = np.concatenate([c * s[:n] - sn * s[n:], sn * s[:n] + c * s[n:]])
-    r, rrot = prob.rhs(0.0, s), prob.rhs(0.0, rot)
-    want = np.concatenate([c * r[:n] - sn * r[n:], sn * r[:n] + c * r[n:]])
-    assert rrot == pytest.approx(want, rel=1e-11, abs=1e-11)
+    u = _complex_normal(np.random.default_rng(4), prob.n)
+    phase = np.exp(0.77j)
+    r, rrot = prob.rhs(0.0, u), prob.rhs(0.0, phase * u)
+    want = phase * r
+    assert rrot.real == pytest.approx(want.real, rel=1e-11, abs=1e-11)
+    assert rrot.imag == pytest.approx(want.imag, rel=1e-11, abs=1e-11)
 
 
 def test_coupled_symmetric_reduction_stays_equal():
-    spec = make_example("manakov", 1.6, 32, 2)   # identical components, no coupling
+    spec = make_example("manakov", 1.6, 32, 2)   # identical fields, no coupling
     prob = build_problem(spec)
     s = prob.initial_state()
     n = prob.n
     # mirror the second field onto the first so both complex fields coincide
-    s[2 * n:] = s[:2 * n]
+    s[n:] = s[:n]
     ctrl = RunControl(t0=0.0, T=0.2, cfl_c=0.05)
     out, _, _, _ = integrate(prob.rhs, s, ctrl, prob.mesh.dx_min, 1.6)
-    assert np.array_equal(out[:2 * n], out[2 * n:])
+    assert np.array_equal(out[:n], out[n:])
 
 
 def test_exact_library_values():
@@ -128,13 +128,17 @@ def test_exact_library_values():
 
     ex9 = exact_solution_library("ex9")
     ics = initial_condition_library("colliding_sech_pair")
+    assert len(ex9.components) == len(ics) == 2
     for comp, ic in zip(ex9.components, ics):
-        assert comp(xs, 0.0) == pytest.approx(ic(xs), abs=1e-14)
+        assert np.iscomplexobj(ic(xs))
+        assert np.abs(comp(xs, 0.0) - ic(xs)).max() <= 1e-14
 
     ex7 = exact_solution_library("ex7", 1.5)
+    assert len(ex7.components) == 1
     for t in (0.0, 0.4, 1.3):  # |exp(-it)| = 1, so the modulus is static
-        mod = math.hypot(ex7.components[0](0.3, t), ex7.components[1](0.3, t))
-        assert mod == pytest.approx(abs(0.3**2 - 1.0) ** 5, rel=1e-12)
+        val = complex(ex7.components[0](0.3, t))
+        assert val == pytest.approx(np.exp(-1j * t) * (0.3**2 - 1.0) ** 5, rel=1e-12)
+        assert abs(val) == pytest.approx(abs(0.3**2 - 1.0) ** 5, rel=1e-12)
 
 
 def test_forcing_ex1_classical_limit():
@@ -194,21 +198,30 @@ def test_problem_spec_validation():
     spec = ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
                        T=1.0, eps=0.5, nl_eps=(1.0, 2.0), nonlinearity=lambda rho: rho)
     assert spec.eps == (0.5, 0.5) and spec.nl_eps == (1.0, 2.0)
-    assert spec.fields == [[0, 1], [2, 3]] and spec.n_components == 4
+    assert spec.n_components == 2 and spec.is_complex
+    # one state row per field: a single nls field takes one coefficient
+    with pytest.raises(ValueError):
+        ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
+                    eps=(1.0, 1.0), nonlinearity=lambda rho: rho)
 
 
 def test_fields_drive_roles_norms_and_errors():
-    for name, roles in (("ex1", ("u",)), ("ex7", ("re", "im")),
-                        ("ex8", ("re_u1", "im_u1", "re_u2", "im_u2"))):
+    for name, roles, dtype in (("ex1", ("u",), float), ("ex7", ("u",), complex),
+                               ("ex8", ("u1", "u2"), complex)):
         spec = make_example(name, 1.5, 8, 2)
         prob = build_problem(spec)
-        assert prob.roles == roles
+        assert prob.roles == roles and spec.n_components == len(roles)
         s = prob.initial_state()
+        assert s.dtype == dtype and s.size == len(roles) * prob.n
         comps = prob.full_fields(s.reshape(spec.n_components, prob.n), 0.0)
-        sq = [l2_norm(FieldVector(c, prob.mesh, prob.basis)) ** 2 for c in comps]
-        want = [sum(sq[i] for i in f) for f in spec.fields]
+        # a complex field's squared norm is that of its real part plus its
+        # imaginary part
+        want = [sum(l2_norm(FieldVector(part, prob.mesh, prob.basis)) ** 2
+                    for part in ((c.real, c.imag) if spec.is_complex else (c,)))
+                for c in comps]
         assert prob.l2_norms_squared(s) == pytest.approx(want, rel=1e-12)
-        assert len(prob.field_errors(s, 0.0)) == spec.n_fields
+        errs = prob.field_errors(s, 0.0)
+        assert len(errs) == len(roles) and all(0.0 <= e < 1e-2 for e in errs)
 
 
 def test_epsilon_values():

@@ -126,6 +126,17 @@ def test_linear_homogeneity():
     assert s2 == pytest.approx(3.0 * s1, rel=1e-13)
 
 
+def test_integrate_keeps_a_complex_state():
+    # u_t = -i u: the state stays complex and follows exp(-it) u0
+    u0 = np.array([1.0 + 0.5j])
+    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=0.05,
+                      snapshot_times=(0.5,))
+    state, snaps, _, _ = integrate(lambda t, u: -1j * u, u0, ctrl, 1.0, 1.5)
+    assert state.dtype == complex and snaps[0.5].dtype == complex
+    assert abs(state[0] - np.exp(-1j) * u0[0]) <= 1e-6
+    assert abs(snaps[0.5][0] - np.exp(-0.5j) * u0[0]) <= 1e-6
+
+
 def test_control_validation():
     with pytest.raises(ValueError):
         RunControl(t0=1.0, T=0.5)
