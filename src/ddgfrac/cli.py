@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``          one simulation (or a small grid), snapshots + diagnostics
 * ``converge``     convergence study, CSV tables with orders
-* ``admissibility`` sampled falsifier for a flux parameter pair
+* ``admissibility`` exact admissibility check of a flux parameter pair
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 admissibility violation (witness serialized).
@@ -50,10 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     adm.add_argument("--N", type=int, required=True)
     adm.add_argument("--beta0", type=float, required=True)
     adm.add_argument("--beta1", type=float, default=0.0)
-    adm.add_argument("--samples", type=int, default=100_000)
     adm.add_argument("--gamma", type=float, default=0.5)
     adm.add_argument("--mu", type=float, default=0.25)
-    adm.add_argument("--seed", type=int, default=0)
     adm.add_argument("--out", default="out")
     return ap
 
@@ -83,9 +81,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_admissibility(args) -> int:
     flux = FluxParams(args.beta0, args.beta1)
-    report = check_admissibility(flux, args.N, samples=args.samples,
-                                 gamma=args.gamma, mu_pen=args.mu,
-                                 seed=args.seed)
+    report = check_admissibility(flux, args.N, gamma=args.gamma, mu_pen=args.mu)
     print(f"flux (beta0={args.beta0:g}, beta1={args.beta1:g}) at N={args.N}: "
           f"min_ratio={report.min_ratio:.6f} min_value={report.min_value:.3e} "
           f"admissible={report.admissible}")

@@ -18,14 +18,12 @@ and keeps the beta1-free part of the bilinear form symmetric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .meshbasis import ElementBasis, FieldVector, Mesh1D
+from .meshbasis import ElementBasis, FieldVector, Mesh1D, build_basis
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,29 @@ def numerical_flux_deriv(traces_minus, traces_plus, h: float, flux: FluxParams) 
     return flux.beta0 / h * (up - um) + 0.5 * (dp + dm) + flux.beta1 * h * (sp - sm)
 
 
+def _interior_face(basis: ElementBasis, flux: FluxParams, h: float):
+    """Interior-face blocks of A: -(du/dx)* [phi] - {dphi/dx} [u].
+
+    Split by the side of the test (rows) and trial (columns) cell, the
+    blocks are (minus_flux, minus_avg, plus_flux, plus_avg, upper, lower):
+    the minus cell's diagonal gains minus_flux - minus_avg, the plus
+    cell's -plus_flux - plus_avg, and upper/lower couple minus to plus and
+    plus to minus.
+    """
+    vl, dl, sl = basis.trace_left
+    vr, dr, sr = basis.trace_right
+    # reference trace rows; physical derivatives pick up 2/dx per order
+    dl_x, dr_x = (2.0 / h) * dl, (2.0 / h) * dr
+    sl_x, sr_x = (2.0 / h) ** 2 * sl, (2.0 / h) ** 2 * sr
+    # flux_m/flux_p weigh the minus/plus cell's DOFs in (du/dx)*
+    flux_m = -flux.beta0 / h * vr + 0.5 * dr_x - flux.beta1 * h * sr_x
+    flux_p = +flux.beta0 / h * vl + 0.5 * dl_x + flux.beta1 * h * sl_x
+    return (np.outer(vr, flux_m), np.outer(0.5 * dr_x, -vr),
+            np.outer(vl, flux_p), np.outer(0.5 * dl_x, vl),
+            np.outer(vr, flux_p) - np.outer(0.5 * dr_x, vl),
+            -np.outer(vl, flux_m) - np.outer(0.5 * dl_x, -vr))
+
+
 def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
                         flux: FluxParams) -> DdgOperators:
     """Assemble the blocks of A and the Dirichlet closure vectors.
@@ -127,23 +148,13 @@ def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
     bL = np.zeros(K * n)
     bR = np.zeros(K * n)
 
-    # reference trace rows; physical derivatives pick up 2/dx per order
-    vl, dl, sl = basis.trace_left
-    vr, dr, sr = basis.trace_right
-    dl_x, dr_x = (2.0 / h) * dl, (2.0 / h) * dr
-    sl_x, sr_x = (2.0 / h) ** 2 * sl, (2.0 / h) ** 2 * sr
+    vl, dl_x = basis.trace_left[0], (2.0 / h) * basis.trace_left[1]
+    vr, dr_x = basis.trace_right[0], (2.0 / h) * basis.trace_right[1]
 
     vol = -(2.0 / h) * basis.diff.T @ basis.mass @ basis.diff
 
-    # interior face: -(du/dx)* [phi] - {dphi/dx} [u], split by the side of
-    # the test (rows) and trial (columns) cell; flux_m/flux_p weigh the
-    # minus/plus cell's DOFs in (du/dx)*
-    flux_m = -flux.beta0 / h * vr + 0.5 * dr_x - flux.beta1 * h * sr_x
-    flux_p = +flux.beta0 / h * vl + 0.5 * dl_x + flux.beta1 * h * sl_x
-    minus_flux, minus_avg = np.outer(vr, flux_m), np.outer(0.5 * dr_x, -vr)
-    plus_flux, plus_avg = np.outer(vl, flux_p), np.outer(0.5 * dl_x, vl)
-    upper = np.outer(vr, flux_p) - np.outer(0.5 * dr_x, vl)
-    lower = -np.outer(vl, flux_m) - np.outer(0.5 * dl_x, -vr)
+    minus_flux, minus_avg, plus_flux, plus_avg, upper, lower = \
+        _interior_face(basis, flux, h)
     # a cell is the + side of its left face and the - side of its right face
     diag = vol - plus_flux - plus_avg + minus_flux - minus_avg
 
@@ -177,7 +188,7 @@ def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
 
 @dataclass(frozen=True)
 class ConvectionFlux:
-    """Convective flux function, its derivative, and boundary states."""
+    """Convective flux function f(u) and its derivative f'(u)."""
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
@@ -221,81 +232,66 @@ class AdmissibilityReport:
 
 
 def _two_cell_forms(basis: ElementBasis, flux: FluxParams):
-    """Quadratic forms on a two-cell probe with unit cells [0,1], [1,2]."""
+    """Quadratic forms on a two-cell probe with unit cells [0,1], [1,2].
+
+    The face form is minus the symmetric part of the solver's own
+    interior-face blocks, so it tests the DDG form the solver runs.
+    """
     n = basis.n_nodes
-    h = 1.0
-    vl, dl, sl = basis.trace_left
-    vr, dr, sr = basis.trace_right
+    minus_flux, minus_avg, plus_flux, plus_avg, upper, lower = \
+        _interior_face(basis, flux, 1.0)
+    F = np.block([[minus_flux - minus_avg, upper],
+                  [lower, -plus_flux - plus_avg]])
+    face = -0.5 * (F + F.T)
     grad = np.zeros((2 * n, 2 * n))
     gblock = 2.0 * basis.diff.T @ basis.mass @ basis.diff
     grad[:n, :n] = gblock
     grad[n:, n:] = gblock
-
-    jump = np.concatenate([-vr, vl])
-    flux_row = np.concatenate([
-        -flux.beta0 / h * vr + dr - flux.beta1 * h * 4.0 * sr,
-        +flux.beta0 / h * vl + dl + flux.beta1 * h * 4.0 * sl,
-    ])
-    # (du/dx)* + {du/dx}: the plain average adds another (dr, dl) pair
-    fa_row = flux_row + np.concatenate([dr, dl])
-    face = 0.5 * (np.outer(fa_row, jump) + np.outer(jump, fa_row))
-    pen = np.outer(jump, jump) / h
-    return grad, face, pen, jump
+    jump = np.concatenate([-basis.trace_right[0], basis.trace_left[0]])
+    return grad, face, np.outer(jump, jump), jump
 
 
 def check_admissibility(
     flux: FluxParams,
     N: int,
-    samples: int = 10_000,
     gamma: float = 0.5,
     mu_pen: float = 0.25,
-    seed: int = 0,
 ) -> AdmissibilityReport:
-    """Sampled falsifier for the flux admissibility inequality.
+    """Exact check of the flux admissibility inequality.
 
-    Minimizes  gamma (u', u') + sum_face ((u')*[u] + {u'}[u]) - mu_pen [u]^2/h
-    over random two-cell degree-N polynomials (normalized DOFs), then refines
-    the worst sample by local descent on the Rayleigh quotient.  A negative
-    minimum beyond tolerance yields a witness.
+    Over two-cell degree-N polynomials u, asks whether
+
+        G(u) = gamma (u', u') + (u')*[u] + {u'}[u] - mu_pen [u]^2 >= 0
+
+    on unit cells (h = 1), with the face terms of ``assemble_q_operator``.
+    ``min_value`` is the smallest eigenvalue of G in the DOF coordinates, and
+    its unit eigenvector is the witness of a violation.  ``min_ratio`` is the
+    minimum of (G(u) + mu_pen [u]^2) / [u]^2 over u with [u] != 0, so the
+    pair is admissible exactly when min_ratio >= mu_pen.  For beta1 = 0,
+    min_ratio = beta0 - N^2 / (2 gamma).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if not 0.0 < gamma < 1.0 or not 0.0 < mu_pen <= 1.0:
         raise ValueError("gamma must lie in (0,1) and mu_pen in (0,1]")
-    from .meshbasis import build_basis
 
-    basis = build_basis(N)
-    grad, face, pen, jump = _two_cell_forms(basis, flux)
-    G = gamma * grad + face - mu_pen * pen
+    grad, face, pen, jump = _two_cell_forms(build_basis(N), flux)
     numer = gamma * grad + face
+    vals, vecs = np.linalg.eigh(numer - mu_pen * pen)
+    min_value = float(vals[0])
 
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((samples, 2 * basis.n_nodes))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    vals = np.einsum("si,ij,sj->s", U, G, U)
-    worst = int(np.argmin(vals))
-    min_value = float(vals[worst])
-
-    def rayleigh(u):
-        return float(u @ G @ u) / float(u @ u)
-
-    res = minimize(rayleigh, U[worst], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000})
-    u_min = res.x / np.linalg.norm(res.x)
-    min_value = min(min_value, rayleigh(u_min))
-
-    jumps = U @ jump
-    mask = np.abs(jumps) > 1e-8
-    ratios = np.einsum("si,ij,sj->s", U[mask], numer, U[mask]) / (jumps[mask] ** 2)
-    jmin = float(jump @ u_min)
-    if abs(jmin) > 1e-8:
-        ratios = np.append(ratios, (u_min @ numer @ u_min) / jmin**2)
-    min_ratio = float(np.min(ratios)) if ratios.size else math.inf
+    # minimize numer over u = u0 + Z y with [u0] = 1, where Z spans the
+    # jump-free DOFs less the constants (numer maps constants to zero, and
+    # they are jump-free since the nodal basis sums to one); on Z, numer is
+    # gamma * grad, which is positive definite there
+    u0 = jump / (jump @ jump)
+    Z = np.linalg.svd(np.vstack([jump, np.ones_like(jump)]))[2][2:].T
+    b = Z.T @ numer @ u0
+    y = np.linalg.solve(Z.T @ numer @ Z, b)
+    min_ratio = float(u0 @ numer @ u0 - b @ y)
 
     admissible = min_value >= -1e-10
     return AdmissibilityReport(
         min_ratio=min_ratio,
         min_value=min_value,
         admissible=admissible,
-        witness=None if admissible else u_min,
+        witness=None if admissible else vecs[:, 0],
     )

@@ -226,7 +226,7 @@ class SemiDiscreteProblem:
         m = self.spec.n_components
         return ("u",) if m == 1 else tuple(f"u{j + 1}" for j in range(m))
 
-    def stable_dt_cap(self, safety: float = 2.0) -> float:
+    def stable_dt_cap(self) -> float:
         """Step bound from the measured spectral radius of the stiff part.
 
         The CFL rule dt = c dx^alpha carries an O(1) constant that is left
@@ -250,7 +250,7 @@ class SemiDiscreteProblem:
             u0 = spec.ic[0](nodes)
             speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
             rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
-        return safety / (1.15 * rho_eff)
+        return 2.0 / (1.15 * rho_eff)
 
     def _product_dofs(self, vals: np.ndarray) -> np.ndarray:
         """L2 projection of pointwise quadrature values back onto the space."""
@@ -502,8 +502,10 @@ def example_epsilon(name: str, alpha: float) -> float:
 def exact_solution_library(name: str, alpha: float = 2.0) -> ExactSolution:
     """Reference solutions for error measurement.
 
-    ``ex9`` is the colliding two-soliton pair of the coupled cubic system,
-    exact only in the classical integrable case (alpha = 2, cross coupling 1).
+    ``ex9`` pairs two single solitons of the coupled cubic system, one per
+    field, moving toward each other (alpha = 2, cross coupling 1).  It
+    solves the system up to the overlap of their tails, so it is a
+    reference only before they collide near t = 12.5.
     """
     if name in ("ex1", "ex2", "ex3", "ex4"):
         u0 = _polyval(_POLY_IC[name])
@@ -725,6 +727,7 @@ def make_example(name: str, alpha: float, K: int, N: int,
             T=5.0 if T is None else T, label=name, flux=flux,
             nonlinearity=lambda rho, b=beta: (rho[0] + b * rho[1], b * rho[0] + rho[1]),
             ic=initial_condition_library("colliding_sech_pair"),
+            # valid before the collision only; the bench's T = 5 check reads it
             exact=_manakov_exact() if beta == 1.0 and alpha == 2.0 else None,
             cfl_c=cfl_c,
         )

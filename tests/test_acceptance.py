@@ -267,10 +267,10 @@ def test_criterion_8_manakov_soliton():
 
 def test_criterion_9_admissibility_diagnostics(tmp_path):
     code_good = cli_main(["admissibility", "--N", "2", "--beta0", "1",
-                          "--beta1", str(1.0 / 12.0), "--samples", "100000",
+                          "--beta1", str(1.0 / 12.0),
                           "--out", str(tmp_path / "a")])
     code_bad = cli_main(["admissibility", "--N", "1", "--beta0", "0",
-                         "--beta1", "0", "--samples", "100000",
+                         "--beta1", "0",
                          "--out", str(tmp_path / "b")])
     witness = (tmp_path / "b" / "admissibility_witness.json").exists()
     detail = []

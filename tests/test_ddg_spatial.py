@@ -10,6 +10,7 @@ from ddgfrac.ddg_spatial import (
     BoundarySpec,
     ConvectionFlux,
     FluxParams,
+    _two_cell_forms,
     assemble_q_operator,
     check_admissibility,
     convection_rhs,
@@ -215,16 +216,14 @@ def test_assemble_rejects_zero_penalty():
 
 
 def test_admissibility_default_flux_passes():
-    rep = check_admissibility(default_flux(2), 2, samples=20_000,
-                              gamma=0.5, mu_pen=0.25, seed=0)
+    rep = check_admissibility(default_flux(2), 2, gamma=0.5, mu_pen=0.25)
     assert rep.admissible
     assert rep.witness is None
     assert rep.min_ratio >= 0.25
 
 
 def test_admissibility_zero_flux_fails_with_witness():
-    rep = check_admissibility(FluxParams(0.0, 0.0), 1, samples=5_000,
-                              gamma=0.5, mu_pen=0.25, seed=0)
+    rep = check_admissibility(FluxParams(0.0, 0.0), 1, gamma=0.5, mu_pen=0.25)
     assert not rep.admissible
     assert rep.witness is not None
     # witness really violates the inequality
@@ -232,13 +231,78 @@ def test_admissibility_zero_flux_fails_with_witness():
 
 
 def test_admissibility_penalty_only_degree_zero():
-    rep = check_admissibility(FluxParams(1.0, 0.0), 0, samples=2_000,
-                              gamma=0.5, mu_pen=0.25, seed=0)
+    rep = check_admissibility(FluxParams(1.0, 0.0), 0, gamma=0.5, mu_pen=0.25)
     assert rep.admissible
 
 
-def test_admissibility_sample_guard():
+def test_admissibility_parameter_guard():
     with pytest.raises(ValueError):
-        check_admissibility(FluxParams(1.0, 0.0), 1, samples=0)
+        check_admissibility(FluxParams(1.0, 0.0), 1, gamma=1.5)
     with pytest.raises(ValueError):
-        check_admissibility(FluxParams(1.0, 0.0), 1, samples=10, gamma=1.5)
+        check_admissibility(FluxParams(1.0, 0.0), 1, mu_pen=0.0)
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_admissibility_min_ratio_closed_form_beta1_zero(N):
+    # with beta1 = 0 the exact constrained minimum is beta0 - N^2 / (2 gamma)
+    for gamma in (0.25, 0.5, 0.75):
+        for beta0 in (0.0, 0.7, 3.0, 12.5, 80.0):
+            rep = check_admissibility(FluxParams(beta0, 0.0), N, gamma=gamma)
+            expected = beta0 - N**2 / (2.0 * gamma)
+            assert abs(rep.min_ratio - expected) <= 1e-10 * max(1.0, abs(beta0))
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_admissibility_threshold_beta1_zero(N):
+    # admissible exactly when beta0 >= N^2 / (2 gamma) + mu_pen
+    for gamma in (0.25, 0.5, 0.75):
+        for mu_pen in (0.25, 1.0):
+            edge = N**2 / (2.0 * gamma) + mu_pen
+            for beta0 in (max(0.0, edge - 0.5), edge + 0.5, 2.0 * edge):
+                rep = check_admissibility(FluxParams(beta0, 0.0), N,
+                                          gamma=gamma, mu_pen=mu_pen)
+                assert rep.admissible == (beta0 >= edge), (gamma, mu_pen, beta0)
+
+
+@pytest.mark.parametrize("beta0, beta1, N, min_value, min_ratio, admissible", [
+    (0.0, 0.0, 1, -2.09629, -1.0, False),
+    (1.0, 1.0 / 12.0, 2, -3.33400, -25.0 / 12.0, False),
+    (4.5, 0.0, 2, 0.0, 0.5, True),
+    (8.0, 0.0, 3, -0.822754, -1.0, False),
+    (2.0, 0.0, 2, -2.67307, -2.0, False),
+    (1.0, 0.0, 0, 0.0, 1.0, True),
+])
+def test_admissibility_exact_minimum(beta0, beta1, N, min_value, min_ratio,
+                                     admissible):
+    flux = FluxParams(beta0, beta1)
+    rep = check_admissibility(flux, N)
+    assert rep.min_ratio == pytest.approx(min_ratio, abs=1e-12)
+    assert rep.min_value == pytest.approx(min_value, rel=1e-5, abs=1e-12)
+    assert rep.admissible == admissible
+
+    grad, face, pen, _ = _two_cell_forms(build_basis(N), flux)
+    G = 0.5 * grad + face - 0.25 * pen
+    U = np.random.default_rng(0).standard_normal((1000, G.shape[0]))
+    rayleigh = np.einsum("si,ij,sj->s", U, G, U) / np.einsum("si,si->s", U, U)
+    assert rep.min_value <= rayleigh.min()
+    if not admissible:
+        w = rep.witness
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+        assert abs(w @ G @ w - rep.min_value) <= 1e-12
+
+
+@pytest.mark.parametrize("beta0, beta1", [(1.0, 1.0 / 12.0), (4.5, 0.0), (0.3, 0.7)])
+@pytest.mark.parametrize("N", range(5))
+def test_admissibility_face_form_is_the_solvers(N, beta0, beta1):
+    # the checker's face form is minus the symmetric part of the interior
+    # face blocks that assemble_q_operator uses (K = 3 unit cells, h = 1)
+    flux, basis = FluxParams(beta0, beta1), build_basis(N)
+    ops = assemble_q_operator(build_mesh(0.0, 3.0, 3), basis, flux)
+    face = _two_cell_forms(basis, flux)[1]
+    n = basis.n_nodes
+    D, M = basis.diff, basis.mass
+    tol = 5e-15 * np.abs(ops.diag).max()
+    assert np.abs(face[:n, n:] + 0.5 * (ops.upper + ops.lower.T)).max() <= tol
+    diag_sum = face[:n, :n] + face[n:, n:]
+    want = -0.5 * (ops.diag + ops.diag.T) - 2.0 * D.T @ M @ D
+    assert np.abs(diag_sum - want).max() <= tol
