@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .ddg_spatial import FluxParams, check_admissibility
 from .harness import ConfigError, load_config, run_convergence, run_single
 from .timestep import IntegrationError
@@ -80,8 +82,13 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
-    flux = FluxParams(args.beta0, args.beta1)
-    report = check_admissibility(flux, args.N, gamma=args.gamma, mu_pen=args.mu)
+    try:
+        report = check_admissibility(FluxParams(args.beta0, args.beta1), args.N,
+                                     gamma=args.gamma, mu_pen=args.mu)
+    except np.linalg.LinAlgError:  # a ValueError, but a fault of the check
+        raise
+    except ValueError as exc:  # a flag out of its range
+        raise ConfigError(str(exc)) from None
     print(f"flux (beta0={args.beta0:g}, beta1={args.beta1:g}) at N={args.N}: "
           f"min_ratio={report.min_ratio:.6f} min_value={report.min_value:.3e} "
           f"admissible={report.admissible}")

@@ -271,7 +271,8 @@ def check_admissibility(
     min_ratio = beta0 - N^2 / (2 gamma).
     """
     if not 0.0 < gamma < 1.0 or not 0.0 < mu_pen <= 1.0:
-        raise ValueError("gamma must lie in (0,1) and mu_pen in (0,1]")
+        raise ValueError(f"gamma must lie in (0, 1) and mu_pen in (0, 1], "
+                         f"got {gamma:g} and {mu_pen:g}")
 
     grad, face, pen, jump = _two_cell_forms(build_basis(N), flux)
     numer = gamma * grad + face

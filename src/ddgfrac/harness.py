@@ -21,23 +21,21 @@ from typing import Optional
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .meshbasis import FieldVector, eval_field
+from .meshbasis import MAX_DEGREE, FieldVector, eval_field
 from .models import SemiDiscreteProblem, build_problem, make_example
 from .ddg_spatial import FluxParams
 from .timestep import RunControl, integrate
 
-_NUMBER_OR_LIST = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    ]
-}
-_INT_OR_LIST = {
-    "oneOf": [
-        {"type": "integer", "minimum": 1},
-        {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-    ]
-}
+
+def _one_or_list(kind: str, **bounds) -> dict:
+    """One ``kind`` value within ``bounds``, or a non-empty list of them.
+
+    Bounds act on numbers and ``items`` on arrays, so a bad value is
+    reported with the bound it breaks.
+    """
+    return {"type": [kind, "array"], **bounds, "minItems": 1,
+            "items": {"type": kind, **bounds}}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -45,9 +43,9 @@ CONFIG_SCHEMA = {
     "required": ["problem", "alpha", "N", "K"],
     "properties": {
         "problem": {"type": "string"},
-        "alpha": _NUMBER_OR_LIST,
-        "N": _INT_OR_LIST,
-        "K": _INT_OR_LIST,
+        "alpha": _one_or_list("number", exclusiveMinimum=1, maximum=2),
+        "N": _one_or_list("integer", minimum=1, maximum=MAX_DEGREE),
+        "K": _one_or_list("integer", minimum=1),
         "T": {"type": "number", "exclusiveMinimum": 0},
         "cfl_c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "dt_override": {"type": "number", "exclusiveMinimum": 0},
@@ -101,7 +99,8 @@ def load_config(path: str) -> RunConfig:
     errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw),
                     key=lambda e: e.path)
     if errors:
-        msgs = "; ".join(e.message for e in errors)
+        msgs = "; ".join(f"{'/'.join(map(str, e.path))}: {e.message}" if e.path
+                         else e.message for e in errors)
         raise ConfigError(f"config schema violation: {msgs}")
     if raw["problem"] not in KNOWN_PROBLEMS:
         raise ConfigError(f"unknown problem {raw['problem']!r}; "
@@ -221,17 +220,13 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
-    stride = max(1, len(history) // 400)
-    thinned = history[::stride]
-    if thinned[-1][0] != history[-1][0]:
-        thinned.append(history[-1])
     diagnostics = {
         "problem": cfg.problem, "alpha": alpha, "N": N, "K": K,
         "T": spec.T, "dt": dt, "n_steps": n_steps,
         "dt_cfl": dt_cfl, "dt_cap": dt_cap, "dt_bound": dt_bound,
         "wall_time_ms": wall_ms,
         "l2_norm_history": [[t, [math.sqrt(max(s, 0.0)) for s in sq]]
-                            for t, sq in thinned],
+                            for t, sq in history],
     }
     if spec.exact is not None:
         diagnostics["l2_errors"] = problem.field_errors(state, spec.T)

@@ -10,14 +10,14 @@ stacked over its imaginary rows, so E is never copied to complex.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c + boundary data with E = M^-1 B M^-1 A; alpha = 2 swaps B for
-the mass matrix (classical limit).  How E is applied depends on the size:
-below ``MATRIX_FREE_MIN_DOF`` DOFs per field it is fused into one dense
-matrix; from there on ``BlockOperator`` applies it from the blocks of A
-(block tridiagonal) and B (block Toeplitz, through FFTs) without forming
-it, so no size cap remains.  Both paths share one block representation
-and agree to round-off.  Nonlinear products are formed at Gauss points and
-projected back, and manufactured forcing terms are separable T(t) h(x)
-pairs whose spatial profiles are projected once at setup.
+the mass matrix (classical limit).  ``BlockOperator`` applies E from the
+blocks of A (block tridiagonal) and B (block Toeplitz, through FFTs)
+without forming it, so no size cap remains; at alpha = 2 it runs only the
+DDG stage at every size, and no dense E is formed.  For alpha < 2, E is
+fused into one dense matrix below ``MATRIX_FREE_MIN_DOF`` DOFs per field.
+Both paths agree to round-off.  Nonlinear products are formed at Gauss
+points and projected back, and manufactured forcing terms are separable
+T(t) h(x) pairs whose spatial profiles are projected once at setup.
 
 Problems with inhomogeneous Dirichlet data evolve the lifted variable
 u - l(x, t), where l interpolates the boundary values linearly in x.  The
@@ -69,11 +69,12 @@ _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
            "nls": (1, True), "coupled_nls": (2, True)}
 FAMILIES = tuple(_LAYOUT)
 
-# Crossover in DOFs per component for one apply of E, measured on a 2-core
-# x86 host (numpy 2.4, OpenBLAS) over N = 1..3, alpha in {1.1, 1.6, 2} and
-# 1, 2 or 4 components: the dense matrix wins at n = 512 (by up to 2x for
-# alpha < 2), n = 600 is a tie, and BlockOperator wins every case from
-# n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
+# Crossover in DOFs per component for one apply of E, used for alpha < 2
+# only (alpha = 2 always applies the BlockOperator DDG stage).  Measured on
+# a 2-core x86 host (numpy 2.4, OpenBLAS) over N = 1..3, alpha in
+# {1.1, 1.6, 2} and 1, 2 or 4 components: the dense matrix wins at n = 512
+# (by up to 2x for alpha < 2), n = 600 is a tie, and BlockOperator wins
+# every case from n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
 MATRIX_FREE_MIN_DOF = 768
 
 
@@ -207,7 +208,7 @@ class SemiDiscreteProblem:
     mesh: object
     basis: object
     qop: DdgOperators
-    E: object = field(repr=False)          # dense matrix or LinearOperator
+    E: object = field(repr=False)          # dense (alpha < 2) or LinearOperator
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
     wL: np.ndarray = field(repr=False)
     wR: np.ndarray = field(repr=False)
@@ -252,13 +253,6 @@ class SemiDiscreteProblem:
             rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
         return 2.0 / (1.15 * rho_eff)
 
-    def _product_dofs(self, vals: np.ndarray) -> np.ndarray:
-        """L2 projection of pointwise quadrature values back onto the space."""
-        return (vals @ self.quad_back).ravel()
-
-    def _at_quad(self, flat_comp: np.ndarray) -> np.ndarray:
-        return flat_comp.reshape(self.mesh.K, -1) @ self.quad_eval.T
-
     def initial_state(self) -> np.ndarray:
         if self.spec.ic is None:
             raise ValueError("problem has no initial data")
@@ -285,10 +279,7 @@ class SemiDiscreteProblem:
         return out
 
     def _forcing(self, t: float, i: int):
-        acc = 0.0
-        for time_fn, h in self.forcing_dofs[i]:
-            acc = acc + time_fn(t) * h
-        return acc
+        return sum((time_fn(t) * h for time_fn, h in self.forcing_dofs[i]), 0.0)
 
     def full_fields(self, comps: np.ndarray, t: float) -> np.ndarray:
         """Physical fields, adding the boundary lift back when present."""
@@ -317,11 +308,11 @@ class SemiDiscreteProblem:
         # u_t = i (eps F + sum_k coupling u_k + nl_eps P(f u)) + g, with the
         # nonlinear product formed at quadrature points and projected back
         # (P): keeps Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing
-        # of high-degree products
-        at_quad = [self._at_quad(u) for u in full]
+        # of high-degree products; quad_back is that L2 projection
+        at_quad = [u.reshape(self.mesh.K, -1) @ self.quad_eval.T for u in full]
         factors = spec.nonlinearity([(u * u.conj()).real for u in at_quad])
         for j, (u, f) in enumerate(zip(at_quad, factors)):
-            d = spec.eps[j] * F[j] + spec.nl_eps[j] * self._product_dofs(f * u)
+            d = spec.eps[j] * F[j] + spec.nl_eps[j] * ((f * u) @ self.quad_back).ravel()
             if spec.coupling is not None:
                 d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
             out[j] = 1j * d + self._forcing(t, j)
@@ -406,8 +397,9 @@ class BlockOperator:
 def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
-    E is fused into a dense matrix below ``MATRIX_FREE_MIN_DOF`` DOFs per
-    field and applied by a ``BlockOperator`` from there on.
+    For alpha < 2, E is fused into a dense matrix below
+    ``MATRIX_FREE_MIN_DOF`` DOFs per field; from there on, and at alpha = 2
+    at every size, a ``BlockOperator`` applies it and no dense E is formed.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
@@ -416,13 +408,10 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
     ndof = mesh.K * basis.n_nodes
-    if ndof < MATRIX_FREE_MIN_DOF:
-        E = mass_solve_mat(mesh, basis, qop.A)
-        frac = lambda v: v
-        if fop is not None:
-            MB = mass_solve_mat(mesh, basis, fop.B)
-            E = MB @ E
-            frac = lambda v: MB @ v
+    if fop is not None and ndof < MATRIX_FREE_MIN_DOF:
+        MB = mass_solve_mat(mesh, basis, fop.B)
+        E = MB @ mass_solve_mat(mesh, basis, qop.A)
+        frac = lambda v: MB @ v
         apply_E = lambda X: X @ E.T
     else:
         apply_E = BlockOperator(qop, fop)

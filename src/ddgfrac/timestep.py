@@ -12,6 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+MAX_OBSERVATIONS = 400  # strided steps an observer sees, besides t0 and the last
+
 
 class IntegrationError(RuntimeError):
     """Raised when a stage or state stops being finite.
@@ -83,7 +85,8 @@ def integrate(
     bounds the CFL-rule step where the spatial operator's measured spectral
     radius demands it (an explicit override is taken literally).  The state
     keeps its dtype (real or complex) and is ``len(labels)`` equal blocks,
-    named by ``labels`` when a step diverges.
+    named by ``labels`` when a step diverges.  The observer sees t0, the last
+    step and every max(1, (n_steps + 1) // ``MAX_OBSERVATIONS``)-th step.
     """
     dt = cfl_timestep(control, dx_min, alpha, dt_cap)
     if dt <= 0:
@@ -91,21 +94,28 @@ def integrate(
 
     events = sorted(t for t in set(control.snapshot_times) if control.t0 < t <= control.T)
     events.append(control.T)
+    plan, t = [], control.t0  # (event time, [(t, step) of the steps reaching it])
+    for target in events:
+        steps = []
+        while t < target - 1e-13 * max(1.0, abs(target)):
+            steps.append((t, min(dt, target - t)))
+            t += steps[-1][1]
+        plan.append((target, steps))
+        t = target
+    total = sum(len(steps) for _, steps in plan)
+    stride = max(1, (total + 1) // MAX_OBSERVATIONS)
 
     state = np.array(state0, copy=True)
-    t = control.t0
-    n_steps = 0
-    snapshots = {}
+    n_steps, snapshots = 0, {}
     if observer is not None:
-        observer(t, state)
+        observer(control.t0, state)
     peak0 = float(np.abs(state).max(initial=0.0))
 
     # a diverging run overflows inside the RHS kernels before the state
     # check sees it; report it once, below, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for target in events:
-            while t < target - 1e-13 * max(1.0, abs(target)):
-                step = min(dt, target - t)
+        for target, steps in plan:
+            for t, step in steps:
                 try:
                     state = erk4_step(rhs, state, t, step)
                 except IntegrationError as exc:
@@ -118,11 +128,9 @@ def integrate(
                         f"dt = {step:.3g}; max |state| grew from {peak0:.3g} at "
                         f"t = {control.t0:.6g} to {np.abs(state).max():.3g} over "
                         f"{n_steps} steps", exc.state) from None
-                t += step
                 n_steps += 1
-                if observer is not None:
-                    observer(t, state)
-            t = target
+                if observer is not None and (n_steps % stride == 0 or n_steps == total):
+                    observer(t + step, state)
             if target < control.T or target in control.snapshot_times:
                 snapshots[target] = state.copy()
     return state, snapshots, dt, n_steps

@@ -153,6 +153,27 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert cli_main(["admissibility", "--N", "0", "--beta0", "1"]) == 0
 
+    # out-of-range input exits 2 with a message that states the limit
+    capsys.readouterr()
+    for args, limit in ((["--gamma", "1.5"], "gamma must lie in (0, 1)"),
+                        (["--mu", "0"], "mu_pen in (0, 1]"),
+                        (["--N", "12"], "degree must be in [0, 8], got 12"),
+                        (["--beta0", "-1"], "beta0 must be non-negative")):
+        argv = ["admissibility", "--N", "1", "--beta0", "1"] + args
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and limit in err
+    for key, value, limit in (
+            ("alpha", 2.5, "2.5 is greater than the maximum of 2"),
+            ("alpha", [1.5, 1.0], "1.0 is less than or equal to the minimum of 1"),
+            ("N", 9, "9 is greater than the maximum of 8"),
+            ("N", [2, 12], "12 is greater than the maximum of 8")):
+        cfg = _write(tmp_path, "range.json", {"problem": "ex1", "alpha": 1.3, "N": 1,
+                                              "K": 8, "T": 0.05, key: value})
+        for command in ("run", "converge"):
+            assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "r4")]) == 2
+            assert limit in capsys.readouterr().err
+
 
 def test_cli_import_leaves_scipy_optimize_out():
     # the admissibility check needs numpy only; loading scipy.optimize would

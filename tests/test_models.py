@@ -329,6 +329,27 @@ def test_block_operator_matches_dense_view():
     assert worst <= 1e-13
 
 
+def test_alpha_2_E_is_the_block_ddg_stage():
+    # at alpha = 2, E = M^-1 A is applied by BlockOperator's DDG stage alone
+    # at every size, never fused into a dense matrix; E, its row apply and
+    # the complex-row F agree with the dense mass solve of A
+    rng = np.random.default_rng(7)
+    for K in (1, 2, 3, 17, 200):
+        for N in range(9):
+            prob = build_problem(make_example("manakov", 2.0, K, N))
+            E = mass_solve_mat(prob.mesh, prob.basis, prob.qop.A)
+            assert isinstance(prob.E, LinearOperator)
+            assert isinstance(prob.apply_E, BlockOperator)
+            assert prob.apply_E.symbol is None
+            assert _rel(prob.E @ np.eye(prob.n), E) <= 1e-13
+            X = rng.standard_normal((4, prob.n))
+            for m in (1, 2, 4):
+                assert _rel(prob.apply_E(X[:m]), X[:m] @ E.T) <= 1e-13
+            assert _rel(prob.apply_E(X[0]), E @ X[0]) <= 1e-13
+            comps = X[:2] + 1j * X[2:]
+            assert _rel(prob._frac_apply(comps, 0.3), comps @ E.T) <= 1e-13
+
+
 @pytest.mark.parametrize("name,alpha", [("ex1", 1.5), ("ex7", 1.1), ("manakov", 2.0)])
 def test_problem_above_crossover_matches_dense_path(name, alpha):
     spec = make_example(name, alpha, 300, 2)

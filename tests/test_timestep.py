@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddgfrac.timestep import (
+    MAX_OBSERVATIONS,
     IntegrationError,
     RunControl,
     cfl_timestep,
@@ -97,6 +98,27 @@ def test_integrate_snapshots_hit_times():
     state, snaps, dt, n = integrate(lambda t, u: -u, np.array([2.0]), ctrl, 1.0, 1.5)
     assert set(snaps) == {0.5}
     assert snaps[0.5][0] == pytest.approx(2.0 * math.exp(-0.5), rel=1e-4)
+
+
+def test_integrate_thins_observations_to_a_stride():
+    # the observer sees t0, every stride-th step and the last one, with
+    # stride = max(1, (n_steps + 1) // MAX_OBSERVATIONS); the snapshot at
+    # 0.3 splits a step, so 1,025 steps give stride 2 and an odd last step
+    evals, seen = [], []
+
+    def rhs(t, u):
+        evals.append(t)
+        return -u
+
+    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=1.0 / 1024,
+                      snapshot_times=(0.3,))
+    _, snaps, _, n = integrate(rhs, np.array([1.0]), ctrl, 1.0, 1.5,
+                               observer=lambda t, u: seen.append((len(evals) // 4, t)))
+    stride = (n + 1) // MAX_OBSERVATIONS
+    assert MAX_OBSERVATIONS == 400 and n == 1025 and stride == 2
+    assert [step for step, _t in seen] == list(range(0, n, stride)) + [n]
+    assert seen[0][1] == 0.0 and seen[-1][1] == 1.0
+    assert set(snaps) == {0.3}
 
 
 def test_fourth_order_richardson():
