@@ -10,7 +10,6 @@ from .ddg_spatial import (
     check_admissibility,
     convection_rhs,
     default_flux,
-    numerical_flux_deriv,
     assemble_q_operator,
 )
 from .fracops import (
@@ -34,8 +33,6 @@ from .models import (
     ProblemSpec,
     SemiDiscreteProblem,
     build_problem,
-    exact_solution_library,
-    forcing_library,
     make_example,
 )
 from .specfun import QuadRule, gamma_fn, gauss_jacobi, gauss_legendre

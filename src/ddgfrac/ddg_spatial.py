@@ -105,13 +105,6 @@ class DdgOperators:
         return A4.reshape(K * n, K * n)
 
 
-def numerical_flux_deriv(traces_minus, traces_plus, h: float, flux: FluxParams) -> float:
-    """Derivative flux from (value, u', u'') traces on both sides of a face."""
-    um, dm, sm = traces_minus
-    up, dp, sp = traces_plus
-    return flux.beta0 / h * (up - um) + 0.5 * (dp + dm) + flux.beta1 * h * (sp - sm)
-
-
 def _interior_face(basis: ElementBasis, flux: FluxParams, h: float):
     """Interior-face blocks of A: -(du/dx)* [phi] - {dphi/dx} [u].
 

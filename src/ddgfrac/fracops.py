@@ -40,7 +40,6 @@ from .specfun import (
     gauss_jacobi,
     gauss_legendre,
     polynomial_in_shifted_basis,
-    shifted_monomial_coeffs,
 )
 
 # point counts for the analytic-kernel quadratures; the nearest admissible
@@ -101,7 +100,7 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
     """Blocks BL[m][i, j] = (phi_{k,i}, I_left^mu phi_{k-m,j}) for offsets m >= 0."""
     K, n, h = mesh.K, basis.n_nodes, mesh.dx
     C = _basis_monomial_coeffs(basis, h)             # about the left edge
-    D = np.vstack([shifted_monomial_coeffs(C[j], 0.0, h) for j in range(n)])
+    D = np.vstack([polynomial_in_shifted_basis(C[j], 1.0, h) for j in range(n)])
     r = np.arange(n)
     gam = np.array([gamma_fn(rr + 1.0) / gamma_fn(rr + 1.0 + mu) for rr in r])
 
@@ -177,7 +176,7 @@ def frac_integral_element(
     c = np.asarray(coeffs, dtype=float)
     if side == "right":
         # p(s) about x_left -> p(xl + xr - u) about x_left, then reuse the left path
-        about_right = shifted_monomial_coeffs(c, 0.0, x_right - x_left)
+        about_right = polynomial_in_shifted_basis(c, 1.0, x_right - x_left)
         mirrored = about_right * (-1.0) ** np.arange(c.size)
         return frac_integral_element(
             mu, mirrored, x_left, x_right, x_left + x_right - x, side="left"
@@ -201,7 +200,7 @@ def frac_integral_element(
         # nearby evaluation point: difference of two exact power-rule series
         r = np.arange(c.size)
         gam = np.array([gamma_fn(rr + 1.0) / gamma_fn(rr + 1.0 + mu) for rr in r])
-        d = shifted_monomial_coeffs(c, 0.0, width)
+        d = polynomial_in_shifted_basis(c, 1.0, width)
         p1 = np.dot(c * gam, (x - x_left) ** (r + mu))
         p2 = np.dot(d * gam, (x - x_right) ** (r + mu))
         return float(p1 - p2)
@@ -247,8 +246,8 @@ def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
         out = np.zeros_like(xs)
         return out.reshape(shape) if shape else 0.0
     g = _caputo_factors(alpha, c.size - 1)
-    ca = shifted_monomial_coeffs(c, 0.0, a)
-    db = shifted_monomial_coeffs(c, 0.0, b) * (-1.0) ** np.arange(c.size)
+    ca = polynomial_in_shifted_basis(c, 1.0, a)
+    db = polynomial_in_shifted_basis(c, 1.0, b) * (-1.0) ** np.arange(c.size)
     j = np.arange(2, c.size)  # degrees 0 and 1 are annihilated
     left = ((xs[:, None] - a) ** (j[None, :] - alpha)) @ (ca[2:] * g)
     right = ((b - xs[:, None]) ** (j[None, :] - alpha)) @ (db[2:] * g)
@@ -282,8 +281,8 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
 
     if c.size > 2:
         g = _caputo_factors(alpha, c.size - 1)
-        ca = shifted_monomial_coeffs(c, 0.0, a)[2:] * g
-        db = (shifted_monomial_coeffs(c, 0.0, b)
+        ca = polynomial_in_shifted_basis(c, 1.0, a)[2:] * g
+        db = (polynomial_in_shifted_basis(c, 1.0, b)
               * (-1.0) ** np.arange(c.size))[2:] * g
         jj = np.arange(2, c.size)
 

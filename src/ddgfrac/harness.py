@@ -22,7 +22,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .meshbasis import MAX_DEGREE, FieldVector, eval_field
-from .models import SemiDiscreteProblem, build_problem, make_example
+from .models import EXAMPLES, SemiDiscreteProblem, build_problem, make_example
 from .ddg_spatial import FluxParams
 from .timestep import RunControl, integrate
 
@@ -51,17 +51,11 @@ CONFIG_SCHEMA = {
         "dt_override": {"type": "number", "exclusiveMinimum": 0},
         "beta0": {"type": "number", "minimum": 0},
         "beta1": {"type": "number"},
-        "varpi1": {"type": "number"},
         "cross_coupling": {"type": "number"},
         "snapshot_times": {"type": "array", "items": {"type": "number"}},
         "points_per_cell": {"type": "integer", "minimum": 1, "maximum": 64},
-        "label": {"type": "string"},
     },
 }
-
-KNOWN_PROBLEMS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7", "ex8",
-                  "nls_soliton", "nls_two_soliton", "coupled_strong", "manakov")
-
 
 class ConfigError(ValueError):
     """Raised for schema violations and unknown problem names."""
@@ -79,11 +73,9 @@ class RunConfig:
     cfl_c: Optional[float] = None
     dt_override: Optional[float] = None
     flux: Optional[FluxParams] = None
-    varpi1: Optional[float] = None
     cross_coupling: Optional[float] = None
     snapshot_times: tuple = ()
     points_per_cell: int = 8
-    label: str = ""
 
 
 def _as_list(v):
@@ -102,9 +94,9 @@ def load_config(path: str) -> RunConfig:
         msgs = "; ".join(f"{'/'.join(map(str, e.path))}: {e.message}" if e.path
                          else e.message for e in errors)
         raise ConfigError(f"config schema violation: {msgs}")
-    if raw["problem"] not in KNOWN_PROBLEMS:
+    if raw["problem"] not in EXAMPLES:
         raise ConfigError(f"unknown problem {raw['problem']!r}; "
-                          f"known: {', '.join(KNOWN_PROBLEMS)}")
+                          f"known: {', '.join(EXAMPLES)}")
     flux = None
     if "beta0" in raw or "beta1" in raw:
         if "beta0" not in raw:
@@ -119,11 +111,9 @@ def load_config(path: str) -> RunConfig:
         cfl_c=raw.get("cfl_c"),
         dt_override=raw.get("dt_override"),
         flux=flux,
-        varpi1=raw.get("varpi1"),
         cross_coupling=raw.get("cross_coupling"),
         snapshot_times=tuple(raw.get("snapshot_times", ())),
         points_per_cell=raw.get("points_per_cell", 8),
-        label=raw.get("label", ""),
     )
 
 
@@ -185,20 +175,10 @@ def grid_cells(cfg: RunConfig) -> list:
     return cells
 
 
-def _problem_for(cfg: RunConfig, alpha: float, N: int, K: int):
-    kwargs = {}
-    if cfg.varpi1 is not None:
-        kwargs["varpi1"] = cfg.varpi1
-    if cfg.cross_coupling is not None:
-        kwargs["cross_coupling"] = cfg.cross_coupling
-    spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
-                        cfl_c=cfg.cfl_c, **kwargs)
-    return spec
-
-
 def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     """One simulation; returns (problem, final state, diagnostics dict)."""
-    spec = _problem_for(cfg, alpha, N, K)
+    spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
+                        cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
     problem = build_problem(spec)
     control = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c,
                          dt_override=cfg.dt_override,

@@ -24,6 +24,12 @@ u - l(x, t), where l interpolates the boundary values linearly in x.  The
 fractional Laplacian annihilates linear polynomials (discretely as well),
 so the lift only shifts the time-derivative forcing and the arguments of
 nonlinear terms while the evolved field keeps homogeneous boundary data.
+
+``make_example`` is the one entry point to the named ``EXAMPLES``.  The six
+manufactured ones (ex1-ex4, ex7, ex8) are one ``_MANUFACTURED`` row each,
+from which ``_manufactured`` derives eps, the exact solution, the forcing,
+the boundary data and the lift; the profile, soliton and collision runs
+are short branches with their initial data inline.
 """
 
 from __future__ import annotations
@@ -153,7 +159,6 @@ class ProblemSpec:
     K: int
     N: int
     T: float
-    label: str = "custom"
     flux: Optional[FluxParams] = None
     eps: float | tuple = 1.0         # fractional coefficient per field
     nl_eps: float | tuple = 1.0      # nonlinear coefficient per field
@@ -451,150 +456,11 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
 
 
 # ---------------------------------------------------------------------------
-# example library: manufactured solutions, forcings and soliton initial data
+# named examples
 # ---------------------------------------------------------------------------
 
 def _polyval(coeffs):
     return lambda x: P.polyval(np.asarray(x, dtype=float), coeffs)
-
-
-_POLY_IC = {
-    "ex1": P.polypow([-1.0, 0.0, 1.0], 4),
-    "ex2": P.polyfromroots([0.0] * 11),
-    "ex3": P.polypow([-1.0, 0.0, 1.0], 4) / 100.0,
-    "ex4": P.polyfromroots([0.0] * 4) / 100.0,
-    "ex7": P.polypow([-1.0, 0.0, 1.0], 5),
-    "ex8": P.polyfromroots([0.0] * 5),
-}
-
-_DOMAINS = {
-    "ex1": (-1.0, 1.0), "ex2": (0.0, 1.0), "ex3": (-1.0, 1.0),
-    "ex4": (0.0, 1.0), "ex7": (-1.0, 1.0), "ex8": (0.0, 1.0),
-}
-
-
-def example_epsilon(name: str, alpha: float) -> float:
-    """Diffusion constant of each manufactured run."""
-    if name in ("ex1", "ex3"):
-        return gamma_fn(9.0 - alpha) / gamma_fn(9.0)
-    if name == "ex2":
-        return gamma_fn(12.0 - alpha) / gamma_fn(12.0)
-    if name == "ex4":
-        return gamma_fn(5.0 - alpha) / gamma_fn(5.0)
-    if name == "ex7":
-        return gamma_fn(11.0 - alpha) / gamma_fn(11.0)
-    if name == "ex8":
-        return gamma_fn(6.0 - alpha) / (2.0 * gamma_fn(6.0))
-    raise KeyError(f"unknown example {name!r}")
-
-
-def exact_solution_library(name: str, alpha: float = 2.0) -> ExactSolution:
-    """Reference solutions for error measurement.
-
-    ``ex9`` pairs two single solitons of the coupled cubic system, one per
-    field, moving toward each other (alpha = 2, cross coupling 1).  It
-    solves the system up to the overlap of their tails, so it is a
-    reference only before they collide near t = 12.5.
-    """
-    if name in ("ex1", "ex2", "ex3", "ex4"):
-        u0 = _polyval(_POLY_IC[name])
-        return ExactSolution(components=(lambda x, t, f=u0: math.exp(-t) * f(x),))
-    if name in ("ex7", "ex8"):
-        u = lambda x, t, f=_polyval(_POLY_IC[name]): cmath.exp(-1j * t) * f(x)
-        return ExactSolution(components=(u,) if name == "ex7" else (u, u))
-    if name == "ex9":
-        return _manakov_exact()
-    raise KeyError(f"no exact solution registered for {name!r}")
-
-
-def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
-                   D: float = 10.0) -> ExactSolution:
-    def u1(x, t):
-        amp = math.sqrt(2.0) * r1 / np.cosh(r1 * x - 2.0 * r1 * v0 * t + D)
-        return amp * np.exp(1j * (v0 * x + (r1**2 - v0**2) * t))
-
-    def u2(x, t):
-        # left-moving partner: momentum -v0 pairs with center D - 2 v0 t
-        amp = math.sqrt(2.0) * r2 / np.cosh(r2 * x + 2.0 * r2 * v0 * t - D)
-        return amp * np.exp(1j * (-v0 * x + (r2**2 - v0**2) * t))
-
-    return ExactSolution(components=(u1, u2))
-
-
-def forcing_library(name: str, alpha: float) -> ForcingTerms:
-    """Separable forcing terms that make the library solutions exact."""
-    if name not in _POLY_IC:
-        raise KeyError(f"unknown forcing {name!r}")
-    dom = _DOMAINS[name]
-    u0c = _POLY_IC[name]
-    eps = example_epsilon(name, alpha)
-
-    if name in ("ex1", "ex2"):
-        # u_t + eps (-lap)^(a/2) u = g for u = exp(-t) u0
-        h = ForcingProfile(poly=-u0c, frac_scale=eps, base=u0c,
-                           alpha=alpha, domain=dom)
-        return ForcingTerms(components=(((lambda t: math.exp(-t), h),),))
-    if name in ("ex3", "ex4"):
-        # adds the Burgers term u u_x of the decaying profile
-        h1 = ForcingProfile(poly=-u0c, frac_scale=eps, base=u0c,
-                            alpha=alpha, domain=dom)
-        h2 = ForcingProfile(poly=P.polymul(u0c, P.polyder(u0c)),
-                            frac_scale=0.0, base=None, alpha=alpha, domain=dom)
-        return ForcingTerms(components=(
-            ((lambda t: math.exp(-t), h1), (lambda t: math.exp(-2.0 * t), h2)),
-        ))
-    # residual g of exp(-it) u0 in i u_t - eps (-lap)^(a/2) u + f u = i g
-    # (ex7: f = |u|^2; ex8: f = |u1|^2 + |u2|^2 and the coupling adds u1 + u2)
-    poly = (P.polyadd(u0c, P.polypow(u0c, 3)) if name == "ex7"
-            else P.polyadd(3.0 * u0c, 2.0 * P.polypow(u0c, 3)))
-    h = ForcingProfile(poly=poly, frac_scale=-eps, base=u0c, alpha=alpha, domain=dom)
-    per_field = ((lambda t: -1j * cmath.exp(-1j * t), h),)
-    return ForcingTerms(components=(per_field,) if name == "ex7" else (per_field, per_field))
-
-
-def _linear_lift(u0c: np.ndarray, domain: tuple) -> Optional[np.ndarray]:
-    """Degree-1 interpolant of u0 at the endpoints; None if data vanishes."""
-    a, b = domain
-    va, vb = float(P.polyval(a, u0c)), float(P.polyval(b, u0c))
-    if va == 0.0 and vb == 0.0:
-        return None
-    return np.array([(va * b - vb * a) / (b - a), (vb - va) / (b - a)])
-
-
-# time factor T(t) of the manufactured solutions T(t) u0(x), and T'(t)
-_TIME_REAL = (lambda t: math.exp(-t), lambda t: -math.exp(-t))
-_TIME_OSC = (lambda t: cmath.exp(-1j * t), lambda t: -1j * cmath.exp(-1j * t))
-
-
-def _lifted_setup(name: str, alpha: float, oscillatory: bool):
-    """IC, BC, lift and extra forcing terms for one manufactured example.
-
-    Every field of an example is T(t) u0(x), so all fields share them.
-    """
-    dom = _DOMAINS[name]
-    u0c = _POLY_IC[name]
-    lift_c = _linear_lift(u0c, dom)
-    tf, tf_prime = _TIME_OSC if oscillatory else _TIME_REAL
-    exact = exact_solution_library(name, alpha)
-    m = len(exact.components)
-    forcing = forcing_library(name, alpha)
-    va, vb = (float(P.polyval(x, u0c)) for x in dom)
-    bcs = [BoundarySpec(left=lambda t: tf(t) * va, right=lambda t: tf(t) * vb)] * m
-
-    if lift_c is None:
-        ic = [lambda x, g=g: g(x, 0.0) for g in exact.components]
-        return ic, bcs, None, forcing, exact
-
-    tilde = P.polysub(u0c, lift_c)
-    ic = [lambda x: tf(0.0) * P.polyval(np.asarray(x, float), tilde)] * m
-    extra = (lambda t: -tf_prime(t), ForcingProfile(poly=lift_c, frac_scale=0.0, base=None,
-                                                    alpha=alpha, domain=dom))
-    forcing = ForcingTerms(components=tuple(c + (extra,) for c in forcing.components))
-    return ic, bcs, [(tf, lift_c)] * m, forcing, exact
-
-
-def burgers_flux() -> ConvectionFlux:
-    return ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u)
 
 
 def _cubic(rho):
@@ -608,116 +474,150 @@ def _total_density(rho):
     return total, total
 
 
-def _sech(x):
-    return 1.0 / np.cosh(x)
+_BURGERS = ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u)
+
+# Manufactured examples u_j = T(t) u0(x) on every field j, one row each:
+# family, domain, default T, u0, the residual coefficients (c1, c3) and the
+# family's own terms.  The residual R = c1 u0 + c3 u0^3 collects what the
+# equation makes of T u0 besides the fractional term: u_t alone for the
+# real families; for ex7 also |u|^2 u, for ex8 also the coupling u1 + u2
+# and the total density (so 3 u0 + 2 u0^3).
+_MANUFACTURED = {
+    "ex1": ("diffusion", (-1.0, 1.0), 0.5, P.polypow([-1.0, 0.0, 1.0], 4), (1.0, 0.0), {}),
+    "ex2": ("diffusion", (0.0, 1.0), 0.5, P.polyfromroots([0.0] * 11), (1.0, 0.0), {}),
+    "ex3": ("convection_diffusion", (-1.0, 1.0), 1.0,
+            P.polypow([-1.0, 0.0, 1.0], 4) / 100.0, (1.0, 0.0), {"conv": _BURGERS}),
+    "ex4": ("convection_diffusion", (0.0, 1.0), 1.0,
+            P.polyfromroots([0.0] * 4) / 100.0, (1.0, 0.0), {"conv": _BURGERS}),
+    "ex7": ("nls", (-1.0, 1.0), 0.5, P.polypow([-1.0, 0.0, 1.0], 5), (1.0, 1.0),
+            {"nonlinearity": _cubic}),
+    "ex8": ("coupled_nls", (0.0, 1.0), 0.5, P.polyfromroots([0.0] * 5), (3.0, 2.0),
+            {"nonlinearity": _total_density, "coupling": ((1.0, 1.0), (1.0, 1.0))}),
+}
+
+EXAMPLES = (*_MANUFACTURED, "ex5", "ex6", "nls_soliton", "nls_two_soliton",
+            "coupled_strong", "manakov")
+
+# time factor T(t) of the manufactured solutions, and T'(t)
+_TIME_REAL = (lambda t: math.exp(-t), lambda t: -math.exp(-t))
+_TIME_OSC = (lambda t: cmath.exp(-1j * t), lambda t: -1j * cmath.exp(-1j * t))
 
 
-def initial_condition_library(name: str) -> list:
-    """Per-field initial data for the non-manufactured runs."""
-    if name == "step_ramp":
-        def ic(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x >= -1) & (x < 0), x + 1.0,
-                            np.where((x >= 0) & (x <= 1), 2.0 * x, 0.0))
-        return [ic]
-    if name == "gauss2":
-        return [lambda x: np.exp(-2.0 * np.asarray(x, dtype=float) ** 2)]
-    if name == "nls_soliton":
-        return [lambda x: np.exp(2j * np.asarray(x, dtype=float)) * _sech(np.asarray(x))]
-    if name == "nls_two_soliton":
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x, dtype=complex)
-            for cj, xj in ((4.0, -10.0), (-4.0, 10.0)):
-                total += np.exp(0.5j * cj * (x - xj)) * _sech(x - xj)
-            return total
-        return [u]
-    if name == "colliding_sech_pair":
-        return [lambda x, g=g: g(np.asarray(x, dtype=float), 0.0)
-                for g in _manakov_exact().components]
-    raise KeyError(f"unknown initial condition {name!r}")
+def _manufactured(family: str, domain: tuple, u0: np.ndarray, residual: tuple,
+                  alpha: float) -> dict:
+    """eps, exact solution, forcing, BCs, IC and lift of u_j = T(t) u0(x).
+
+    eps = Gamma(d + 1 - alpha) / Gamma(d + 1) with d = deg u0, halved for
+    the coupled system.  T' = -T (real) or -i T (complex) turns the
+    residual of T u0 into the separable forcing T'(t) (R(u0) - eps
+    (-lap)^(alpha/2) u0), plus T^2 u0 u0' for the Burgers term.  Data that
+    does not vanish at the boundary is lifted by its linear interpolant.
+    """
+    m, oscillatory = _LAYOUT[family]
+    tf, tf_prime = _TIME_OSC if oscillatory else _TIME_REAL
+    d = u0.size - 1
+    eps = gamma_fn(d + 1.0 - alpha) / gamma_fn(d + 1.0)
+    if family == "coupled_nls":
+        eps /= 2.0
+    u0_fn = _polyval(u0)
+    exact = ExactSolution(components=(lambda x, t: tf(t) * u0_fn(x),) * m)
+
+    def profile(poly, frac_scale=0.0, base=None):
+        return ForcingProfile(poly=poly, frac_scale=frac_scale, base=base,
+                              alpha=alpha, domain=domain)
+
+    c1, c3 = residual
+    terms = ((tf_prime, profile(P.polyadd(c1 * u0, c3 * P.polypow(u0, 3)), -eps, u0)),)
+    if family == "convection_diffusion":
+        terms += ((lambda t: math.exp(-2.0 * t), profile(P.polymul(u0, P.polyder(u0)))),)
+
+    a, b = domain
+    va, vb = float(P.polyval(a, u0)), float(P.polyval(b, u0))
+    bcs = [BoundarySpec(left=lambda t: tf(t) * va, right=lambda t: tf(t) * vb)] * m
+    ic, lift = [lambda x: exact.components[0](x, 0.0)] * m, None
+    if va != 0.0 or vb != 0.0:
+        lift_c = np.array([(va * b - vb * a) / (b - a), (vb - va) / (b - a)])
+        tilde = P.polysub(u0, lift_c)
+        ic = [lambda x: tf(0.0) * P.polyval(np.asarray(x, float), tilde)] * m
+        lift = [(tf, lift_c)] * m
+        terms += ((lambda t: -tf_prime(t), profile(lift_c)),)
+    return dict(family=family, domain=domain, eps=eps, ic=ic, bcs=bcs, lift=lift,
+                forcing=ForcingTerms(components=(terms,) * m), exact=exact)
+
+
+def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
+                   D: float = 10.0) -> ExactSolution:
+    """Two single solitons of the coupled cubic system moving toward each
+    other, one per field (alpha = 2, cross coupling 1).  They solve the
+    system up to the overlap of their tails, so this is a reference only
+    before they collide near t = 12.5."""
+    def u1(x, t):
+        amp = math.sqrt(2.0) * r1 / np.cosh(r1 * x - 2.0 * r1 * v0 * t + D)
+        return amp * np.exp(1j * (v0 * x + (r1**2 - v0**2) * t))
+
+    def u2(x, t):
+        # left-moving partner: momentum -v0 pairs with center D - 2 v0 t
+        amp = math.sqrt(2.0) * r2 / np.cosh(r2 * x + 2.0 * r2 * v0 * t - D)
+        return amp * np.exp(1j * (-v0 * x + (r2**2 - v0**2) * t))
+
+    return ExactSolution(components=(u1, u2))
+
+
+def _step_ramp(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= -1) & (x < 0), x + 1.0,
+                    np.where((x >= 0) & (x <= 1), 2.0 * x, 0.0))
+
+
+def _sech_wave(x, c, x0):
+    """sech(x - x0) carrying the phase exp(i c (x - x0) / 2)."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(0.5j * c * (x - x0)) * (1.0 / np.cosh(x - x0))
 
 
 def make_example(name: str, alpha: float, K: int, N: int,
                  flux: Optional[FluxParams] = None,
                  T: Optional[float] = None,
                  cfl_c: Optional[float] = None,
-                 varpi1: Optional[float] = None,
                  cross_coupling: Optional[float] = None) -> ProblemSpec:
-    """Wire up one of the library problems as a full ProblemSpec."""
-    if name in ("ex1", "ex2"):
-        ic, bcs, lift, forcing, exact = _lifted_setup(name, alpha, oscillatory=False)
-        return ProblemSpec(
-            family="diffusion", alpha=alpha, domain=_DOMAINS[name], K=K, N=N,
-            T=0.5 if T is None else T, label=name, flux=flux,
-            eps=example_epsilon(name, alpha),
-            ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
-        )
-    if name in ("ex3", "ex4"):
-        ic, bcs, lift, forcing, exact = _lifted_setup(name, alpha, oscillatory=False)
-        return ProblemSpec(
-            family="convection_diffusion", alpha=alpha, domain=_DOMAINS[name],
-            K=K, N=N, T=1.0 if T is None else T, label=name, flux=flux,
-            eps=example_epsilon(name, alpha), conv=burgers_flux(),
-            ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
-        )
+    """One of the named ``EXAMPLES`` as a full ProblemSpec.
+
+    ``cross_coupling`` (default 1) is the one coefficient that couples the
+    two fields: the linear w2 of ``coupled_strong`` (coupling matrix
+    [[1, w2], [w2, 1]]) and the nonlinear beta of ``manakov`` (the fields
+    feel |u1|^2 + beta |u2|^2 and beta |u1|^2 + |u2|^2).
+    """
+    def spec(T_default, **terms):
+        return ProblemSpec(alpha=alpha, K=K, N=N, T=T_default if T is None else T,
+                           flux=flux, cfl_c=cfl_c, **terms)
+
+    if name in _MANUFACTURED:
+        family, domain, T_default, u0, residual, terms = _MANUFACTURED[name]
+        return spec(T_default, **_manufactured(family, domain, u0, residual, alpha),
+                    **terms)
     if name in ("ex5", "ex6"):
-        ic = initial_condition_library("step_ramp" if name == "ex5" else "gauss2")
-        return ProblemSpec(
-            family="convection_diffusion", alpha=alpha, domain=(-10.0, 10.0),
-            K=K, N=N, T=3.0 if T is None else T, label=name, flux=flux,
-            eps=1.0, conv=burgers_flux(), ic=ic, cfl_c=cfl_c,
-        )
-    if name == "ex7":
-        ic, bcs, lift, forcing, exact = _lifted_setup(name, alpha, oscillatory=True)
-        return ProblemSpec(
-            family="nls", alpha=alpha, domain=_DOMAINS[name], K=K, N=N,
-            T=0.5 if T is None else T, label=name, flux=flux,
-            eps=example_epsilon(name, alpha), nonlinearity=_cubic,
-            ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
-        )
-    if name == "ex8":
-        ic, bcs, lift, forcing, exact = _lifted_setup(name, alpha, oscillatory=True)
-        eps = example_epsilon(name, alpha)
-        return ProblemSpec(
-            family="coupled_nls", alpha=alpha, domain=_DOMAINS[name], K=K, N=N,
-            T=0.5 if T is None else T, label=name, flux=flux,
-            eps=eps, coupling=((1.0, 1.0), (1.0, 1.0)), nonlinearity=_total_density,
-            ic=ic, bcs=bcs, lift=lift, forcing=forcing, exact=exact, cfl_c=cfl_c,
-        )
+        ic = _step_ramp if name == "ex5" else (
+            lambda x: np.exp(-2.0 * np.asarray(x, dtype=float) ** 2))
+        return spec(3.0, family="convection_diffusion", domain=(-10.0, 10.0),
+                    conv=_BURGERS, ic=[ic])
     if name == "nls_soliton":
-        return ProblemSpec(
-            family="nls", alpha=alpha, domain=(-25.0, 25.0), K=K, N=N,
-            T=1.0 if T is None else T, label=name, flux=flux,
-            eps=2.0, nl_eps=2.0, nonlinearity=_cubic,
-            ic=initial_condition_library("nls_soliton"), cfl_c=cfl_c,
-        )
+        return spec(1.0, family="nls", domain=(-25.0, 25.0), eps=2.0, nl_eps=2.0,
+                    nonlinearity=_cubic, ic=[lambda x: _sech_wave(x, 4.0, 0.0)])
     if name == "nls_two_soliton":
-        return ProblemSpec(
-            family="nls", alpha=alpha, domain=(-25.0, 25.0), K=K, N=N,
-            T=1.0 if T is None else T, label=name, flux=flux,
-            eps=1.0, nl_eps=2.0, nonlinearity=_cubic,
-            ic=initial_condition_library("nls_two_soliton"), cfl_c=cfl_c,
-        )
+        return spec(1.0, family="nls", domain=(-25.0, 25.0), nl_eps=2.0,
+                    nonlinearity=_cubic,
+                    ic=[lambda x: _sech_wave(x, 4.0, -10.0) + _sech_wave(x, -4.0, 10.0)])
+    beta = 1.0 if cross_coupling is None else cross_coupling
+    pair = [lambda x, g=g: g(np.asarray(x, dtype=float), 0.0)
+            for g in _manakov_exact().components]
     if name == "coupled_strong":
-        # linearly coupled cubic system; varpi1 sets the cross coupling w2
-        # (the self coupling w1 is 1), not the paper's varpi1
-        w2 = 1.0 if varpi1 is None else varpi1
-        return ProblemSpec(
-            family="coupled_nls", alpha=alpha, domain=(-40.0, 40.0), K=K, N=N,
-            T=20.0 if T is None else T, label=name, flux=flux,
-            coupling=((1.0, w2), (w2, 1.0)), nonlinearity=_total_density,
-            ic=initial_condition_library("colliding_sech_pair"), cfl_c=cfl_c,
-        )
+        return spec(20.0, family="coupled_nls", domain=(-40.0, 40.0),
+                    coupling=((1.0, beta), (beta, 1.0)), nonlinearity=_total_density,
+                    ic=pair)
     if name == "manakov":
-        beta = 1.0 if cross_coupling is None else cross_coupling
-        return ProblemSpec(
-            family="coupled_nls", alpha=alpha, domain=(-40.0, 40.0), K=K, N=N,
-            T=5.0 if T is None else T, label=name, flux=flux,
-            nonlinearity=lambda rho, b=beta: (rho[0] + b * rho[1], b * rho[0] + rho[1]),
-            ic=initial_condition_library("colliding_sech_pair"),
-            # valid before the collision only; the bench's T = 5 check reads it
-            exact=_manakov_exact() if beta == 1.0 and alpha == 2.0 else None,
-            cfl_c=cfl_c,
-        )
+        return spec(5.0, family="coupled_nls", domain=(-40.0, 40.0),
+                    nonlinearity=lambda rho: (rho[0] + beta * rho[1], beta * rho[0] + rho[1]),
+                    ic=pair,
+                    # valid before the collision only; the bench's T = 5 check reads it
+                    exact=_manakov_exact() if beta == 1.0 and alpha == 2.0 else None)
     raise KeyError(f"unknown example {name!r}")

@@ -21,15 +21,10 @@ MAX_QUAD_POINTS = 64
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature rule on the reference interval [-1, 1].
-
-    ``kind`` is either the string ``"legendre"`` or a tuple
-    ``("jacobi", a_exp, b_exp)`` recording the weight exponents.
-    """
+    """Quadrature rule on the reference interval [-1, 1]."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: object = "legendre"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -70,7 +65,7 @@ def gauss_legendre(n: int) -> QuadRule:
     if not 1 <= n <= MAX_QUAD_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_QUAD_POINTS}], got {n}")
     nodes, weights = leggauss(n)
-    return QuadRule(nodes, weights, kind="legendre")
+    return QuadRule(nodes, weights)
 
 
 def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadRule:
@@ -85,44 +80,15 @@ def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadRule:
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError(f"weight exponents must exceed -1, got ({a_exp}, {b_exp})")
     nodes, weights = roots_jacobi(n, a_exp, b_exp)
-    return QuadRule(nodes, weights, kind=("jacobi", float(a_exp), float(b_exp)))
-
-
-def jacobi_weight_mass(a_exp: float, b_exp: float) -> float:
-    """Integral of (1-t)^a_exp (1+t)^b_exp over [-1, 1] (Beta-function value)."""
-    return (
-        2.0 ** (a_exp + b_exp + 1.0)
-        * gamma_fn(a_exp + 1.0)
-        * gamma_fn(b_exp + 1.0)
-        / gamma_fn(a_exp + b_exp + 2.0)
-    )
-
-
-def shifted_monomial_coeffs(coeffs, old_center: float, new_center: float) -> np.ndarray:
-    """Re-expand sum_j c_j (x - old_center)^j in powers of (x - new_center).
-
-    Exact binomial re-expansion; the binomial coefficients are computed as
-    integers, so a recenter round trip only loses rounding in the products.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("coefficient list must be one-dimensional")
-    n = c.size
-    delta = new_center - old_center
-    out = np.zeros(n)
-    for j in range(n):
-        if c[j] == 0.0:
-            continue
-        for m in range(j + 1):
-            out[m] += c[j] * math.comb(j, m) * delta ** (j - m)
-    return out
+    return QuadRule(nodes, weights)
 
 
 def polynomial_in_shifted_basis(coeffs_t, scale: float, shift: float) -> np.ndarray:
     """Coefficients of p(scale*y + shift) in powers of y, given p in powers of t.
 
     Used to move a reference-element polynomial into the local coordinate of
-    a physical cell.
+    a physical cell; with scale = 1 it re-centres p, exactly up to rounding in
+    the products (the binomial coefficients are integers).
     """
     a = np.asarray(coeffs_t, dtype=float)
     n = a.size

@@ -299,7 +299,7 @@ def test_criterion_10_figure_data_and_dissipation_ordering(tmp_path):
                      N_list=[2], K_list=[50], T=3.0)
     produced += len(run_single(cfg6, str(tmp_path / "ex6")))
     cfg9 = RunConfig(problem="coupled_strong", alphas=[2.0, 1.6, 1.8],
-                     N_list=[2], K_list=[200], T=20.0, varpi1=0.0175)
+                     N_list=[2], K_list=[200], T=20.0, cross_coupling=0.0175)
     produced += len(run_single(cfg9, str(tmp_path / "coupled")))
     for alpha, beta in ((1.6, 1.0), (1.8, 0.3)):
         cfgm = RunConfig(problem="manakov", alphas=[alpha], N_list=[2],

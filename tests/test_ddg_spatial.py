@@ -10,12 +10,12 @@ from ddgfrac.ddg_spatial import (
     BoundarySpec,
     ConvectionFlux,
     FluxParams,
+    _interior_face,
     _two_cell_forms,
     assemble_q_operator,
     check_admissibility,
     convection_rhs,
     default_flux,
-    numerical_flux_deriv,
 )
 from ddgfrac.fracops import assemble_frac_operator
 from ddgfrac.meshbasis import (
@@ -30,15 +30,31 @@ from ddgfrac.meshbasis import (
 from ddgfrac.models import BlockOperator
 
 
+def _solver_flux(traces_minus, traces_plus, h, flux):
+    """(du/dx)* at an interior face, from the face blocks the solver assembles.
+
+    Each side is the quadratic with the given (u, u', u'') face traces; its
+    DOFs meet the flux weights of the minus and plus cell, which the blocks
+    carry as minus_flux = outer(vr, w_minus) and plus_flux = outer(vl,
+    w_plus).  On LGL nodes vr and vl pick the end DOFs.
+    """
+    basis = build_basis(2)
+    minus_flux, _, plus_flux, _, _, _ = _interior_face(basis, flux, h)
+    w_minus, w_plus = minus_flux[-1], plus_flux[0]
+    physical = (2.0 / h) ** np.arange(3)[:, None]
+    cm = np.linalg.solve(physical * basis.trace_right, traces_minus)
+    cp = np.linalg.solve(physical * basis.trace_left, traces_plus)
+    return w_minus @ cm + w_plus @ cp
+
+
 def test_flux_continuous_data():
     traces = (1.3, 0.7, -2.0)
-    got = numerical_flux_deriv(traces, traces, 0.25, FluxParams(2.0, 0.1))
+    got = _solver_flux(traces, traces, 0.25, FluxParams(2.0, 0.1))
     assert got == pytest.approx(0.7, rel=1e-15)
 
 
 def test_flux_jump_example():
-    got = numerical_flux_deriv((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.5,
-                               FluxParams(1.0, 0.0))
+    got = _solver_flux((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.5, FluxParams(1.0, 0.0))
     assert got == pytest.approx(2.0, rel=1e-15)
 
 
@@ -46,7 +62,7 @@ def test_flux_with_beta1_hand_value():
     # one-sided quadratic data: u- = 1, u'- = 2, u''- = 4; u+ side zero
     flux = FluxParams(1.0, 1.0 / 12.0)
     h = 0.2
-    got = numerical_flux_deriv((1.0, 2.0, 4.0), (0.0, 0.0, 0.0), h, flux)
+    got = _solver_flux((1.0, 2.0, 4.0), (0.0, 0.0, 0.0), h, flux)
     want = 1.0 / h * (0.0 - 1.0) + 0.5 * (2.0 + 0.0) + h / 12.0 * (0.0 - 4.0)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -56,8 +72,8 @@ def test_flux_side_swap_identity():
     rng = np.random.default_rng(0)
     flux = FluxParams(1.7, 0.09)
     tm, tp = rng.standard_normal(3), rng.standard_normal(3)
-    f1 = numerical_flux_deriv(tuple(tm), tuple(tp), 0.3, flux)
-    f2 = numerical_flux_deriv(tuple(tp), tuple(tm), 0.3, flux)
+    f1 = _solver_flux(tm, tp, 0.3, flux)
+    f2 = _solver_flux(tp, tm, 0.3, flux)
     avg = 0.5 * (tm[1] + tp[1])
     assert f1 - avg == pytest.approx(-(f2 - avg), rel=1e-12, abs=1e-13)
 

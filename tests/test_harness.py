@@ -1,5 +1,6 @@
 """Config validation, convergence tables, snapshots, CLI and determinism."""
 
+import glob
 import json
 import os
 import subprocess
@@ -15,10 +16,14 @@ from ddgfrac.harness import (
     ConfigError,
     RunConfig,
     compute_order,
+    grid_cells,
     load_config,
     run_convergence,
     run_single,
 )
+from ddgfrac.models import EXAMPLES, make_example
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write(tmp_path, name, obj):
@@ -58,6 +63,20 @@ def test_config_unknown_problem(tmp_path):
                                        "N": 1, "K": 8})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_shipped_configs_load_and_build():
+    # every prepared config passes the schema and builds a problem spec for
+    # each grid cell (nothing is run), so a renamed key or example shows here
+    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))
+                   + glob.glob(os.path.join(ROOT, "bench", "configs", "*.json")))
+    assert len(paths) >= 20
+    for path in paths:
+        cfg = load_config(path)
+        for alpha, N, K in grid_cells(cfg):
+            spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
+                                cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
+            assert (spec.alpha, spec.N, spec.K) == (alpha, N, K)
 
 
 def test_converge_produces_orders(tmp_path):
@@ -173,6 +192,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         for command in ("run", "converge"):
             assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "r4")]) == 2
             assert limit in capsys.readouterr().err
+
+    # removed keys are unknown keys; an unknown problem names every example
+    for key, value in (("varpi1", 0.0175), ("label", "x")):
+        cfg = _write(tmp_path, "old.json", {"problem": "coupled_strong", "alpha": 1.6,
+                                            "N": 1, "K": 8, key: value})
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "r5")]) == 2
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
+    cfg = _write(tmp_path, "nope.json", {"problem": "ex9", "alpha": 1.6, "N": 1, "K": 8})
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "r6")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown problem 'ex9'; known: " + ", ".join(EXAMPLES) in err
 
 
 def test_cli_import_leaves_scipy_optimize_out():

@@ -1,4 +1,4 @@
-"""Problem families, manufactured forcings, and exact-solution library."""
+"""Problem families and the named examples: manufactured forcings and exact solutions."""
 
 import dataclasses
 import math
@@ -19,14 +19,11 @@ from ddgfrac.meshbasis import (
     project,
 )
 from ddgfrac.models import (
+    EXAMPLES,
     MATRIX_FREE_MIN_DOF,
     BlockOperator,
     ProblemSpec,
     build_problem,
-    exact_solution_library,
-    example_epsilon,
-    forcing_library,
-    initial_condition_library,
     make_example,
 )
 from ddgfrac.specfun import gamma_fn
@@ -122,18 +119,19 @@ def test_coupled_symmetric_reduction_stays_equal():
 
 
 def test_exact_library_values():
-    ex1 = exact_solution_library("ex1", 1.3)
+    ex1 = make_example("ex1", 1.3, 4, 1).exact
     xs = np.linspace(-1, 1, 7)
     assert ex1.components[0](xs, 0.0) == pytest.approx((xs**2 - 1) ** 4, abs=1e-14)
 
-    ex9 = exact_solution_library("ex9")
-    ics = initial_condition_library("colliding_sech_pair")
-    assert len(ex9.components) == len(ics) == 2
-    for comp, ic in zip(ex9.components, ics):
+    # the colliding soliton pair (ex9): manakov's reference at alpha = 2
+    ex9 = make_example("manakov", 2.0, 4, 1)
+    ics = ex9.ic
+    assert len(ex9.exact.components) == len(ics) == 2
+    for comp, ic in zip(ex9.exact.components, ics):
         assert np.iscomplexobj(ic(xs))
         assert np.abs(comp(xs, 0.0) - ic(xs)).max() <= 1e-14
 
-    ex7 = exact_solution_library("ex7", 1.5)
+    ex7 = make_example("ex7", 1.5, 4, 1).exact
     assert len(ex7.components) == 1
     for t in (0.0, 0.4, 1.3):  # |exp(-it)| = 1, so the modulus is static
         val = complex(ex7.components[0](0.3, t))
@@ -142,16 +140,16 @@ def test_exact_library_values():
 
 
 def test_forcing_ex1_classical_limit():
-    terms = forcing_library("ex1", 2.0)
-    (tf, h), = terms.components[0]
+    spec = make_example("ex1", 2.0, 4, 1)
+    (tf, h), = spec.forcing.components[0]   # data vanish at +-1: no lift term
     xs = np.linspace(-0.9, 0.9, 5)
     u0 = (xs**2 - 1) ** 4
     d2 = np.polynomial.polynomial.polyval(
         xs, np.polynomial.polynomial.polyder(
             np.polynomial.polynomial.polypow([-1.0, 0.0, 1.0], 4), 2))
-    eps = example_epsilon("ex1", 2.0)
-    assert tf(0.0) == pytest.approx(1.0)
-    assert h(xs) == pytest.approx(-u0 - eps * d2, rel=1e-12)
+    (eps,) = spec.eps
+    assert abs(tf(0.0)) == pytest.approx(1.0)
+    assert tf(0.0) * h(xs) == pytest.approx(-u0 - eps * d2, rel=1e-12)
 
 
 def test_forcing_ex1_even_symmetry():
@@ -163,8 +161,9 @@ def test_forcing_ex1_even_symmetry():
 
 def test_forcing_ex2_anchor_value():
     alpha = 1.1
-    terms = forcing_library("ex2", alpha)
-    (tf, h), = terms.components[0]
+    # the first term is the residual of exp(-t) x^11; the second lifts the
+    # boundary value u(1) = 1
+    (tf, h), _lift = make_example("ex2", alpha, 4, 1).forcing.components[0]
     eps = gamma_fn(12.0 - alpha) / gamma_fn(12.0)
     want = -1.0 + eps * RIESZ_X11_A11_X1
     assert tf(0.0) * h(np.array([1.0]))[0] == pytest.approx(want, rel=1e-10)
@@ -172,13 +171,28 @@ def test_forcing_ex2_anchor_value():
 
 def test_forcing_unknown_name():
     with pytest.raises(KeyError):
-        forcing_library("nope", 1.5)
-    with pytest.raises(KeyError):
-        exact_solution_library("nope")
-    with pytest.raises(KeyError):
-        initial_condition_library("nope")
-    with pytest.raises(KeyError):
         make_example("nope", 1.5, 4, 1)
+
+
+def test_every_example_builds():
+    for name in EXAMPLES:
+        for alpha in (1.3, 2.0):
+            spec = make_example(name, alpha, 6, 2)
+            prob = build_problem(spec)
+            r = prob.rhs(0.1, prob.initial_state())
+            assert r.shape == (spec.n_components * prob.n,) and np.isfinite(r).all()
+
+
+def test_cross_coupling_sets_the_coupling():
+    # one key couples the two fields: the linear w2 of coupled_strong and
+    # the nonlinear beta of manakov
+    strong = make_example("coupled_strong", 1.6, 4, 1, cross_coupling=0.0175)
+    assert strong.coupling == ((1.0, 0.0175), (0.0175, 1.0))
+    assert make_example("coupled_strong", 1.6, 4, 1).coupling == ((1.0, 1.0), (1.0, 1.0))
+    rho = [np.array([2.0, 0.5]), np.array([3.0, 7.0])]
+    f1, f2 = make_example("manakov", 1.6, 4, 1, cross_coupling=0.3).nonlinearity(rho)
+    assert np.array_equal(f1, rho[0] + 0.3 * rho[1])
+    assert np.array_equal(f2, 0.3 * rho[0] + rho[1])
 
 
 def test_problem_spec_validation():
@@ -225,13 +239,15 @@ def test_fields_drive_roles_norms_and_errors():
 
 
 def test_epsilon_values():
-    assert example_epsilon("ex1", 1.1) == pytest.approx(
-        gamma_fn(7.9) / gamma_fn(9.0), rel=1e-14)
-    assert example_epsilon("ex1", 1.1) == pytest.approx(0.10224973919358734, rel=1e-12)
-    assert example_epsilon("ex4", 1.2) == pytest.approx(
-        gamma_fn(3.8) / gamma_fn(5.0), rel=1e-14)
-    assert example_epsilon("ex8", 1.1) == pytest.approx(
-        gamma_fn(4.9) / (2 * gamma_fn(6.0)), rel=1e-14)
+    def eps(name, alpha):
+        spec = make_example(name, alpha, 4, 1)
+        assert len(set(spec.eps)) == 1   # every field shares it
+        return spec.eps[0]
+
+    assert eps("ex1", 1.1) == pytest.approx(gamma_fn(7.9) / gamma_fn(9.0), rel=1e-14)
+    assert eps("ex1", 1.1) == pytest.approx(0.10224973919358734, rel=1e-12)
+    assert eps("ex4", 1.2) == pytest.approx(gamma_fn(3.8) / gamma_fn(5.0), rel=1e-14)
+    assert eps("ex8", 1.1) == pytest.approx(gamma_fn(4.9) / (2 * gamma_fn(6.0)), rel=1e-14)
 
 
 def test_stable_dt_cap_scales_with_the_family_coefficient():
