@@ -15,7 +15,6 @@ from .ddg_spatial import (
 from .fracops import (
     FracOperator,
     assemble_frac_operator,
-    frac_integral_element,
     riesz_frac_deriv_poly,
 )
 from .meshbasis import (

@@ -10,10 +10,12 @@ with the derivative numerical flux
     (du/dx)* = beta0 [u]/h + {du/dx} + beta1 h [d2u/dx2],
 
 jumps [w] = w_plus - w_minus and averages {w} = (w_plus + w_minus)/2.
-Dirichlet data enters through mirrored ghost traces of the solution
-(u_ext = 2 g - u_int, derivatives copied) while test functions take a zero
-exterior trace with {dphi/dx} = dphi/dx / 2; that combination is consistent
-and keeps the beta1-free part of the bilinear form symmetric.
+The boundary closure is for homogeneous Dirichlet data only: the
+solution's ghost traces are mirrored (u_ext = -u_int, derivatives copied)
+while test functions take a zero exterior trace with {dphi/dx} = dphi/dx / 2;
+that combination is consistent and keeps the beta1-free part of the
+bilinear form symmetric.  Inhomogeneous data reach the solver through the
+lift in ``models``, never through this operator.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ class BoundarySpec:
 
 @dataclass
 class DdgOperators:
-    """Assembled weak second-derivative operator with boundary closure.
+    """Assembled weak second-derivative operator, closed for zero data.
 
-    q DOFs are recovered as  q = M^-1 (A u + bc_left * g_left(t)
-    + bc_right * g_right(t)).  On the uniform mesh A is block tridiagonal:
+    q DOFs are recovered as q = M^-1 A u, with the homogeneous Dirichlet
+    closure built into A.  On the uniform mesh A is block tridiagonal:
     every interior cell row holds (lower, diag, upper), and the two
     boundary cells replace diag with ``first``/``last`` (one block when
     K = 1).  ``A`` gathers the dense matrix on request.
@@ -86,8 +88,6 @@ class DdgOperators:
     upper: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    bc_left: np.ndarray
-    bc_right: np.ndarray
     flux: FluxParams
     mesh: Mesh1D
     basis: ElementBasis
@@ -130,16 +130,14 @@ def _interior_face(basis: ElementBasis, flux: FluxParams, h: float):
 
 def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
                         flux: FluxParams) -> DdgOperators:
-    """Assemble the blocks of A and the Dirichlet closure vectors.
+    """Assemble the blocks of A, with the homogeneous Dirichlet closure.
 
     Each block sums the same face terms, in the same order, as a per-face
     accumulation into the dense matrix would.
     """
     if flux.beta0 <= 0:
         raise ValueError("penalization requires beta0 > 0")
-    K, n, h = mesh.K, basis.n_nodes, mesh.dx
-    bL = np.zeros(K * n)
-    bR = np.zeros(K * n)
+    K, h = mesh.K, mesh.dx
 
     vl, dl_x = basis.trace_left[0], (2.0 / h) * basis.trace_left[1]
     vr, dr_x = basis.trace_right[0], (2.0 / h) * basis.trace_right[1]
@@ -155,18 +153,14 @@ def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
     # uses a small interior beta0 (half-cell trace constant)
     b0_bdry = max(flux.beta0, 0.5 * (basis.N + 1.0) ** 2)
 
-    # left boundary face: mirrored ghost, [u] = 2u - 2g, [phi] = +phi;
+    # left boundary face: mirrored ghost, [u] = 2u, [phi] = +phi;
     # -{dphi/dx}[u] is the second term
     left_flux = np.outer(vl, 2.0 * b0_bdry / h * vl + dl_x)
     left_avg = np.outer(0.5 * dl_x, 2.0 * vl)
-    bL[:n] += 2.0 * b0_bdry / h * vl
-    bL[:n] += dl_x
 
-    # right boundary face: mirrored ghost, [u] = 2g - 2u, [phi] = -phi
+    # right boundary face: mirrored ghost, [u] = -2u, [phi] = -phi
     right_flux = np.outer(vr, -2.0 * b0_bdry / h * vr + dr_x)
     right_avg = np.outer(0.5 * dr_x, 2.0 * vr)
-    bR[(K - 1) * n:] += 2.0 * b0_bdry / h * vr
-    bR[(K - 1) * n:] -= dr_x
 
     if K == 1:
         first = last = vol - left_flux - left_avg + right_flux + right_avg
@@ -175,8 +169,7 @@ def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
         last = vol - plus_flux - plus_avg + right_flux + right_avg
 
     return DdgOperators(lower=lower, diag=diag, upper=upper, first=first,
-                        last=last, bc_left=bL, bc_right=bR, flux=flux,
-                        mesh=mesh, basis=basis)
+                        last=last, flux=flux, mesh=mesh, basis=basis)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Riemann-Liouville integrals of piecewise polynomials and the block-Toeplitz
-Galerkin operator of the two-sided fractional integral of order mu = 2 - alpha.
+"""The block-Toeplitz Galerkin operator of the two-sided Riemann-Liouville
+fractional integral of order mu = 2 - alpha, and the Riesz derivative of
+global polynomials.
 
 The operator applied to a function g supported on [a, b] (zero extension
 outside) is
@@ -24,7 +25,7 @@ the small-size fused path and for tests.  The blocks are
 
 Forcing terms for manufactured solutions use the closed-form Riesz fractional
 derivative of monomials on [a, b] (both one-sided derivatives of order alpha
-taken on the finite domain).
+taken on the finite domain), projected onto the mesh exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshbasis import ElementBasis, Mesh1D
+from .meshbasis import ElementBasis, Mesh1D, mass_solve, project
 from .specfun import (
     gamma_fn,
     gauss_jacobi,
@@ -157,62 +158,6 @@ def assemble_frac_operator(mesh: Mesh1D, basis: ElementBasis, alpha: float) -> F
     )
 
 
-def frac_integral_element(
-    mu: float,
-    coeffs,
-    x_left: float,
-    x_right: float,
-    x: float,
-    side: str = "left",
-) -> float:
-    """Riemann-Liouville integral of order mu of one cell polynomial at x.
-
-    ``coeffs`` expands the polynomial in powers of (s - x_left).  The left
-    integral runs over [x_left, min(x, x_right)] and is zero for x left of
-    the cell; ``side="right"`` mirrors everything.
-    """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"integral order must lie in (0, 1), got {mu}")
-    c = np.asarray(coeffs, dtype=float)
-    if side == "right":
-        # p(s) about x_left -> p(xl + xr - u) about x_left, then reuse the left path
-        about_right = polynomial_in_shifted_basis(c, 1.0, x_right - x_left)
-        mirrored = about_right * (-1.0) ** np.arange(c.size)
-        return frac_integral_element(
-            mu, mirrored, x_left, x_right, x_left + x_right - x, side="left"
-        )
-    if side != "left":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    if x <= x_left:
-        return 0.0
-    deg = c.size - 1
-    width = x_right - x_left
-
-    if x <= x_right:
-        # singular endpoint at s = x: Gauss-Jacobi(mu-1, 0) is exact
-        rule = gauss_jacobi(max(deg + 1, 1), mu - 1.0, 0.0)
-        s = x_left + 0.5 * (x - x_left) * (1.0 + rule.nodes)
-        vals = np.polynomial.polynomial.polyval(s - x_left, c)
-        return (0.5 * (x - x_left)) ** mu * rule.integrate(vals) / gamma_fn(mu)
-
-    if x - x_right <= width:
-        # nearby evaluation point: difference of two exact power-rule series
-        r = np.arange(c.size)
-        gam = np.array([gamma_fn(rr + 1.0) / gamma_fn(rr + 1.0 + mu) for rr in r])
-        d = polynomial_in_shifted_basis(c, 1.0, width)
-        p1 = np.dot(c * gam, (x - x_left) ** (r + mu))
-        p2 = np.dot(d * gam, (x - x_right) ** (r + mu))
-        return float(p1 - p2)
-
-    # well separated: kernel analytic over the cell
-    npts = max(16, math.ceil((deg + math.ceil(1.0 / mu) + 5) / 2))
-    rule = gauss_legendre(min(npts, 64))
-    s = x_left + 0.5 * width * (1.0 + rule.nodes)
-    vals = (x - s) ** (mu - 1.0) * np.polynomial.polynomial.polyval(s - x_left, c)
-    return 0.5 * width * rule.integrate(vals) / gamma_fn(mu)
-
-
 def _caputo_factors(alpha: float, degree: int) -> np.ndarray:
     """Gamma(p + 1) / Gamma(p + 1 - alpha) for p = 2..degree.
 
@@ -269,8 +214,6 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
     a, b = mesh.a, mesh.b
     if alpha == 2.0:
         d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
-        from .meshbasis import project
-
         return project(lambda x: -np.polynomial.polynomial.polyval(x, d2),
                        mesh, basis).values
 
@@ -317,6 +260,5 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
                 vals = ((b - x[:, None]) ** (jj[None, :] - alpha)) @ db
                 weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
 
-    out = (2.0 / h) * scale * weak @ basis.mass_inv.T
-    return out.ravel()
+    return mass_solve(mesh, basis, scale * weak)
 

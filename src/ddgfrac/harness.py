@@ -22,7 +22,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .meshbasis import MAX_DEGREE, FieldVector, eval_field
-from .models import EXAMPLES, SemiDiscreteProblem, build_problem, make_example
+from .models import CROSS_COUPLED, EXAMPLES, SemiDiscreteProblem, build_problem, make_example
 from .ddg_spatial import FluxParams
 from .timestep import RunControl, integrate
 
@@ -97,6 +97,9 @@ def load_config(path: str) -> RunConfig:
     if raw["problem"] not in EXAMPLES:
         raise ConfigError(f"unknown problem {raw['problem']!r}; "
                           f"known: {', '.join(EXAMPLES)}")
+    if "cross_coupling" in raw and raw["problem"] not in CROSS_COUPLED:
+        raise ConfigError(f"cross_coupling is read only by {' and '.join(CROSS_COUPLED)}, "
+                          f"not by {raw['problem']!r}")
     flux = None
     if "beta0" in raw or "beta1" in raw:
         if "beta0" not in raw:

@@ -15,6 +15,7 @@ import os
 import time
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 import ddgfrac as dg
 from ddgfrac.cli import main as cli_main
@@ -226,13 +227,20 @@ def test_criterion_7_operator_properties():
         eigs = np.linalg.eigvalsh(0.5 * (B + B.T))
         if eigs.min() < -1e-10 * np.abs(eigs).max():
             failures.append(f"PSD K={K} N={N} a={alpha:.2f}")
+    # power rule in the assembled self-cell block: on the cell [0, 1] the
+    # left integral of x^p is Gamma(p+1)/Gamma(p+1+mu) x^(p+mu); its moments
+    # against the basis come from scipy's Gauss-Jacobi rule, not the solver's
+    mesh, basis = dg.build_mesh(0.0, 1.0, 1), dg.build_basis(8)
+    nodes = 0.5 * (1.0 + basis.ref_nodes)
     for mu in (0.1, 0.4, 0.9):
+        block = dg.assemble_frac_operator(mesh, basis, 2.0 - mu).left[0]
+        t, w = roots_jacobi(12, 0.0, mu)   # weight (1 + t)^mu on [-1, 1]
+        moments = 0.5 ** (1.0 + mu) * w[:, None] * basis.eval_matrix(t)
         for p in range(9):
-            c = np.zeros(p + 1)
-            c[p] = 1.0
-            got = dg.frac_integral_element(mu, c, 0.0, 1.0, 0.77)
-            want = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 + mu) * 0.77 ** (p + mu)
-            if abs(got - want) > 1e-11:
+            got = block @ nodes ** p
+            want = (gamma_fn(p + 1.0) / gamma_fn(p + 1.0 + mu)
+                    * (0.5 * (1.0 + t)) ** p @ moments)
+            if np.abs(got - want).max() > 1e-11:
                 failures.append(f"power rule mu={mu} p={p}")
     mesh, basis = dg.build_mesh(-1.0, 1.0, 10), dg.build_basis(3)
     B = dg.assemble_frac_operator(mesh, basis, 2.0 - 1e-3).B

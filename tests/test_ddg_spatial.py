@@ -78,25 +78,26 @@ def test_flux_side_swap_identity():
     assert f1 - avg == pytest.approx(-(f2 - avg), rel=1e-12, abs=1e-13)
 
 
-def _q_with_data(ops, u, g_left, g_right):
-    """q = M^-1 (A u + g_left bc_left + g_right bc_right), A from its blocks."""
-    rhs = ops.A @ u + g_left * ops.bc_left + g_right * ops.bc_right
-    return mass_solve(ops.mesh, ops.basis, rhs)
+def _q(ops, u):
+    """q = M^-1 A u, A gathered from its blocks (zero Dirichlet data)."""
+    return mass_solve(ops.mesh, ops.basis, ops.A @ u)
 
 
-def test_q_of_linear_field_vanishes():
-    mesh, basis = build_mesh(0.0, 1.0, 4), build_basis(2)
-    ops = assemble_q_operator(mesh, basis, default_flux(2))
-    u = project(lambda x: x, mesh, basis)
-    assert np.abs(_q_with_data(ops, u.values, 0.0, 1.0)).max() <= 1e-11
+def test_q_of_cubic_is_its_second_derivative():
+    # u = x (1 - x) (x - 0.3) vanishes at both ends, so the homogeneous
+    # closure is consistent and q is u'' = 2.6 - 6x exactly
+    mesh, basis = build_mesh(0.0, 1.0, 4), build_basis(3)
+    ops = assemble_q_operator(mesh, basis, default_flux(3))
+    u = project(lambda x: x * (1.0 - x) * (x - 0.3), mesh, basis)
+    want = project(lambda x: 2.6 - 6.0 * x, mesh, basis)
+    assert np.abs(_q(ops, u.values) - want.values).max() <= 1e-10
 
 
 def test_q_of_quadratic_is_two():
     mesh, basis = build_mesh(0.0, 1.0, 5), build_basis(3)
     ops = assemble_q_operator(mesh, basis, default_flux(3))
-    u = project(lambda x: x * x, mesh, basis)
-    q = _q_with_data(ops, u.values, 0.0, 1.0)
-    assert np.abs(q - 2.0).max() <= 1e-10
+    u = project(lambda x: x * (x - 1.0), mesh, basis)
+    assert np.abs(_q(ops, u.values) - 2.0).max() <= 1e-10
 
 
 def test_assembly_matches_symbolic_weak_form():

@@ -1,4 +1,4 @@
-"""Fractional integrals of piecewise polynomials and the block operator."""
+"""The block fractional-integral operator and Riesz derivatives of polynomials."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from ddgfrac.ddg_spatial import assemble_q_operator, default_flux
 from ddgfrac.fracops import (
     assemble_frac_operator,
-    frac_integral_element,
     project_riesz_poly,
     riesz_frac_deriv_poly,
 )
@@ -23,81 +22,14 @@ from ddgfrac.meshbasis import (
     project,
 )
 from ddgfrac.models import BlockOperator
-from ddgfrac.specfun import gamma_fn, gauss_legendre
+from ddgfrac.specfun import gamma_fn
 
 # oracles computed with 40-digit adaptive quadrature
-I_S2_MU04_X17 = 0.1578291447916741529     # I^0.4 of s^2 on [0,1] at x=1.7
 B11_MU05 = 1.0638460810704871412          # 1/(Gamma(2.5) cos(pi/4))
 RIESZ_X2_A15_X05 = -2.2567583341910251478
 RIESZ_X11_A11_X1 = -44.458853207226804721
 RIESZ_X13_A11_X1 = -53.469902862750574191
 LEFT_CAPUTO_X11_A11_X1 = 13.909793835549355
-
-
-def test_power_rule_inside():
-    for mu in (0.1, 0.4, 0.9):
-        for p in range(9):
-            c = np.zeros(p + 1)
-            c[p] = 1.0
-            for x in (0.37, 0.8, 1.0):
-                got = frac_integral_element(mu, c, 0.0, 1.0, x)
-                want = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 + mu) * x ** (p + mu)
-                assert got == pytest.approx(want, abs=1e-11, rel=1e-11)
-
-
-def test_unit_constant_examples():
-    got = frac_integral_element(0.5, [1.0], 0.0, 1.0, 1.0)
-    assert got == pytest.approx(1.0 / gamma_fn(1.5), rel=1e-12)
-    assert frac_integral_element(0.3, [1.0], 0.0, 1.0, 0.0) == 0.0
-    assert frac_integral_element(0.3, [1.0], 0.0, 1.0, -0.5) == 0.0
-
-
-def test_beyond_cell_oracle():
-    got = frac_integral_element(0.4, [0.0, 0.0, 1.0], 0.0, 1.0, 1.7)
-    assert got == pytest.approx(I_S2_MU04_X17, abs=1e-11)
-
-
-def test_near_beyond_uses_exact_series():
-    # oracle: mpmath adaptive quadrature of the kernel at x = 1.05
-    got = frac_integral_element(0.4, [0.0, 0.0, 1.0], 0.0, 1.0, 1.05)
-    assert got == pytest.approx(0.3893709913800695, abs=1e-12)
-
-
-def test_right_side_mirrors_left():
-    c = np.array([0.2, -1.0, 0.7, 0.5])
-    for mu in (0.25, 0.8):
-        for x in (-0.4, 0.1, 0.62, 1.3):
-            got = frac_integral_element(mu, c, 0.0, 1.0, x, side="right")
-            # reflect manually: p(1 - y) on [0, 1]
-            refl = np.zeros_like(c)
-            for j, cj in enumerate(c):
-                for m in range(j + 1):
-                    refl[m] += cj * math.comb(j, m) * (-1.0) ** m
-            want = frac_integral_element(mu, refl, 0.0, 1.0, 1.0 - x)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
-
-
-def test_adjointness_left_right():
-    # (I_L f, g) = (f, I_R g) with f, g supported on separate cells of [0,1]
-    rng = np.random.default_rng(2)
-    mu = 0.6
-    fc = rng.standard_normal(4)
-    gc = rng.standard_normal(4)
-    rule = gauss_legendre(24)
-
-    def left(x):
-        return frac_integral_element(mu, fc, 0.2, 0.5, x)
-
-    def right(x):
-        return frac_integral_element(mu, gc, 0.55, 0.9, x, side="right")
-
-    xg = 0.55 + 0.5 * 0.35 * (rule.nodes + 1.0)
-    gvals = np.polynomial.polynomial.polyval(xg - 0.55, gc)
-    lhs = 0.5 * 0.35 * rule.integrate(gvals * np.array([left(x) for x in xg]))
-    xf = 0.2 + 0.5 * 0.3 * (rule.nodes + 1.0)
-    fvals = np.polynomial.polynomial.polyval(xf - 0.2, fc)
-    rhs = 0.5 * 0.3 * rule.integrate(fvals * np.array([right(x) for x in xf]))
-    assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
 
 def test_operator_single_cell_closed_form():

@@ -204,6 +204,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown problem 'ex9'; known: " + ", ".join(EXAMPLES) in err
 
+    # cross_coupling where no example reads it exits 2 before any run
+    cfg = _write(tmp_path, "cc.json", {"problem": "ex8", "alpha": 1.1, "N": 1,
+                                       "K": 8, "cross_coupling": 0.5})
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "r7")]) == 2
+    err = capsys.readouterr().err
+    assert "cross_coupling is read only by coupled_strong and manakov" in err
+    assert not (tmp_path / "r7").exists()
+
 
 def test_cli_import_leaves_scipy_optimize_out():
     # the admissibility check needs numpy only; loading scipy.optimize would
