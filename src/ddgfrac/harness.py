@@ -49,7 +49,7 @@ CONFIG_SCHEMA = {
         "T": {"type": "number", "exclusiveMinimum": 0},
         "cfl_c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "dt_override": {"type": "number", "exclusiveMinimum": 0},
-        "beta0": {"type": "number", "minimum": 0},
+        "beta0": {"type": "number", "exclusiveMinimum": 0},
         "beta1": {"type": "number"},
         "cross_coupling": {"type": "number"},
         "snapshot_times": {"type": "array", "items": {"type": "number"}},
@@ -193,12 +193,12 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
 
     t0 = time.perf_counter()
     dt_cap = problem.stable_dt_cap()
-    dt_cfl = control.cfl_c * problem.mesh.dx_min ** alpha
+    dt_cfl = control.cfl_c * problem.mesh.dx ** alpha
     dt_bound = ("override" if cfg.dt_override is not None
                 else "cap" if dt_cap < dt_cfl else "cfl")
     state, snaps, dt, n_steps = integrate(
         problem.rhs, problem.initial_state(), control,
-        problem.mesh.dx_min, alpha, observer=observer,
+        problem.mesh.dx, alpha, observer=observer,
         dt_cap=dt_cap, labels=problem.roles,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))

@@ -26,7 +26,6 @@ class Mesh1D:
     b: float
     K: int
     boundaries: np.ndarray
-    dx_min: float
 
     @property
     def dx(self) -> float:
@@ -34,14 +33,13 @@ class Mesh1D:
 
 
 def build_mesh(a: float, b: float, K: int) -> Mesh1D:
-    """Uniform mesh with K cells; dx_min = (b - a)/K."""
+    """Uniform mesh with K cells of width dx = (b - a)/K."""
     if not a < b:
         raise ValueError(f"domain endpoints must satisfy a < b, got ({a}, {b})")
     if K < 1:
         raise ValueError(f"cell count must be positive, got {K}")
     boundaries = np.linspace(a, b, K + 1)
-    return Mesh1D(a=float(a), b=float(b), K=int(K), boundaries=boundaries,
-                  dx_min=(b - a) / K)
+    return Mesh1D(a=float(a), b=float(b), K=int(K), boundaries=boundaries)
 
 
 def _lgl_nodes(N: int) -> np.ndarray:

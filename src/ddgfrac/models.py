@@ -5,8 +5,11 @@ element-major: ``diffusion``, ``convection_diffusion`` and ``nls`` hold (u)
 and ``coupled_nls`` holds (u1, u2).  The rows are real for the first two
 families and complex for the Schrodinger ones, so the right-hand side, the
 norms, the errors, the row names and the snapshot files act on each field
-directly.  E stays real: a complex block goes through it as its real rows
-stacked over its imaginary rows, so E is never copied to complex.
+directly.  As in the paper's coupled system and its manufactured tests,
+every field shares one fractional and one nonlinear coefficient, one
+forcing and one lift.  E stays real: a complex block goes through it as
+its real rows stacked over its imaginary rows, so E is never copied to
+complex.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -58,7 +61,6 @@ from .fracops import (
     FracOperator,
     assemble_frac_operator,
     project_riesz_poly,
-    riesz_frac_deriv_poly,
 )
 from .meshbasis import (
     FieldVector,
@@ -86,13 +88,6 @@ MATRIX_FREE_MIN_DOF = 768
 
 
 @dataclass(frozen=True)
-class ExactSolution:
-    """Space-time reference solution, one callable per field."""
-
-    components: tuple
-
-
-@dataclass(frozen=True)
 class ForcingProfile:
     """Spatial profile poly(x) + frac_scale * (-lap)^(alpha/2) base(x).
 
@@ -102,58 +97,39 @@ class ForcingProfile:
     """
 
     poly: np.ndarray
-    frac_scale: float
-    base: Optional[np.ndarray]
-    alpha: float
-    domain: tuple
+    frac_scale: float = 0.0
+    base: Optional[np.ndarray] = None
 
-    def __call__(self, x):
-        val = P.polyval(np.asarray(x, dtype=float), self.poly)
-        if self.base is not None and self.frac_scale != 0.0:
-            a, b = self.domain
-            val = val + self.frac_scale * riesz_frac_deriv_poly(
-                self.alpha, self.base, a, b, x
-            )
-        return val
-
-    def project_onto(self, mesh, basis) -> np.ndarray:
+    def project_onto(self, mesh, basis, alpha: float) -> np.ndarray:
         n_quad = min(max(basis.N + 2, (self.poly.size + basis.N) // 2 + 2), 64)
         dofs = project(_polyval(self.poly), mesh, basis, n_quad=n_quad).values
         if self.base is not None and self.frac_scale != 0.0:
-            dofs = dofs + self.frac_scale * project_riesz_poly(
-                self.alpha, self.base, mesh, basis
-            )
+            dofs = dofs + self.frac_scale * project_riesz_poly(alpha, self.base, mesh, basis)
         return dofs
-
-
-@dataclass(frozen=True)
-class ForcingTerms:
-    """Separable forcing sum_i T_i(t) h_i(x) of u_t for every field."""
-
-    components: tuple  # tuple over fields of tuples of (time_fn, ForcingProfile)
 
 
 @dataclass
 class ProblemSpec:
     """Everything needed to assemble one semi-discrete problem.
 
-    Field j of a real family solves u_t = -eps_j (-lap)^(alpha/2) u
-    - f(u)_x + g; of a complex family
+    A real family solves u_t = -eps (-lap)^(alpha/2) u - f(u)_x + g; field
+    j of a complex family solves
 
-        i (u_j)_t = eps_j (-lap)^(alpha/2) u_j - sum_k coupling[j][k] u_k
-                    - nl_eps_j nonlinearity(rho)_j u_j + i g_j
+        i (u_j)_t = eps (-lap)^(alpha/2) u_j - sum_k coupling[j][k] u_k
+                    - nl_eps nonlinearity(rho)_j u_j + i g
 
-    with densities rho_k = |u_k|^2.  ``eps`` and ``nl_eps`` take one value
-    per field (a scalar is shared by all fields); ``nonlinearity`` maps the
-    list of densities to one factor per field.
+    with densities rho_k = |u_k|^2.  ``eps`` and ``nl_eps`` are scalars
+    shared by every field; ``nonlinearity`` maps the list of densities to
+    one factor per field.
 
-    ``ic``, ``forcing``, ``exact`` and ``lift`` hold one entry per field
-    (``n_components``), complex valued for the complex families.  ``lift``
-    holds (time_fn, linear poly coeffs) pairs for problems posed with
-    inhomogeneous Dirichlet data; the evolved state is then the lifted
-    (homogeneous) field.  ``bcs`` is not an input: it is derived from
-    ``lift``, one ``BoundarySpec`` per field holding T(t) l(a) and
-    T(t) l(b), or zero data without a lift.
+    ``ic`` and ``exact`` hold one callable per field (``n_components``),
+    complex valued for the complex families.  ``forcing`` is one tuple of
+    separable terms (time_fn, ForcingProfile), g = sum T(t) h(x), added to
+    every field.  ``lift`` is one (time_fn, linear poly coeffs) pair for
+    problems posed with inhomogeneous Dirichlet data; every evolved field is
+    then the field minus T(t) l(x), with zero data.  ``bcs`` is not an
+    input: it is derived from ``lift``, one ``BoundarySpec`` per field
+    holding T(t) l(a) and T(t) l(b), or zero data without a lift.
     """
 
     family: str
@@ -163,15 +139,15 @@ class ProblemSpec:
     N: int
     T: float
     flux: Optional[FluxParams] = None
-    eps: float | tuple = 1.0         # fractional coefficient per field
-    nl_eps: float | tuple = 1.0      # nonlinear coefficient per field
+    eps: float = 1.0                 # fractional coefficient
+    nl_eps: float = 1.0              # nonlinear coefficient
     nonlinearity: Optional[Callable] = None
     coupling: Optional[tuple] = None  # fields x fields linear coupling
     conv: Optional[ConvectionFlux] = None
     ic: Optional[list] = None        # per-field callables of x
-    forcing: Optional[ForcingTerms] = None
-    exact: Optional[ExactSolution] = None
-    lift: Optional[list] = None      # per-field (time_fn, poly coeffs)
+    forcing: tuple = ()              # (time_fn, ForcingProfile) terms
+    exact: Optional[tuple] = None    # per-field callables of (x, t)
+    lift: Optional[tuple] = None     # (time_fn, linear poly coeffs)
     cfl_c: Optional[float] = None
     bcs: list = field(init=False)    # per-field BoundarySpec, from lift
 
@@ -184,22 +160,17 @@ class ProblemSpec:
             self.cfl_c = 0.05 if self.is_complex else 0.1
         if self.flux is None:
             self.flux = default_flux(self.N)
-        m = self.n_components
-        self.eps, self.nl_eps = (tuple(v) if isinstance(v, (tuple, list)) else (v,) * m
-                                 for v in (self.eps, self.nl_eps))
-        if len(self.eps) != m or len(self.nl_eps) != m:
-            raise ValueError(f"{self.family} takes {m} coefficient(s) per term")
+        self.eps, self.nl_eps = float(self.eps), float(self.nl_eps)
         if self.family == "convection_diffusion" and self.conv is None:
             raise ValueError("convection_diffusion requires a convective flux")
         if self.is_complex and self.nonlinearity is None:
             raise ValueError(f"{self.family} requires a nonlinearity")
-        if self.lift is not None and len(self.lift) != m:
-            raise ValueError("lift data must cover every field")
-        a, b = self.domain
-        self.bcs = [BoundarySpec()] * m if self.lift is None else [
-            BoundarySpec(left=lambda t, f=f, v=float(P.polyval(a, c)): f(t) * v,
-                         right=lambda t, f=f, v=float(P.polyval(b, c)): f(t) * v)
-            for f, c in self.lift]
+        bc = BoundarySpec()
+        if self.lift is not None:
+            (a, b), (f, c) = self.domain, self.lift
+            bc = BoundarySpec(left=lambda t, v=float(P.polyval(a, c)): f(t) * v,
+                              right=lambda t, v=float(P.polyval(b, c)): f(t) * v)
+        self.bcs = [bc] * self.n_components
 
     @property
     def n_components(self) -> int:
@@ -221,8 +192,8 @@ class SemiDiscreteProblem:
     qop: DdgOperators
     E: object = field(repr=False)          # dense (alpha < 2) or LinearOperator
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
-    forcing_dofs: list = field(repr=False, default_factory=list)
-    lift_nodal: Optional[list] = field(repr=False, default=None)
+    forcing_dofs: list = field(repr=False, default_factory=list)  # (time_fn, dofs)
+    lift_nodal: Optional[np.ndarray] = field(repr=False, default=None)
     quad_eval: Optional[np.ndarray] = field(repr=False, default=None)
     quad_back: Optional[np.ndarray] = field(repr=False, default=None)
 
@@ -239,12 +210,13 @@ class SemiDiscreteProblem:
     def stable_dt_cap(self) -> float:
         """Step bound 2 / (1.15 rho) from the stiff part's spectral radius rho.
 
-        rho is max |eps_j| times the spectral radius of E, estimated by 30
+        rho is |eps| times the spectral radius of E, estimated by 30
         power-iteration steps from a fixed-seed random vector, plus, with a
         convective flux, the advective rate 1.5 max |f'(u0)| (N + 1)^2 / dx
-        of the initial data.  Runs without a dt override step with the
-        smaller of this cap and the CFL step c dx^alpha, and ``dt_bound`` in
-        the diagnostics names the one that set dt.
+        of the physical initial data (lift added back) at the nodes.  Runs
+        without a dt override step with the smaller of this cap and the CFL
+        step c dx^alpha, and ``dt_bound`` in the diagnostics names the one
+        that set dt.
         """
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.n)
@@ -256,10 +228,10 @@ class SemiDiscreteProblem:
                 return math.inf
             v = w / rho
         spec = self.spec
-        rho_eff = max(abs(e) for e in spec.eps) * rho
+        rho_eff = abs(spec.eps) * rho
         if spec.conv is not None and spec.ic is not None:
             nodes = cell_centers_and_points(self.mesh, self.basis.ref_nodes)
-            u0 = spec.ic[0](nodes)
+            u0 = self.full_fields(spec.ic[0](nodes).ravel(), 0.0)
             speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
             rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
         return 2.0 / (1.15 * rho_eff)
@@ -281,27 +253,22 @@ class SemiDiscreteProblem:
             return out
         return self.apply_E(comps)
 
-    def _forcing(self, t: float, i: int):
-        return sum((time_fn(t) * h for time_fn, h in self.forcing_dofs[i]), 0.0)
-
     def full_fields(self, comps: np.ndarray, t: float) -> np.ndarray:
         """Physical fields, adding the boundary lift back when present."""
         if self.lift_nodal is None:
             return comps
-        full = comps.copy()
-        for i, (time_fn, _c) in enumerate(self.spec.lift):
-            full[i] += time_fn(t) * self.lift_nodal[i]
-        return full
+        return comps + self.spec.lift[0](t) * self.lift_nodal
 
     def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
         spec = self.spec
         comps = flat.reshape(spec.n_components, self.n)
         F = self._frac_apply(comps)
         full = self.full_fields(comps, t)
+        g = sum((time_fn(t) * h for time_fn, h in self.forcing_dofs), 0.0)  # shared by every field
         out = np.empty_like(F)
 
         if not spec.is_complex:
-            out[0] = spec.eps[0] * F[0] + self._forcing(t, 0)
+            out[0] = spec.eps * F[0] + g
             if spec.conv is not None:
                 # convection_rhs already carries the -d/dx f(u) sign
                 u = FieldVector(full[0], self.mesh, self.basis)
@@ -315,10 +282,10 @@ class SemiDiscreteProblem:
         at_quad = [u.reshape(self.mesh.K, -1) @ self.quad_eval.T for u in full]
         factors = spec.nonlinearity([(u * u.conj()).real for u in at_quad])
         for j, (u, f) in enumerate(zip(at_quad, factors)):
-            d = spec.eps[j] * F[j] + spec.nl_eps[j] * ((f * u) @ self.quad_back).ravel()
+            d = spec.eps * F[j] + spec.nl_eps * ((f * u) @ self.quad_back).ravel()
             if spec.coupling is not None:
                 d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
-            out[j] = 1j * d + self._forcing(t, j)
+            out[j] = 1j * d + g
         return out.ravel()
 
     def field_errors(self, flat: np.ndarray, t: float) -> list:
@@ -327,7 +294,7 @@ class SemiDiscreteProblem:
             raise ValueError("problem has no exact solution")
         full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
         return [l2_error(FieldVector(u, self.mesh, self.basis), lambda x, g=g: g(x, t))
-                for u, g in zip(full, self.spec.exact.components)]
+                for u, g in zip(full, self.spec.exact)]
 
     def l2_norms_squared(self, flat: np.ndarray, t: float = 0.0) -> list:
         """Discrete squared L2 norm per physical field."""
@@ -420,14 +387,13 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         E = LinearOperator((ndof, ndof), matvec=apply_E, dtype=float,
                            matmat=lambda V: apply_E(V.T).T)
 
-    forcing = ((),) * spec.n_components if spec.forcing is None else spec.forcing.components
-    forcing_dofs = [[(time_fn, h.project_onto(mesh, basis)) for time_fn, h in terms]
-                    for terms in forcing]
+    forcing_dofs = [(time_fn, h.project_onto(mesh, basis, spec.alpha))
+                    for time_fn, h in spec.forcing]
 
     lift_nodal = None
     if spec.lift is not None:
         nodes = cell_centers_and_points(mesh, basis.ref_nodes)
-        lift_nodal = [P.polyval(nodes, c).ravel() for _fn, c in spec.lift]
+        lift_nodal = P.polyval(nodes, spec.lift[1]).ravel()
 
     quad_eval = quad_back = None
     if spec.is_complex:
@@ -509,32 +475,28 @@ def _manufactured(family: str, domain: tuple, u0: np.ndarray, residual: tuple,
     if family == "coupled_nls":
         eps /= 2.0
     u0_fn = _polyval(u0)
-    exact = ExactSolution(components=(lambda x, t: tf(t) * u0_fn(x),) * m)
-
-    def profile(poly, frac_scale=0.0, base=None):
-        return ForcingProfile(poly=poly, frac_scale=frac_scale, base=base,
-                              alpha=alpha, domain=domain)
+    exact = (lambda x, t: tf(t) * u0_fn(x),) * m
 
     c1, c3 = residual
-    terms = ((tf_prime, profile(P.polyadd(c1 * u0, c3 * P.polypow(u0, 3)), -eps, u0)),)
+    forcing = ((tf_prime, ForcingProfile(P.polyadd(c1 * u0, c3 * P.polypow(u0, 3)), -eps, u0)),)
     if family == "convection_diffusion":
-        terms += ((lambda t: math.exp(-2.0 * t), profile(P.polymul(u0, P.polyder(u0)))),)
+        forcing += ((lambda t: math.exp(-2.0 * t), ForcingProfile(P.polymul(u0, P.polyder(u0)))),)
 
     a, b = domain
     va, vb = float(P.polyval(a, u0)), float(P.polyval(b, u0))
-    ic, lift = [lambda x: exact.components[0](x, 0.0)] * m, None
+    ic, lift = [lambda x: exact[0](x, 0.0)] * m, None
     if va != 0.0 or vb != 0.0:
         lift_c = np.array([(va * b - vb * a) / (b - a), (vb - va) / (b - a)])
         tilde = P.polysub(u0, lift_c)
         ic = [lambda x: tf(0.0) * P.polyval(np.asarray(x, float), tilde)] * m
-        lift = [(tf, lift_c)] * m
-        terms += ((lambda t: -tf_prime(t), profile(lift_c)),)
+        lift = (tf, lift_c)
+        forcing += ((lambda t: -tf_prime(t), ForcingProfile(lift_c)),)
     return dict(family=family, domain=domain, eps=eps, ic=ic, lift=lift,
-                forcing=ForcingTerms(components=(terms,) * m), exact=exact)
+                forcing=forcing, exact=exact)
 
 
 def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
-                   D: float = 10.0) -> ExactSolution:
+                   D: float = 10.0) -> tuple:
     """Two single solitons of the coupled cubic system moving toward each
     other, one per field (alpha = 2, cross coupling 1).  They solve the
     system up to the overlap of their tails, so this is a reference only
@@ -548,7 +510,7 @@ def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
         amp = math.sqrt(2.0) * r2 / np.cosh(r2 * x + 2.0 * r2 * v0 * t - D)
         return amp * np.exp(1j * (-v0 * x + (r2**2 - v0**2) * t))
 
-    return ExactSolution(components=(u1, u2))
+    return u1, u2
 
 
 def _step_ramp(x):
@@ -597,7 +559,7 @@ def make_example(name: str, alpha: float, K: int, N: int,
                     ic=[lambda x: _sech_wave(x, 4.0, -10.0) + _sech_wave(x, -4.0, 10.0)])
     beta = 1.0 if cross_coupling is None else cross_coupling
     pair = [lambda x, g=g: g(np.asarray(x, dtype=float), 0.0)
-            for g in _manakov_exact().components]
+            for g in _manakov_exact()]
     if name == "coupled_strong":
         return spec(20.0, family="coupled_nls", domain=(-40.0, 40.0),
                     coupling=((1.0, beta), (beta, 1.0)), nonlinearity=_total_density,

@@ -40,14 +40,6 @@ class QuadRule:
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at the nodes."""
-        return float(np.dot(self.weights, values))
-
 
 def gamma_fn(x: float) -> float:
     """Euler Gamma function for x > 0.

@@ -1,6 +1,6 @@
 """Classical explicit RK4 method-of-lines stepping with the fractional CFL rule.
 
-The step size follows dt = cfl_c * dx_min^alpha unless overridden; the final
+The step size follows dt = cfl_c * dx^alpha unless overridden; the final
 partial step is shortened so runs land exactly on T, and snapshot times are
 hit exactly by the same mechanism.
 """
@@ -58,11 +58,11 @@ def erk4_step(rhs: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarr
     return out
 
 
-def cfl_timestep(control: RunControl, dx_min: float, alpha: float,
+def cfl_timestep(control: RunControl, dx: float, alpha: float,
                  dt_cap: Optional[float] = None) -> float:
     if control.dt_override is not None:
         return control.dt_override
-    dt = control.cfl_c * dx_min**alpha
+    dt = control.cfl_c * dx**alpha
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     return dt
@@ -72,7 +72,7 @@ def integrate(
     rhs: Callable,
     state0: np.ndarray,
     control: RunControl,
-    dx_min: float,
+    dx: float,
     alpha: float,
     observer: Optional[Callable[[float, np.ndarray], None]] = None,
     dt_cap: Optional[float] = None,
@@ -88,7 +88,7 @@ def integrate(
     named by ``labels`` when a step diverges.  The observer sees t0, the last
     step and every max(1, (n_steps + 1) // ``MAX_OBSERVATIONS``)-th step.
     """
-    dt = cfl_timestep(control, dx_min, alpha, dt_cap)
+    dt = cfl_timestep(control, dx, alpha, dt_cap)
     if dt <= 0:
         raise IntegrationError("computed time step is not positive")
 

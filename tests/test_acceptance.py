@@ -45,7 +45,7 @@ def _run_case(name, alpha, N, K, flux=None, T=None, cfl=None, **kw):
     prob = build_problem(spec)
     ctrl = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c)
     state, _, dt, _ = integrate(prob.rhs, prob.initial_state(), ctrl,
-                                prob.mesh.dx_min, alpha,
+                                prob.mesh.dx, alpha,
                                 dt_cap=prob.stable_dt_cap())
     return prob.field_errors(state, spec.T), dt
 
@@ -71,7 +71,7 @@ def _projection_error(name, alpha, N, K):
     mesh, basis = dg.build_mesh(*spec.domain, K), dg.build_basis(N)
     errs = [l2_error(project(lambda x, g=g: g(x, spec.T), mesh, basis),
                      lambda x, g=g: g(x, spec.T))
-            for g in spec.exact.components]
+            for g in spec.exact]
     # a complex field combines its re/im parts, as in field_errors
     return math.hypot(*errs)
 
@@ -183,7 +183,7 @@ def test_criterion_5_stability_norm_monotone():
         prob = build_problem(spec)
         rng = np.random.default_rng(2026)
         state = project(_random_band_limited_ic(rng), prob.mesh, prob.basis).values
-        dt = cfl_timestep(RunControl(0.0, 1.0, cfl_c=0.1), prob.mesh.dx_min,
+        dt = cfl_timestep(RunControl(0.0, 1.0, cfl_c=0.1), prob.mesh.dx,
                           alpha, prob.stable_dt_cap())
         prev = prob.l2_norms_squared(state)[0]
         t = 0.0
@@ -205,7 +205,7 @@ def test_criterion_6_nls_norm_conservation():
     prob = build_problem(spec)
     s0 = prob.initial_state()
     ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.5 * spec.cfl_c)
-    sT, _, dt, _ = integrate(prob.rhs, s0, ctrl, prob.mesh.dx_min, 1.5)
+    sT, _, dt, _ = integrate(prob.rhs, s0, ctrl, prob.mesh.dx, 1.5)
     n0 = prob.l2_norms_squared(s0)[0]
     nT = prob.l2_norms_squared(sT)[0]
     drift = abs(nT - n0) / n0
@@ -258,7 +258,7 @@ def test_criterion_8_manakov_soliton():
     prob = build_problem(spec)
     ctrl = RunControl(t0=0.0, T=20.0, cfl_c=spec.cfl_c, snapshot_times=(5.0,))
     sT, snaps, dt, _ = integrate(prob.rhs, prob.initial_state(), ctrl,
-                                 prob.mesh.dx_min, 2.0,
+                                 prob.mesh.dx, 2.0,
                                  dt_cap=prob.stable_dt_cap())
     errs = prob.field_errors(snaps[5.0], 5.0)
     xs = np.linspace(-40.0, 40.0, 4001)

@@ -186,7 +186,8 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("alpha", 2.5, "2.5 is greater than the maximum of 2"),
             ("alpha", [1.5, 1.0], "1.0 is less than or equal to the minimum of 1"),
             ("N", 9, "9 is greater than the maximum of 8"),
-            ("N", [2, 12], "12 is greater than the maximum of 8")):
+            ("N", [2, 12], "12 is greater than the maximum of 8"),
+            ("beta0", 0, "0 is less than or equal to the minimum of 0")):
         cfg = _write(tmp_path, "range.json", {"problem": "ex1", "alpha": 1.3, "N": 1,
                                               "K": 8, "T": 0.05, key: value})
         for command in ("run", "converge"):

@@ -24,10 +24,10 @@ PROJ_ERR_BUMP8 = 5.083103871491959e-07
 def test_build_mesh_basics():
     mesh = build_mesh(-1.0, 1.0, 2)
     assert mesh.boundaries == pytest.approx([-1.0, 0.0, 1.0])
-    assert build_mesh(0.0, 1.0, 10).dx_min == pytest.approx(0.1)
+    assert build_mesh(0.0, 1.0, 10).dx == pytest.approx(0.1)
     soliton = build_mesh(-25.0, 25.0, 200)
     assert soliton.boundaries.size == 201
-    assert soliton.dx_min == pytest.approx(0.25)
+    assert soliton.dx == pytest.approx(0.25)
 
 
 def test_build_mesh_errors():

@@ -34,7 +34,7 @@ RIESZ_X11_A11_X1 = -44.458853207226804721
 def test_zero_state_unforced_families():
     for name, alpha in (("ex5", 1.4), ("nls_soliton", 1.5), ("manakov", 2.0)):
         spec = make_example(name, alpha, 8, 1)
-        spec.forcing = None
+        spec.forcing = ()
         prob = build_problem(spec)
         z = np.zeros(spec.n_components * prob.n, dtype=complex if spec.is_complex else float)
         assert np.abs(prob.rhs(0.3, z)).max() == 0.0
@@ -64,13 +64,12 @@ def test_nls_linear_case_matches_hand_build():
     # f == 1 with nl_eps multiplying u reduces to the linear equation
     # u_t = i (eps E u + nl_eps u)
     spec = make_example("ex7", 1.5, 6, 2)
-    spec.forcing = None
+    spec.forcing = ()
     spec.nonlinearity = lambda rho: [np.ones_like(r) for r in rho]
     prob = build_problem(spec)
     u = _complex_normal(np.random.default_rng(0), prob.n)
     r = prob.rhs(0.0, u)
-    (eps,), (nl_eps,) = spec.eps, spec.nl_eps
-    want = 1j * (eps * (prob.E @ u) + nl_eps * u)
+    want = 1j * (spec.eps * (prob.E @ u) + spec.nl_eps * u)
     assert r.dtype == complex
     assert r.real == pytest.approx(want.real, rel=1e-12, abs=1e-12)
     assert r.imag == pytest.approx(want.imag, rel=1e-12, abs=1e-12)
@@ -113,42 +112,48 @@ def test_coupled_symmetric_reduction_stays_equal():
     # mirror the second field onto the first so both complex fields coincide
     s[n:] = s[:n]
     ctrl = RunControl(t0=0.0, T=0.2, cfl_c=0.05)
-    out, _, _, _ = integrate(prob.rhs, s, ctrl, prob.mesh.dx_min, 1.6)
+    out, _, _, _ = integrate(prob.rhs, s, ctrl, prob.mesh.dx, 1.6)
     assert np.array_equal(out[:n], out[n:])
 
 
 def test_exact_library_values():
     ex1 = make_example("ex1", 1.3, 4, 1).exact
     xs = np.linspace(-1, 1, 7)
-    assert ex1.components[0](xs, 0.0) == pytest.approx((xs**2 - 1) ** 4, abs=1e-14)
+    assert ex1[0](xs, 0.0) == pytest.approx((xs**2 - 1) ** 4, abs=1e-14)
 
     # the colliding soliton pair (ex9): manakov's reference at alpha = 2
     ex9 = make_example("manakov", 2.0, 4, 1)
     ics = ex9.ic
-    assert len(ex9.exact.components) == len(ics) == 2
-    for comp, ic in zip(ex9.exact.components, ics):
+    assert len(ex9.exact) == len(ics) == 2
+    for comp, ic in zip(ex9.exact, ics):
         assert np.iscomplexobj(ic(xs))
         assert np.abs(comp(xs, 0.0) - ic(xs)).max() <= 1e-14
 
     ex7 = make_example("ex7", 1.5, 4, 1).exact
-    assert len(ex7.components) == 1
+    assert len(ex7) == 1
     for t in (0.0, 0.4, 1.3):  # |exp(-it)| = 1, so the modulus is static
-        val = complex(ex7.components[0](0.3, t))
+        val = complex(ex7[0](0.3, t))
         assert val == pytest.approx(np.exp(-1j * t) * (0.3**2 - 1.0) ** 5, rel=1e-12)
         assert abs(val) == pytest.approx(abs(0.3**2 - 1.0) ** 5, rel=1e-12)
 
 
+def _profile(h, alpha, domain, xs):
+    """h(xs) = poly(xs) + frac_scale (-lap)^(alpha/2) base(xs) of a ForcingProfile."""
+    frac = 0.0 if h.base is None else riesz_frac_deriv_poly(alpha, h.base, *domain, xs)
+    return np.polynomial.polynomial.polyval(xs, h.poly) + h.frac_scale * frac
+
+
 def test_forcing_ex1_classical_limit():
     spec = make_example("ex1", 2.0, 4, 1)
-    (tf, h), = spec.forcing.components[0]   # data vanish at +-1: no lift term
+    (tf, h), = spec.forcing   # data vanish at +-1: no lift term
     xs = np.linspace(-0.9, 0.9, 5)
     u0 = (xs**2 - 1) ** 4
     d2 = np.polynomial.polynomial.polyval(
         xs, np.polynomial.polynomial.polyder(
             np.polynomial.polynomial.polypow([-1.0, 0.0, 1.0], 4), 2))
-    (eps,) = spec.eps
     assert abs(tf(0.0)) == pytest.approx(1.0)
-    assert tf(0.0) * h(xs) == pytest.approx(-u0 - eps * d2, rel=1e-12)
+    assert tf(0.0) * _profile(h, 2.0, spec.domain, xs) == pytest.approx(
+        -u0 - spec.eps * d2, rel=1e-12)
 
 
 def test_forcing_ex1_even_symmetry():
@@ -162,10 +167,12 @@ def test_forcing_ex2_anchor_value():
     alpha = 1.1
     # the first term is the residual of exp(-t) x^11; the second lifts the
     # boundary value u(1) = 1
-    (tf, h), _lift = make_example("ex2", alpha, 4, 1).forcing.components[0]
+    spec = make_example("ex2", alpha, 4, 1)
+    (tf, h), _lift = spec.forcing
     eps = gamma_fn(12.0 - alpha) / gamma_fn(12.0)
     want = -1.0 + eps * RIESZ_X11_A11_X1
-    assert tf(0.0) * h(np.array([1.0]))[0] == pytest.approx(want, rel=1e-10)
+    got = tf(0.0) * _profile(h, alpha, spec.domain, np.array([1.0]))[0]
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_forcing_unknown_name():
@@ -201,13 +208,13 @@ def test_lift_carries_the_dirichlet_data(name):
     # lift is the projection of the exact initial data
     spec = make_example(name, 1.5, 6, 2)
     a, b = spec.domain
-    for bc, exact in zip(spec.bcs, spec.exact.components):
+    for bc, exact in zip(spec.bcs, spec.exact):
         for t in (0.0, 0.3):
             assert bc.left_at(t) == pytest.approx(exact(a, t), abs=1e-15)
             assert bc.right_at(t) == pytest.approx(exact(b, t), abs=1e-15)
     prob = build_problem(spec)
     full = prob.full_fields(prob.initial_state().reshape(spec.n_components, prob.n), 0.0)
-    for u, exact in zip(full, spec.exact.components):
+    for u, exact in zip(full, spec.exact):
         want = project(lambda x: exact(x, 0.0), prob.mesh, prob.basis).values
         assert np.abs(u - want).max() <= 1e-14
     with pytest.raises(TypeError):
@@ -225,18 +232,16 @@ def test_problem_spec_validation():
                     K=4, N=1, T=1.0)  # missing convective flux
     with pytest.raises(ValueError):
         ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0)
-    with pytest.raises(ValueError):
-        ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
-                    T=1.0, eps=(1.0, 2.0, 3.0), nonlinearity=lambda rho: rho)
-    # a scalar coefficient is shared by every field
+    # one coefficient of each kind is shared by every field; a tuple is
+    # rejected, not broadcast
     spec = ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
-                       T=1.0, eps=0.5, nl_eps=(1.0, 2.0), nonlinearity=lambda rho: rho)
-    assert spec.eps == (0.5, 0.5) and spec.nl_eps == (1.0, 2.0)
+                       T=1.0, eps=0.5, nonlinearity=lambda rho: rho)
+    assert spec.eps == 0.5 and spec.nl_eps == 1.0
     assert spec.n_components == 2 and spec.is_complex
-    # one state row per field: a single nls field takes one coefficient
-    with pytest.raises(ValueError):
-        ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
-                    eps=(1.0, 1.0), nonlinearity=lambda rho: rho)
+    for coeffs in ({"eps": (1.0, 2.0)}, {"nl_eps": (1.0, 2.0)}):
+        with pytest.raises(TypeError):
+            ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
+                        T=1.0, nonlinearity=lambda rho: rho, **coeffs)
 
 
 def test_fields_drive_roles_norms_and_errors():
@@ -260,9 +265,7 @@ def test_fields_drive_roles_norms_and_errors():
 
 def test_epsilon_values():
     def eps(name, alpha):
-        spec = make_example(name, alpha, 4, 1)
-        assert len(set(spec.eps)) == 1   # every field shares it
-        return spec.eps[0]
+        return make_example(name, alpha, 4, 1).eps
 
     assert eps("ex1", 1.1) == pytest.approx(gamma_fn(7.9) / gamma_fn(9.0), rel=1e-14)
     assert eps("ex1", 1.1) == pytest.approx(0.10224973919358734, rel=1e-12)
@@ -271,8 +274,8 @@ def test_epsilon_values():
 
 
 def test_stable_dt_cap_scales_with_the_family_coefficient():
-    # cap = safety / (1.15 max_j |eps_j| rho(E)) on a fixed mesh, so the cap
-    # pins that every family scales the radius by its fractional coefficients
+    # cap = safety / (1.15 |eps| rho(E)) on a fixed mesh, so the cap pins
+    # that every family scales the radius by its fractional coefficient
     def cap(name, eps, nl_eps=None):
         spec = make_example(name, 1.5, 16, 2)
         spec.eps = eps
@@ -280,15 +283,25 @@ def test_stable_dt_cap_scales_with_the_family_coefficient():
             spec.nl_eps = nl_eps
         return build_problem(spec).stable_dt_cap()
 
-    assert cap("ex1", (0.25,)) == pytest.approx(4.0 * cap("ex1", (1.0,)), rel=1e-12)
-    # nls: |eps| of its one field; the nonlinear coefficient plays no part
-    nls = cap("ex7", (0.05,))
-    assert nls == pytest.approx(20.0 * cap("ex7", (1.0,)), rel=1e-12)
-    assert cap("ex7", (0.05,), nl_eps=(1000.0,)) == nls
-    # coupled_nls: the larger |eps| of the two fields
-    unit = cap("ex8", (1.0, 1.0))
-    assert cap("ex8", (0.1, 0.5)) == pytest.approx(2.0 * unit, rel=1e-12)
-    assert cap("ex8", (-0.5, 0.1)) == pytest.approx(2.0 * unit, rel=1e-12)
+    assert cap("ex1", 0.25) == pytest.approx(4.0 * cap("ex1", 1.0), rel=1e-12)
+    # nls: |eps|; the nonlinear coefficient plays no part
+    nls = cap("ex7", 0.05)
+    assert nls == pytest.approx(20.0 * cap("ex7", 1.0), rel=1e-12)
+    assert cap("ex7", 0.05, nl_eps=1000.0) == nls
+    # coupled_nls: |eps|, shared by the two fields
+    unit = cap("ex8", 1.0)
+    assert cap("ex8", 0.5) == pytest.approx(2.0 * unit, rel=1e-12)
+    assert cap("ex8", -0.5) == pytest.approx(2.0 * unit, rel=1e-12)
+
+
+def test_stable_dt_cap_reads_the_physical_speed():
+    # ex4 evolves x^4/100 minus its lift x/100; the advective rate reads the
+    # physical data, whose largest nodal value is u0(1) = 0.01
+    spec = make_example("ex4", 1.5, 16, 2)
+    seen = []
+    spec.conv = dataclasses.replace(spec.conv, df=lambda u: seen.append(np.abs(u).max()) or u)
+    build_problem(spec).stable_dt_cap()
+    assert seen == [pytest.approx(0.01, rel=1e-12)]
 
 
 AGREE_ALPHAS = (1.05, 1.3, 1.5, 1.7, 1.95, 2.0)

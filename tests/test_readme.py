@@ -10,12 +10,25 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "README.md")
 
 
-def test_readme_export_list_matches_package_root():
+def _readme() -> str:
     with open(README) as fh:
-        text = fh.read()
-    block = text.split("The package root exports:", 1)[1].split("\n\n")[1]
+        return fh.read()
+
+
+def test_readme_export_list_matches_package_root():
+    block = _readme().split("The package root exports:", 1)[1].split("\n\n")[1]
     listed = re.findall(r"`(\w+)`", block)
     exported = [name for name in ddgfrac.__all__
                 if not inspect.ismodule(getattr(ddgfrac, name))]
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(exported)
+
+
+def test_readme_library_use_runs():
+    # the attribute names and shapes the snippet shows stay the real ones
+    code = _readme().split("## Library use", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(compile(code.split("```", 1)[0], README, "exec"), scope)
+    spec, prob, u = scope["spec"], scope["prob"], scope["u"]
+    assert u.shape == (spec.n_components, prob.n) and u.dtype == complex
+    assert max(prob.field_errors(scope["state"], spec.T)) < 1e-5
