@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("converge", help="convergence study over (alpha, N, K)")
     _add_common(conv)
-    conv.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     adm = sub.add_parser("admissibility", help="check a numerical-flux pair")
     adm.add_argument("--N", type=int, required=True)
@@ -71,7 +70,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    tables = run_convergence(load_config(args.config), args.out, threads=args.threads)
+    tables = run_convergence(load_config(args.config), args.out)
     for suffix, rows in tables.items():
         for r in rows:
             order = "-" if r.order is None else f"{r.order:.2f}"

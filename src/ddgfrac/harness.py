@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,25 +267,17 @@ def run_single(cfg: RunConfig, out_dir: str) -> list:
     return results
 
 
-def run_convergence(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
+def run_convergence(cfg: RunConfig, out_dir: str) -> dict:
     """Run the (alpha, N, K) grid and emit per-field convergence CSV tables."""
-    grid = grid_cells(cfg)
     os.makedirs(out_dir, exist_ok=True)
-
-    def job(cell):
-        alpha, N, K = cell
-        problem, state, _snaps, diag = simulate(cfg, alpha, N, K)
+    diags = []
+    for alpha, N, K in grid_cells(cfg):
+        diag = simulate(cfg, alpha, N, K)[3]
         if "l2_errors" not in diag:
             raise ConfigError(
                 f"problem {cfg.problem!r} has no exact solution; "
                 "convergence studies need one")
-        return diag
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            diags = list(pool.map(job, grid))
-    else:
-        diags = [job(cell) for cell in grid]
+        diags.append(diag)
 
     n_tables = len(diags[0]["l2_errors"])
     tables = {}

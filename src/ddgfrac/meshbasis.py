@@ -69,7 +69,10 @@ class ElementBasis:
 
     ``trace_left``/``trace_right`` stack the value, first- and
     second-derivative evaluation rows at the endpoints (reference
-    derivatives; multiply by (2/dx)^order for physical ones).
+    derivatives; multiply by (2/dx)^order for physical ones).  For the
+    convection kernel, ``trace`` (n, 2) is [v_R, v_L] and ``conv_apply``
+    (n + 2, n) is [M D; -v_R; v_L] M^-1^T: a cell's f values and its right
+    and left face fluxes to its DOFs.
     """
 
     N: int
@@ -80,6 +83,8 @@ class ElementBasis:
     trace_right: np.ndarray
     mass_inv: np.ndarray = field(repr=False)
     bary_w: np.ndarray = field(repr=False)
+    trace: np.ndarray = field(repr=False)
+    conv_apply: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -120,7 +125,8 @@ def build_basis(N: int) -> ElementBasis:
     basis = ElementBasis(
         N=N, ref_nodes=nodes, mass=np.empty((n, n)), diff=diff,
         trace_left=np.empty((3, n)), trace_right=np.empty((3, n)),
-        mass_inv=np.empty((n, n)), bary_w=bary,
+        mass_inv=np.empty((n, n)), bary_w=bary, trace=np.empty((n, 2)),
+        conv_apply=np.empty((n + 2, n)),
     )
     # mass via GL(N+1): exact for the degree-2N integrand
     rule = gauss_legendre(N + 1)
@@ -135,6 +141,10 @@ def build_basis(N: int) -> ElementBasis:
         object.__setattr__(
             basis, attr, np.vstack([row, row @ diff, row @ diff @ diff])
         )
+    vl, vr = basis.trace_left[0], basis.trace_right[0]
+    object.__setattr__(basis, "trace", np.column_stack([vr, vl]))
+    object.__setattr__(basis, "conv_apply",
+                       np.vstack([mass @ diff, -vr, vl]) @ basis.mass_inv.T)
     return basis
 
 

@@ -192,7 +192,7 @@ class SemiDiscreteProblem:
     qop: DdgOperators
     E: object = field(repr=False)          # dense (alpha < 2) or LinearOperator
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
-    forcing_dofs: list = field(repr=False, default_factory=list)  # (time_fn, dofs)
+    forcing: tuple = field(repr=False)     # (time_fns, H: projected profiles)
     lift_nodal: Optional[np.ndarray] = field(repr=False, default=None)
     quad_eval: Optional[np.ndarray] = field(repr=False, default=None)
     quad_back: Optional[np.ndarray] = field(repr=False, default=None)
@@ -244,14 +244,13 @@ class SemiDiscreteProblem:
         )
 
     def _frac_apply(self, comps: np.ndarray) -> np.ndarray:
-        """F applied to all rows at once; comps has shape (ncomp, n)."""
-        if self.spec.is_complex:  # real rows over imaginary rows through the real E
-            m = len(comps)
-            X = self.apply_E(np.concatenate([comps.real, comps.imag]))
-            out = np.empty(comps.shape, dtype=complex)
-            out.real, out.imag = X[:m], X[m:]
-            return out
-        return self.apply_E(comps)
+        """F applied to every complex row of comps, shape (ncomp, n), as its
+        real rows over its imaginary rows through the real E."""
+        m = len(comps)
+        X = self.apply_E(np.concatenate([comps.real, comps.imag]))
+        out = np.empty(comps.shape, dtype=complex)
+        out.real, out.imag = X[:m], X[m:]
+        return out
 
     def full_fields(self, comps: np.ndarray, t: float) -> np.ndarray:
         """Physical fields, adding the boundary lift back when present."""
@@ -261,19 +260,22 @@ class SemiDiscreteProblem:
 
     def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
         spec = self.spec
+        time_fns, H = self.forcing
+        # g = sum T_i(t) h_i, shared by every field
+        g = np.array([f(t) for f in time_fns]) @ H if time_fns else 0.0
+
+        if not spec.is_complex:  # one real field: flat is its row
+            out = spec.eps * self.apply_E(flat) + g
+            if spec.conv is not None:
+                # convection_rhs already carries the -d/dx f(u) sign
+                u = FieldVector(self.full_fields(flat, t), self.mesh, self.basis)
+                out += convection_rhs(u, spec.conv, spec.bcs[0], t).values
+            return out
+
         comps = flat.reshape(spec.n_components, self.n)
         F = self._frac_apply(comps)
         full = self.full_fields(comps, t)
-        g = sum((time_fn(t) * h for time_fn, h in self.forcing_dofs), 0.0)  # shared by every field
         out = np.empty_like(F)
-
-        if not spec.is_complex:
-            out[0] = spec.eps * F[0] + g
-            if spec.conv is not None:
-                # convection_rhs already carries the -d/dx f(u) sign
-                u = FieldVector(full[0], self.mesh, self.basis)
-                out[0] += convection_rhs(u, spec.conv, spec.bcs[0], t).values
-            return out.ravel()
 
         # u_t = i (eps F + sum_k coupling u_k + nl_eps P(f u)) + g, with the
         # nonlinear product formed at quadrature points and projected back
@@ -387,8 +389,8 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         E = LinearOperator((ndof, ndof), matvec=apply_E, dtype=float,
                            matmat=lambda V: apply_E(V.T).T)
 
-    forcing_dofs = [(time_fn, h.project_onto(mesh, basis, spec.alpha))
-                    for time_fn, h in spec.forcing]
+    forcing = (tuple(f for f, _h in spec.forcing),
+               np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing]))
 
     lift_nodal = None
     if spec.lift is not None:
@@ -403,7 +405,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         quad_back = (rule.weights[:, None] * quad_eval) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
-                               E=E, apply_E=apply_E, forcing_dofs=forcing_dofs,
+                               E=E, apply_E=apply_E, forcing=forcing,
                                lift_nodal=lift_nodal, quad_eval=quad_eval,
                                quad_back=quad_back)
 

@@ -27,7 +27,7 @@ from ddgfrac.meshbasis import (
     mass_solve_mat,
     project,
 )
-from ddgfrac.models import BlockOperator
+from ddgfrac.models import BlockOperator, make_example
 
 
 def _solver_flux(traces_minus, traces_plus, h, flux):
@@ -207,6 +207,45 @@ def test_convection_lax_friedrichs_value():
     u = project(lambda x: np.ones_like(x), mesh, basis)
     rhs = convection_rhs(u, conv, BoundarySpec(left=1.0, right=1.0), 0.0)
     assert np.abs(rhs.values).max() <= 1e-12
+
+
+def _convection_face_by_face(u, conv, bc, t):
+    """-M^-1 of the weak divergence, accumulated one face at a time: the
+    literal formula the fused kernel reproduces."""
+    mesh, basis = u.mesh, u.basis
+    cells = u.by_cell
+    vl, vr = basis.trace_left[0], basis.trace_right[0]
+    minus = np.concatenate([[bc.left_at(t)], cells @ vr])
+    plus = np.concatenate([cells @ vl, [bc.right_at(t)]])
+    speed = np.abs(conv.df(np.concatenate([minus, plus]))).max()
+    weak = -(conv.f(cells) @ (basis.mass @ basis.diff))
+    for j in range(mesh.K + 1):
+        fstar = 0.5 * (conv.f(minus[j]) + conv.f(plus[j])) - 0.5 * speed * (plus[j] - minus[j])
+        if j > 0:           # face j is the right end of cell j - 1
+            weak[j - 1] += fstar * vr
+        if j < mesh.K:      # and the left end of cell j
+            weak[j] -= fstar * vl
+    return -(2.0 / mesh.dx) * weak @ basis.mass_inv.T
+
+
+def test_convection_fused_kernel_matches_face_by_face():
+    # ex3 (zero data) and ex4 (lifted: nonzero data at x = 1) states plus
+    # noise, for Burgers and a flux with no symmetry
+    fluxes = (ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u),
+              ConvectionFlux(f=lambda u: np.exp(u) + u**3, df=lambda u: np.exp(u) + 3 * u**2))
+    rng = np.random.default_rng(11)
+    t = 0.3
+    for name in ("ex3", "ex4"):
+        for K in (1, 7, 64, 256):
+            for N in range(1, 9):
+                spec = make_example(name, 1.5, K, N)
+                mesh, basis = build_mesh(*spec.domain, K), build_basis(N)
+                u = project(lambda x: spec.exact[0](x, t), mesh, basis)
+                u.values += 1e-3 * rng.standard_normal(u.values.size)
+                for conv in fluxes:
+                    got = convection_rhs(u, conv, spec.bcs[0], t).values
+                    want = _convection_face_by_face(u, conv, spec.bcs[0], t).ravel()
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_convection_linear_advection_order():

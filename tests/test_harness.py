@@ -95,7 +95,7 @@ def test_converge_deterministic_modulo_walltime(tmp_path):
     cfg = RunConfig(problem="ex1", alphas=[1.3], N_list=[1], K_list=[8, 16],
                     T=0.25)
     run_convergence(cfg, str(tmp_path / "a"))
-    run_convergence(cfg, str(tmp_path / "b"), threads=2)
+    run_convergence(cfg, str(tmp_path / "b"))
 
     def strip_wall(p):
         lines = (tmp_path / p / "convergence.csv").read_text().splitlines()
