@@ -229,8 +229,9 @@ def _convection_face_by_face(u, conv, bc, t):
 
 
 def test_convection_fused_kernel_matches_face_by_face():
-    # ex3 (zero data) and ex4 (lifted: nonzero data at x = 1) states plus
-    # noise, for Burgers and a flux with no symmetry
+    # ex3 (boundary data zero up to round-off) and ex4 (lifted: data
+    # exp(-t) / 100 at x = 1) states plus noise, for Burgers and a flux
+    # with no symmetry
     fluxes = (ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u),
               ConvectionFlux(f=lambda u: np.exp(u) + u**3, df=lambda u: np.exp(u) + 3 * u**2))
     rng = np.random.default_rng(11)

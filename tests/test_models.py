@@ -131,7 +131,7 @@ def test_stacked_forcing_is_the_sum_of_its_terms():
         spec = make_example(name, 1.4, 12, 3)
         spec.conv = None
         prob = build_problem(spec)
-        time_fns, H = prob.forcing
+        H = prob.forcing[1]
         assert H.shape == (len(spec.forcing), prob.n)
         z = np.zeros(prob.n, dtype=complex if spec.is_complex else float)
         for t in (0.0, 0.3, 0.9):
