@@ -119,7 +119,7 @@ def test_run_writes_snapshots_and_diagnostics(tmp_path):
     assert diag["dt_bound"] == "cfl" and diag["dt"] == diag["dt_cfl"] < diag["dt_cap"]
     assert diag["dt_cfl"] == pytest.approx(0.05 * 0.25 ** 1.5, rel=1e-15)
     for dt_override, bound in ((None, "cap"), (0.01, "override")):
-        cfg = RunConfig(problem="ex5", alphas=[1.5], N_list=[2], K_list=[8],
+        cfg = RunConfig(problem="ex5", alphas=[1.5], N_list=[3], K_list=[8],
                         T=0.05, dt_override=dt_override)
         d = run_single(cfg, str(tmp_path / bound))[0]
         assert d["dt_bound"] == bound and d["dt_cap"] < d["dt_cfl"]

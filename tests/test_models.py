@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.sparse.linalg import LinearOperator
 
 from ddgfrac.ddg_spatial import assemble_q_operator, default_flux
@@ -21,8 +22,10 @@ from ddgfrac.meshbasis import (
 from ddgfrac.models import (
     EXAMPLES,
     MATRIX_FREE_MIN_DOF,
+    RK4_RADIUS,
     BlockOperator,
     ProblemSpec,
+    _manufactured,
     build_problem,
     make_example,
 )
@@ -270,6 +273,21 @@ def test_lift_carries_the_dirichlet_data(name):
                     T=1.0, bcs=spec.bcs)
 
 
+def test_round_off_at_an_endpoint_is_no_lift():
+    # ex3's u0 = (x^2 - 1)^4 / 100 reads -1.7e-18 at +-1, the rounding of its
+    # /100 coefficients, inside Horner's bound: no lift and no lift forcing
+    spec = make_example("ex3", 1.5, 8, 2)
+    assert spec.exact[0](1.0, 0.0) != 0.0
+    assert spec.lift is None and len(spec.forcing) == 2
+    assert [spec.bcs[0].left_at(0.3), spec.bcs[0].right_at(0.3)] == [0.0, 0.0]
+    # data off zero by 100x the bound is lifted; so are ex2, ex4 and ex8
+    u0 = P.polyadd(P.polypow([-1.0, 0.0, 1.0], 4) / 100.0, [1e-14])
+    assert _manufactured("convection_diffusion", (-1.0, 1.0), u0, (1.0, 0.0), 1.5)["lift"]
+    for name, n_terms in (("ex2", 2), ("ex4", 3), ("ex8", 2)):
+        spec = make_example(name, 1.5, 8, 2)
+        assert spec.lift is not None and len(spec.forcing) == n_terms
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(family="weird", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0)
@@ -322,8 +340,9 @@ def test_epsilon_values():
 
 
 def test_stable_dt_cap_scales_with_the_family_coefficient():
-    # cap = safety / (1.15 |eps| rho(E)) on a fixed mesh, so the cap pins
-    # that every family scales the radius by its fractional coefficient
+    # cap = 0.9 r / (|eps| rho(E)) on a fixed mesh, r the family's RK4
+    # radius, so the cap pins that every family scales the spectral radius
+    # by its fractional coefficient
     def cap(name, eps, nl_eps=None):
         spec = make_example(name, 1.5, 16, 2)
         spec.eps = eps
@@ -340,6 +359,52 @@ def test_stable_dt_cap_scales_with_the_family_coefficient():
     unit = cap("ex8", 1.0)
     assert cap("ex8", 0.5) == pytest.approx(2.0 * unit, rel=1e-12)
     assert cap("ex8", -0.5) == pytest.approx(2.0 * unit, rel=1e-12)
+
+
+def _rk4_amplification(z):
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+def test_rk4_radii_lie_in_the_stability_region():
+    # |R(z)| <= 1 for RK4's R(z) = sum_{k<=4} z^k / k! on the imaginary
+    # segment |y| <= r (Schrodinger families) and on the left half-disc of
+    # radius r (real families), and 1.01 r leaves the region, so the radii
+    # are the region's own.  The cap puts |lambda| dt at 0.9 r rho / rho_est
+    # <= 0.9 r / 0.95 (test below), inside both.
+    r_im, r_disc = RK4_RADIUS[True], RK4_RADIUS[False]
+    y = np.linspace(-r_im, r_im, 20001)
+    assert np.abs(_rk4_amplification(1j * y)).max() <= 1.0 + 1e-14
+    radius = np.linspace(0.0, r_disc, 801)[:, None]
+    angle = np.linspace(0.5 * np.pi, 1.5 * np.pi, 3601)[None, :]
+    assert np.abs(_rk4_amplification(radius * np.exp(1j * angle))).max() <= 1.0 + 1e-14
+    assert abs(_rk4_amplification(1.01j * r_im)) > 1.0
+    assert abs(_rk4_amplification(1.01 * r_disc * np.exp(1j * np.radians(122.7)))) > 1.0
+
+
+# configs/ run and table sizes, with the two worst power-iteration cells over
+# every configs/ size (ex1 alpha 1.6 K 32 N 1, nls_soliton alpha 1.4)
+POWER_CELLS = [("manakov", 1.6, 200, 2), ("manakov", 2.0, 200, 2), ("ex7", 1.1, 128, 3),
+               *[("ex5", a, 50, 2) for a in (1.2, 1.4, 1.6, 1.8, 2.0)],
+               *[("ex1", a, 128, 3) for a in (1.1, 1.3, 1.6)],
+               ("ex1", 1.6, 32, 1), ("nls_soliton", 1.4, 200, 2)]
+
+
+@pytest.mark.parametrize("name,alpha,K,N", POWER_CELLS)
+def test_stable_dt_cap_power_iteration_finds_the_spectral_radius(name, alpha, K, N):
+    # the cap's rho against max |eig| of the dense E = M^-1 B M^-1 A; over
+    # every configs/ size the ratio is 0.954-1.003, 0.988-1.000 on the cells
+    # other than the two worst; without initial data the cap has no
+    # advective term, so cap = 0.9 r / (|eps| rho_est)
+    spec = make_example(name, alpha, K, N)
+    spec.ic = None
+    prob = build_problem(spec)
+    rho_est = 0.9 * RK4_RADIUS[spec.is_complex] / (abs(spec.eps) * prob.stable_dt_cap())
+    mesh, basis = prob.mesh, prob.basis
+    E = mass_solve_mat(mesh, basis, prob.qop.A)
+    if alpha < 2.0:
+        E = mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B) @ E
+    rho = np.abs(np.linalg.eigvals(E)).max()
+    assert 0.95 <= rho_est / rho <= 1.01
 
 
 def test_stable_dt_cap_reads_the_physical_speed():
