@@ -86,8 +86,7 @@ FAMILIES = tuple(_LAYOUT)
 # every case from n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
 MATRIX_FREE_MIN_DOF = 768
 
-# |lambda| dt inside which RK4 is stable, keyed by the family's is_complex:
-# the largest left half-disc (real) and the imaginary axis (Schrodinger)
+# RK4's stability radius for a family's spectrum, keyed by is_complex
 RK4_RADIUS = {False: 2.6155, True: 2.0 * math.sqrt(2.0)}
 
 
@@ -218,19 +217,17 @@ class SemiDiscreteProblem:
         power-iteration steps from a fixed-seed random vector, plus, with a
         convective flux, the advective rate 1.5 max |f'(u0)| (N + 1)^2 / dx
         of the physical initial data (lift added back) at the nodes.  r is
-        the radius of RK4's stability region |R(z)| <= 1, R(z) = sum_{k<=4}
-        z^k / k!, that holds for the family's spectrum (``RK4_RADIUS``): E
-        has a real spectrum, so i eps E of the Schrodinger families lies on
-        the imaginary axis, stable up to 2 sqrt(2); the real families get
-        the radius of the largest left half-disc inside the region, 2.61559
-        (reached at arg z = 122.7 deg) rounded down to 2.6155, since
-        convection makes their spectrum complex and the real-axis limit
-        2.785 does not apply.  The 0.9 covers the power iteration's
-        underestimate (0.954-1.003 of the exact radius over the ``configs/``
-        sizes) and the nonlinear and coupling terms rho leaves out.  Runs
-        without a dt override step with the smaller of this cap and the CFL
-        step c dx^alpha, and ``dt_bound`` in the diagnostics names the one
-        that set dt.
+        RK4's stability radius for the family's spectrum (``RK4_RADIUS``):
+        E has a real spectrum, so i eps E lies on the imaginary axis, where
+        |R(z)| <= 1 up to 2 sqrt(2); convection makes the real families'
+        spectrum complex, so they get the largest left half-disc in the
+        region, 2.61559 at arg z = 122.7 deg (not the real-axis 2.785),
+        rounded down.  The 0.9 covers the power iteration's underestimate
+        (0.954-1.003 of the exact radius on the ``configs/`` sizes) and the
+        nonlinear and coupling terms rho leaves out.  Runs without a dt
+        override step with the smaller of this cap and the CFL step
+        c dx^alpha, and ``dt_bound`` in the diagnostics names the one that
+        set dt.
         """
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.n)
@@ -482,10 +479,8 @@ def _manufactured(family: str, domain: tuple, u0: np.ndarray, residual: tuple,
     the coupled system.  T' = -T (real) or -i T (complex) turns the
     residual of T u0 into the separable forcing T'(t) (R(u0) - eps
     (-lap)^(alpha/2) u0), plus T^2 u0 u0' for the Burgers term.  Data that
-    does not vanish at the boundary is lifted by its linear interpolant; an
-    endpoint value within Horner's rounding bound 2 d eps_mach sum |c_k|
-    |x|^k is zero (ex3's u0 = (x^2 - 1)^4 / 100 reads -1.7e-18 at +-1 from
-    its rounded coefficients).
+    exceeds Horner's rounding bound 2 d eps_mach sum |c_k| |x|^k at an end
+    is lifted by its linear interpolant.
     """
     m, oscillatory = _LAYOUT[family]
     tf, tf_prime = _TIME_OSC if oscillatory else _TIME_REAL
