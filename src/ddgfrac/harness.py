@@ -181,6 +181,14 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     """One simulation; returns (problem, final state, diagnostics dict)."""
     spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
                         cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
+    # every requested snapshot is reached and gets a file of its own
+    tags = {f"{spec.T:.6f}": spec.T}
+    for t in sorted(set(cfg.snapshot_times) - {spec.T}):
+        if not 0.0 < t <= spec.T:
+            raise ConfigError(f"snapshot time {t!r} lies outside (0, T = {spec.T!r}]")
+        if tags.setdefault(f"{t:.6f}", t) != t:
+            raise ConfigError(f"snapshot times {tags[f'{t:.6f}']!r} and {t!r} share "
+                              f"the file tag snapshot_t{t:.6f}")
     problem = build_problem(spec)
     control = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c,
                          dt_override=cfg.dt_override,
@@ -247,7 +255,6 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
 def run_single(cfg: RunConfig, out_dir: str) -> list:
     """Execute the config's (alpha, N, K) grid as plain runs with snapshots."""
     cells = grid_cells(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     results = []
     for alpha, N, K in cells:
         problem, state, snaps, diag = simulate(cfg, alpha, N, K)

@@ -6,10 +6,10 @@ and ``coupled_nls`` holds (u1, u2).  The rows are real for the first two
 families and complex for the Schrodinger ones, so the right-hand side, the
 norms, the errors, the row names and the snapshot files act on each field
 directly.  As in the paper's coupled system and its manufactured tests,
-every field shares one fractional and one nonlinear coefficient, one
-forcing and one lift.  E stays real: a complex block goes through it as
-its real rows stacked over its imaginary rows, so E is never copied to
-complex.
+every field shares one fractional coefficient, one forcing and one lift,
+and two matrices couple the fields and their densities.  E stays real: a
+complex block goes through it as its real rows stacked over its imaginary
+rows, so E is never copied to complex.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -119,11 +119,11 @@ class ProblemSpec:
     j of a complex family solves
 
         i (u_j)_t = eps (-lap)^(alpha/2) u_j - sum_k coupling[j][k] u_k
-                    - nl_eps nonlinearity(rho)_j u_j + i g
+                    - (sum_k nl_coupling[j][k] rho_k) u_j + i g
 
-    with densities rho_k = |u_k|^2.  ``eps`` and ``nl_eps`` are scalars
-    shared by every field; ``nonlinearity`` maps the list of densities to
-    one factor per field.
+    with densities rho_k = |u_k|^2.  ``eps`` is a scalar shared by every
+    field; ``coupling`` and ``nl_coupling`` (the density weights, required by
+    the complex families) are fields x fields matrices, kept as float arrays.
 
     ``ic`` and ``exact`` hold one callable per field (``n_components``),
     complex valued for the complex families.  ``forcing`` is one tuple of
@@ -143,9 +143,8 @@ class ProblemSpec:
     T: float
     flux: Optional[FluxParams] = None
     eps: float = 1.0                 # fractional coefficient
-    nl_eps: float = 1.0              # nonlinear coefficient
-    nonlinearity: Optional[Callable] = None
-    coupling: Optional[tuple] = None  # fields x fields linear coupling
+    coupling: Optional[np.ndarray] = None     # fields x fields, linear
+    nl_coupling: Optional[np.ndarray] = None  # fields x fields, on densities
     conv: Optional[ConvectionFlux] = None
     ic: Optional[list] = None        # per-field callables of x
     forcing: tuple = ()              # (time_fn, ForcingProfile) terms
@@ -163,11 +162,17 @@ class ProblemSpec:
             self.cfl_c = 0.05 if self.is_complex else 0.1
         if self.flux is None:
             self.flux = default_flux(self.N)
-        self.eps, self.nl_eps = float(self.eps), float(self.nl_eps)
+        self.eps = float(self.eps)
         if self.family == "convection_diffusion" and self.conv is None:
             raise ValueError("convection_diffusion requires a convective flux")
-        if self.is_complex and self.nonlinearity is None:
-            raise ValueError(f"{self.family} requires a nonlinearity")
+        if self.is_complex and self.nl_coupling is None:
+            raise ValueError(f"{self.family} requires nl_coupling")
+        m = self.n_components
+        for name in ("coupling", "nl_coupling"):
+            w = None if getattr(self, name) is None else np.array(getattr(self, name), float)
+            if w is not None and w.shape != (m, m):
+                raise ValueError(f"{name} must have shape ({m}, {m}), got {w.shape}")
+            setattr(self, name, w)
         bc = BoundarySpec()
         if self.lift is not None:
             (a, b), (f, c) = self.domain, self.lift
@@ -270,6 +275,8 @@ class SemiDiscreteProblem:
         return comps + self.spec.lift[0](t) * self.lift_nodal
 
     def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
+        """d/dt of the flat state.  The complex fields go as one (m, K, nodes)
+        stack: u_t = i (eps F + coupling u + P(f u)) + g, f = nl_coupling rho."""
         spec = self.spec
         time_fns, H = self.forcing
         # g = sum T_i(t) h_i, shared by every field
@@ -286,20 +293,16 @@ class SemiDiscreteProblem:
         comps = flat.reshape(spec.n_components, self.n)
         F = self._frac_apply(comps)
         full = self.full_fields(comps, t)
-        out = np.empty_like(F)
-
-        # u_t = i (eps F + sum_k coupling u_k + nl_eps P(f u)) + g, with the
-        # nonlinear product formed at quadrature points and projected back
-        # (P): keeps Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing
-        # of high-degree products; quad_back is that L2 projection
-        at_quad = [u.reshape(self.mesh.K, -1) @ self.quad_eval.T for u in full]
-        factors = spec.nonlinearity([(u * u.conj()).real for u in at_quad])
-        for j, (u, f) in enumerate(zip(at_quad, factors)):
-            d = spec.eps * F[j] + spec.nl_eps * ((f * u) @ self.quad_back).ravel()
-            if spec.coupling is not None:
-                d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
-            out[j] = 1j * d + g
-        return out.ravel()
+        # f u is formed at quadrature points and L2-projected back (P =
+        # quad_back): keeps Re <u, i P(f u)> = 0 exact and avoids the nodal
+        # aliasing of high-degree products
+        u = full.reshape(len(full), self.mesh.K, -1) @ self.quad_eval.T
+        rho = (u * u.conj()).real
+        f = (spec.nl_coupling @ rho.reshape(len(rho), -1)).reshape(rho.shape)
+        d = spec.eps * F + ((f * u) @ self.quad_back).reshape(F.shape)
+        if spec.coupling is not None:
+            d += spec.coupling @ full
+        return (1j * d + g).ravel()
 
     def field_errors(self, flat: np.ndarray, t: float) -> list:
         """L2 error per physical field."""
@@ -429,17 +432,6 @@ def _polyval(coeffs):
     return lambda x: P.polyval(np.asarray(x, dtype=float), coeffs)
 
 
-def _cubic(rho):
-    """|u|^2 u nonlinearity: each field's factor is its own density."""
-    return rho
-
-
-def _total_density(rho):
-    """Both fields feel rho_1 + rho_2."""
-    total = rho[0] + rho[1]
-    return total, total
-
-
 _BURGERS = ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u)
 
 # Manufactured examples u_j = T(t) u0(x) on every field j, one row each:
@@ -456,9 +448,9 @@ _MANUFACTURED = {
     "ex4": ("convection_diffusion", (0.0, 1.0), 1.0,
             P.polyfromroots([0.0] * 4) / 100.0, (1.0, 0.0), {"conv": _BURGERS}),
     "ex7": ("nls", (-1.0, 1.0), 0.5, P.polypow([-1.0, 0.0, 1.0], 5), (1.0, 1.0),
-            {"nonlinearity": _cubic}),
+            {"nl_coupling": ((1.0,),)}),
     "ex8": ("coupled_nls", (0.0, 1.0), 0.5, P.polyfromroots([0.0] * 5), (3.0, 2.0),
-            {"nonlinearity": _total_density, "coupling": ((1.0, 1.0), (1.0, 1.0))}),
+            {"nl_coupling": np.ones((2, 2)), "coupling": np.ones((2, 2))}),
 }
 
 EXAMPLES = (*_MANUFACTURED, "ex5", "ex6", "nls_soliton", "nls_two_soliton",
@@ -567,23 +559,21 @@ def make_example(name: str, alpha: float, K: int, N: int,
         return spec(3.0, family="convection_diffusion", domain=(-10.0, 10.0),
                     conv=_BURGERS, ic=[ic])
     if name == "nls_soliton":
-        return spec(1.0, family="nls", domain=(-25.0, 25.0), eps=2.0, nl_eps=2.0,
-                    nonlinearity=_cubic, ic=[lambda x: _sech_wave(x, 4.0, 0.0)])
+        return spec(1.0, family="nls", domain=(-25.0, 25.0), eps=2.0,
+                    nl_coupling=((2.0,),), ic=[lambda x: _sech_wave(x, 4.0, 0.0)])
     if name == "nls_two_soliton":
-        return spec(1.0, family="nls", domain=(-25.0, 25.0), nl_eps=2.0,
-                    nonlinearity=_cubic,
+        return spec(1.0, family="nls", domain=(-25.0, 25.0), nl_coupling=((2.0,),),
                     ic=[lambda x: _sech_wave(x, 4.0, -10.0) + _sech_wave(x, -4.0, 10.0)])
     beta = 1.0 if cross_coupling is None else cross_coupling
+    cross = ((1.0, beta), (beta, 1.0))
     pair = [lambda x, g=g: g(np.asarray(x, dtype=float), 0.0)
             for g in _manakov_exact()]
     if name == "coupled_strong":
         return spec(20.0, family="coupled_nls", domain=(-40.0, 40.0),
-                    coupling=((1.0, beta), (beta, 1.0)), nonlinearity=_total_density,
-                    ic=pair)
+                    coupling=cross, nl_coupling=np.ones((2, 2)), ic=pair)
     if name == "manakov":
         return spec(5.0, family="coupled_nls", domain=(-40.0, 40.0),
-                    nonlinearity=lambda rho: (rho[0] + beta * rho[1], beta * rho[0] + rho[1]),
-                    ic=pair,
+                    nl_coupling=cross, ic=pair,
                     # valid before the collision only; the bench's T = 5 check reads it
                     exact=_manakov_exact() if beta == 1.0 and alpha == 2.0 else None)
     raise KeyError(f"unknown example {name!r}")

@@ -239,3 +239,28 @@ def test_cli_rejects_grid_cells_that_share_a_case_tag(tmp_path, capsys):
     assert cli_main(["run", "--config", close_alpha, "--out", str(tmp_path / "r")]) == 2
     assert "grid repeats the cell ex1_a1.6_N1_K8" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_rejects_snapshot_times_it_would_lose(tmp_path, capsys):
+    # a time outside (0, T] is never reached, and two times that share a
+    # file tag would write one file: either exits 2 before the cell runs
+    base = {"problem": "ex5", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}
+    out = tmp_path / "r"
+    capsys.readouterr()
+    for times, message in (
+            ([0.02, 0.5, -1.0, 0.0200000001], "snapshot time -1.0 lies outside (0, T = 0.05]"),
+            ([0.02, 0.5], "snapshot time 0.5 lies outside (0, T = 0.05]"),
+            ([0.0], "snapshot time 0.0 lies outside"),
+            ([0.02, 0.0200000001],
+             "snapshot times 0.02 and 0.0200000001 share the file tag snapshot_t0.020000"),
+            ([0.0499999999],
+             "snapshot times 0.05 and 0.0499999999 share the file tag snapshot_t0.050000")):
+        cfg = _write(tmp_path, "s.json", {**base, "snapshot_times": times})
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # times inside (0, T], T itself included, each get their own file
+    cfg = _write(tmp_path, "s.json", {**base, "snapshot_times": [0.03, 0.05, 0.02]})
+    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "ex5_a1.5_N1_K8").glob("snapshot_*")) == [
+        "snapshot_t0.020000.txt", "snapshot_t0.030000.txt", "snapshot_t0.050000.txt"]

@@ -65,18 +65,67 @@ def _complex_normal(rng, size):
 
 
 def test_nls_linear_case_matches_hand_build():
-    # f == 1 with nl_eps multiplying u reduces to the linear equation
-    # u_t = i (eps E u + nl_eps u)
-    spec = make_example("ex7", 1.5, 6, 2)
-    spec.forcing = ()
-    spec.nonlinearity = lambda rho: [np.ones_like(r) for r in rho]
+    # no density weight and a coupling c I reduce the equation to the
+    # linear u_t = i (eps E u + c u)
+    c = 0.7
+    spec = dataclasses.replace(make_example("ex7", 1.5, 6, 2), forcing=(),
+                               nl_coupling=[[0.0]], coupling=c * np.eye(1))
     prob = build_problem(spec)
     u = _complex_normal(np.random.default_rng(0), prob.n)
     r = prob.rhs(0.0, u)
-    want = 1j * (spec.eps * (prob.E @ u) + spec.nl_eps * u)
+    want = 1j * (spec.eps * (prob.E @ u) + c * u)
     assert r.dtype == complex
     assert r.real == pytest.approx(want.real, rel=1e-12, abs=1e-12)
     assert r.imag == pytest.approx(want.imag, rel=1e-12, abs=1e-12)
+
+
+def _per_field_rhs(prob, t, flat):
+    """The complex RHS as a loop over the fields, each factor written as
+    sum_k W[j][k] rho_k and each coupling as a sum over the fields: the
+    reference for the stacked path."""
+    spec = prob.spec
+    time_fns, H = prob.forcing
+    g = np.array([f(t) for f in time_fns]) @ H if time_fns else 0.0
+    comps = flat.reshape(spec.n_components, prob.n)
+    F = prob._frac_apply(comps)
+    full = prob.full_fields(comps, t)
+    W = spec.nl_coupling.tolist()
+    at_quad = [u.reshape(prob.mesh.K, -1) @ prob.quad_eval.T for u in full]
+    rho = [(u * u.conj()).real for u in at_quad]
+    out = np.empty_like(F)
+    for j, u in enumerate(at_quad):
+        f = sum(w * r for w, r in zip(W[j], rho))
+        d = spec.eps * F[j] + ((f * u) @ prob.quad_back).ravel()
+        if spec.coupling is not None:
+            d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
+        out[j] = 1j * d + g
+    return out.ravel()
+
+
+def _schrodinger_cases():
+    yield make_example("ex7", 1.3, 12, 2)
+    yield make_example("ex8", 1.5, 12, 2)
+    yield make_example("nls_soliton", 1.5, 16, 2)
+    yield make_example("coupled_strong", 1.6, 16, 2, cross_coupling=0.0175)
+    for alpha in (1.6, 2.0):
+        for beta in (1.0, 0.3):
+            yield make_example("manakov", alpha, 16, 2, cross_coupling=beta)
+    # asymmetric weights: contracting the wrong axis of either matrix differs
+    yield dataclasses.replace(make_example("ex8", 1.4, 12, 3),
+                              coupling=[[1.0, 0.3], [-0.8, 0.5]],
+                              nl_coupling=[[0.2, 1.7], [0.9, -0.4]])
+
+
+def test_schrodinger_rhs_matches_per_field_reference():
+    rng = np.random.default_rng(11)
+    for spec in _schrodinger_cases():
+        prob = build_problem(spec)
+        # distinct random fields, so that no weight multiplies equal rows
+        for flat in (prob.initial_state(), _complex_normal(rng, spec.n_components * prob.n)):
+            for t in (0.0, 0.3):
+                want = _per_field_rhs(prob, t, flat)
+                err = np.abs(prob.rhs(t, flat) - want).max()
+                assert err <= 1e-13 * np.abs(want).max(), (spec.family, spec.alpha, err)
 
 
 def test_nls_semidiscrete_norm_balance():
@@ -244,12 +293,12 @@ def test_cross_coupling_sets_the_coupling():
     # one key couples the two fields: the linear w2 of coupled_strong and
     # the nonlinear beta of manakov
     strong = make_example("coupled_strong", 1.6, 4, 1, cross_coupling=0.0175)
-    assert strong.coupling == ((1.0, 0.0175), (0.0175, 1.0))
-    assert make_example("coupled_strong", 1.6, 4, 1).coupling == ((1.0, 1.0), (1.0, 1.0))
-    rho = [np.array([2.0, 0.5]), np.array([3.0, 7.0])]
-    f1, f2 = make_example("manakov", 1.6, 4, 1, cross_coupling=0.3).nonlinearity(rho)
-    assert np.array_equal(f1, rho[0] + 0.3 * rho[1])
-    assert np.array_equal(f2, 0.3 * rho[0] + rho[1])
+    assert np.array_equal(strong.coupling, [[1.0, 0.0175], [0.0175, 1.0]])
+    assert np.array_equal(strong.nl_coupling, np.ones((2, 2)))
+    assert np.array_equal(make_example("coupled_strong", 1.6, 4, 1).coupling, np.ones((2, 2)))
+    manakov = make_example("manakov", 1.6, 4, 1, cross_coupling=0.3)
+    assert np.array_equal(manakov.nl_coupling, [[1.0, 0.3], [0.3, 1.0]])
+    assert manakov.coupling is None
 
 
 @pytest.mark.parametrize("name", ["ex2", "ex4", "ex8"])
@@ -298,16 +347,28 @@ def test_problem_spec_validation():
                     K=4, N=1, T=1.0)  # missing convective flux
     with pytest.raises(ValueError):
         ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0)
-    # one coefficient of each kind is shared by every field; a tuple is
-    # rejected, not broadcast
-    spec = ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
-                       T=1.0, eps=0.5, nonlinearity=lambda rho: rho)
-    assert spec.eps == 0.5 and spec.nl_eps == 1.0
+    # one eps is shared by every field (a tuple is rejected, not
+    # broadcast); both couplings are fields x fields float matrices, and
+    # any other shape is rejected
+    def coupled(**terms):
+        return ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
+                           T=1.0, **terms)
+
+    spec = coupled(eps=0.5, nl_coupling=[[1, 0], [0, 1]])
+    assert spec.eps == 0.5 and spec.coupling is None
+    assert spec.nl_coupling.dtype == float and np.array_equal(spec.nl_coupling, np.eye(2))
     assert spec.n_components == 2 and spec.is_complex
-    for coeffs in ({"eps": (1.0, 2.0)}, {"nl_eps": (1.0, 2.0)}):
-        with pytest.raises(TypeError):
-            ProblemSpec(family="coupled_nls", alpha=1.5, domain=(0, 1), K=4, N=1,
-                        T=1.0, nonlinearity=lambda rho: rho, **coeffs)
+    with pytest.raises(TypeError):
+        coupled(eps=(1.0, 2.0), nl_coupling=np.eye(2))
+    for terms in ({"nl_coupling": 1.0}, {"nl_coupling": [1.0, 1.0]},
+                  {"nl_coupling": np.eye(3)}, {"nl_coupling": [[1.0, 1.0], [1.0]]},
+                  {"nl_coupling": np.eye(2), "coupling": [[1.0]]},
+                  {"nl_coupling": np.eye(2), "coupling": np.ones((2, 2, 1))}):
+        with pytest.raises(ValueError):
+            coupled(**terms)
+    with pytest.raises(ValueError):
+        ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
+                    nl_coupling=np.eye(2))
 
 
 def test_fields_drive_roles_norms_and_errors():
@@ -343,18 +404,18 @@ def test_stable_dt_cap_scales_with_the_family_coefficient():
     # cap = 0.9 r / (|eps| rho(E)) on a fixed mesh, r the family's RK4
     # radius, so the cap pins that every family scales the spectral radius
     # by its fractional coefficient
-    def cap(name, eps, nl_eps=None):
+    def cap(name, eps, nl_scale=None):
         spec = make_example(name, 1.5, 16, 2)
         spec.eps = eps
-        if nl_eps is not None:
-            spec.nl_eps = nl_eps
+        if nl_scale is not None:
+            spec.nl_coupling = nl_scale * spec.nl_coupling
         return build_problem(spec).stable_dt_cap()
 
     assert cap("ex1", 0.25) == pytest.approx(4.0 * cap("ex1", 1.0), rel=1e-12)
-    # nls: |eps|; the nonlinear coefficient plays no part
+    # nls: |eps|; the density weights play no part
     nls = cap("ex7", 0.05)
     assert nls == pytest.approx(20.0 * cap("ex7", 1.0), rel=1e-12)
-    assert cap("ex7", 0.05, nl_eps=1000.0) == nls
+    assert cap("ex7", 0.05, nl_scale=1000.0) == nls
     # coupled_nls: |eps|, shared by the two fields
     unit = cap("ex8", 1.0)
     assert cap("ex8", 0.5) == pytest.approx(2.0 * unit, rel=1e-12)
