@@ -247,7 +247,10 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
         parts = (u.real, u.imag) if spec.is_complex else (u,)
         cols = [eval_field(FieldVector(c, problem.mesh, problem.basis), xs) for c in parts]
         fp = f"{base}_{name}{ext}" if len(full) > 1 else path
-        np.savetxt(fp, np.column_stack([xs] + cols), fmt="%.17g")
+        # np.savetxt(fmt="%.17g")'s bytes, in one format call
+        row = " ".join(["%.17g"] * (1 + len(cols))) + "\n"
+        with open(fp, "w") as fh:
+            fh.write(row * len(xs) % tuple(np.column_stack([xs] + cols).ravel().tolist()))
         written.append(fp)
     return written
 
@@ -276,6 +279,10 @@ def run_single(cfg: RunConfig, out_dir: str) -> list:
 
 def run_convergence(cfg: RunConfig, out_dir: str) -> dict:
     """Run the (alpha, N, K) grid and emit per-field convergence CSV tables."""
+    if cfg.snapshot_times:
+        # they would shorten steps to land on each time and write nothing
+        raise ConfigError("converge writes no snapshots; remove snapshot_times "
+                          "or use run")
     os.makedirs(out_dir, exist_ok=True)
     diags = []
     for alpha, N, K in grid_cells(cfg):

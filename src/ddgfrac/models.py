@@ -78,13 +78,14 @@ _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
            "nls": (1, True), "coupled_nls": (2, True)}
 FAMILIES = tuple(_LAYOUT)
 
-# Crossover in DOFs per component for one apply of E, used for alpha < 2
-# only (alpha = 2 always applies the BlockOperator DDG stage).  Measured on
-# a 2-core x86 host (numpy 2.4, OpenBLAS) over N = 1..3, alpha in
-# {1.1, 1.6, 2} and 1, 2 or 4 components: the dense matrix wins at n = 512
-# (by up to 2x for alpha < 2), n = 600 is a tie, and BlockOperator wins
-# every case from n = 768 on (1.2-7.7x; 2.2-5.6x at n = 1024).
-MATRIX_FREE_MIN_DOF = 768
+# Crossover in DOFs per component, used for alpha < 2 only (alpha = 2
+# always applies the BlockOperator DDG stage).  Measured as the complete RHS
+# inside an erk4_step loop, where a dense E past the L2 cache is read from
+# memory at every stage, on a 2-core x86 host (numpy 2.4, OpenBLAS, 2 MB L2
+# per core) over N = 1..3 and 1, 2 or 4 real rows, BlockOperator takes
+# 1.1-2.3x the dense time at n = 384 and 0.85-1.25x at n = 512 (a tie), and
+# wins every case from n = 576 on (0.64-0.97x; 0.29-0.75x at n = 768).
+MATRIX_FREE_MIN_DOF = 576
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
 RK4_RADIUS = {False: 2.6155, True: 2.0 * math.sqrt(2.0)}
@@ -315,17 +316,18 @@ class SemiDiscreteProblem:
     def l2_norms_squared(self, flat: np.ndarray, t: float = 0.0) -> list:
         """Discrete squared L2 norm per physical field."""
         full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
+        c = full.reshape(len(full), self.mesh.K, -1)
         mass = 0.5 * self.mesh.dx * self.basis.mass
-        return [float(np.einsum("ki,ij,kj->", c.reshape(self.mesh.K, -1).conj(), mass,
-                                c.reshape(self.mesh.K, -1)).real) for c in full]
+        return (c.conj() @ mass * c).real.sum(axis=(1, 2)).tolist()
 
 
 class BlockOperator:
     """E = M^-1 B M^-1 A applied from its blocks, without forming E.
 
-    The DDG stage M^-1 A is block tridiagonal: one (K, n) @ (n, 3n) product
-    gives the diagonal, lower and upper terms, and the two boundary cells
-    add a correction.  The fractional stage M^-1 B is block Toeplitz and is
+    The DDG stage M^-1 A is block tridiagonal: one (K, 3n) @ (3n, n) product
+    over the zero-padded window [c_k, c_(k-1), c_(k+1)] of every cell gives
+    the diagonal, lower and upper terms, and the two boundary cells add a
+    correction.  The fractional stage M^-1 B is block Toeplitz and is
     applied as its length-2K circulant embedding: rfft over cells, one
     n x n product per frequency (``symbol``, shape (n, n, K + 1)), irfft.
     At alpha = 2 only the DDG stage runs.
@@ -339,7 +341,7 @@ class BlockOperator:
                            qop.first - qop.diag, fix_last])
         MA = mass_solve_mat(mesh, basis, blocks.reshape(-1, n)).reshape(5, n, n)
         self.K, self.n = K, n
-        self.band = np.hstack([b.T for b in MA[:3]])
+        self.stencil = np.vstack([b.T for b in MA[:3]])
         self.fix_first, self.fix_last = MA[3].T, MA[4].T
         self.symbol = None
         if fop is not None:
@@ -360,10 +362,11 @@ class BlockOperator:
         """M^-1 A applied to every row of X."""
         K, n = self.K, self.n
         c = X.reshape(-1, K, n)
-        Y = (c.reshape(-1, n) @ self.band).reshape(-1, K, 3, n)
-        q = Y[:, :, 0].copy()
-        q[:, 1:] += Y[:, :-1, 1]
-        q[:, :-1] += Y[:, 1:, 2]
+        W = np.zeros((len(c), K, 3, n), dtype=c.dtype)
+        W[:, :, 0] = c
+        W[:, 1:, 1] = c[:, :-1]
+        W[:, :-1, 2] = c[:, 1:]
+        q = (W.reshape(-1, 3 * n) @ self.stencil).reshape(c.shape)
         q[:, 0] += c[:, 0] @ self.fix_first
         q[:, -1] += c[:, -1] @ self.fix_last
         return q.reshape(X.shape)

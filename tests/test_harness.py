@@ -20,8 +20,11 @@ from ddgfrac.harness import (
     load_config,
     run_convergence,
     run_single,
+    snapshot_grid,
+    write_snapshot,
 )
-from ddgfrac.models import EXAMPLES, make_example
+from ddgfrac.meshbasis import FieldVector, eval_field
+from ddgfrac.models import EXAMPLES, build_problem, make_example
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -264,3 +267,38 @@ def test_cli_rejects_snapshot_times_it_would_lose(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in (out / "ex5_a1.5_N1_K8").glob("snapshot_*")) == [
         "snapshot_t0.020000.txt", "snapshot_t0.030000.txt", "snapshot_t0.050000.txt"]
+
+
+def test_cli_converge_rejects_snapshot_times(tmp_path, capsys):
+    # converge writes no snapshots, and the times would still shorten its
+    # steps and so change the table: a config error (exit 2) before any run
+    cfg = _write(tmp_path, "c.json", {"problem": "ex1", "alpha": 1.5, "N": 1,
+                                      "K": [8, 16], "T": 0.05, "snapshot_times": [0.0123]})
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert cli_main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert "converge writes no snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_bytes_match_savetxt(tmp_path):
+    # one format call per file writes exactly np.savetxt's "%.17g" bytes,
+    # here for a two-field complex snapshot and a real one
+    rng = np.random.default_rng(4)
+    for name in ("ex8", "ex1"):
+        prob = build_problem(make_example(name, 1.5, 6, 2))
+        m, t = prob.spec.n_components, 0.25
+        flat = rng.standard_normal(m * prob.n) * 10.0 ** rng.integers(-12, 12, m * prob.n)
+        if prob.spec.is_complex:
+            flat = flat + 1j * rng.standard_normal(m * prob.n)
+        files = write_snapshot(str(tmp_path / f"{name}.txt"), prob, flat, t, 4)
+        assert len(files) == m
+        xs = snapshot_grid(prob, 4)
+        full = prob.full_fields(flat.reshape(m, prob.n), t)
+        for fp, u in zip(files, full):
+            parts = (u.real, u.imag) if prob.spec.is_complex else (u,)
+            cols = [eval_field(FieldVector(c, prob.mesh, prob.basis), xs) for c in parts]
+            ref = tmp_path / "ref.txt"
+            np.savetxt(ref, np.column_stack([xs] + cols), fmt="%.17g")
+            with open(fp, "rb") as fh:
+                assert fh.read() == ref.read_bytes()

@@ -568,17 +568,18 @@ def test_alpha_2_E_is_the_block_ddg_stage():
             assert _rel(prob.apply_E(X[0]), E @ X[0]) <= 1e-13
             comps = X[:2] + 1j * X[2:]
             assert _rel(prob._frac_apply(comps), comps @ E.T) <= 1e-13
+            # complex rows straight through the DDG stage, as the bench's E kernel
+            assert _rel(prob.apply_E(comps), comps @ E.T) <= 1e-13
 
 
-@pytest.mark.parametrize("name,alpha", [("ex1", 1.5), ("ex7", 1.1), ("manakov", 2.0)])
-def test_problem_above_crossover_matches_dense_path(name, alpha):
-    spec = make_example(name, alpha, 300, 2)
-    prob = build_problem(spec)
-    assert prob.n >= MATRIX_FREE_MIN_DOF and isinstance(prob.E, LinearOperator)
-    mesh, basis, qop = prob.mesh, prob.basis, prob.qop
+def _assert_matches_dense_fusion(prob):
+    """E, stable_dt_cap and rhs of a matrix-free problem against the same
+    problem with E fused into the dense M^-1 B M^-1 A."""
+    assert isinstance(prob.E, LinearOperator)
+    mesh, basis, alpha = prob.mesh, prob.basis, prob.spec.alpha
     MB = (np.eye(prob.n) if alpha == 2.0 else
           mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B))
-    E = MB @ mass_solve_mat(mesh, basis, qop.A)
+    E = MB @ mass_solve_mat(mesh, basis, prob.qop.A)
     dense = dataclasses.replace(prob, E=E, apply_E=lambda X: X @ E.T)
 
     rng = np.random.default_rng(5)
@@ -586,5 +587,49 @@ def test_problem_above_crossover_matches_dense_path(name, alpha):
     assert _rel(X @ prob.E.T, X @ E.T) <= 1e-13
     assert _rel(prob.E @ X[0], E @ X[0]) <= 1e-13
     assert prob.stable_dt_cap() == pytest.approx(dense.stable_dt_cap(), rel=1e-13)
-    s = prob.initial_state() + 0.1 * rng.standard_normal(spec.n_components * prob.n)
+    s = prob.initial_state() + 0.1 * rng.standard_normal(prob.spec.n_components * prob.n)
     assert _rel(prob.rhs(0.2, s), dense.rhs(0.2, s)) <= 1e-13
+
+
+@pytest.mark.parametrize("name,alpha", [("ex1", 1.5), ("ex7", 1.1), ("manakov", 2.0)])
+def test_problem_above_crossover_matches_dense_path(name, alpha):
+    prob = build_problem(make_example(name, alpha, 300, 2))
+    assert prob.n >= MATRIX_FREE_MIN_DOF
+    _assert_matches_dense_fusion(prob)
+
+
+@pytest.mark.parametrize("name,alpha,N", [("ex1", 1.5, 2), ("ex7", 1.1, 3), ("manakov", 1.6, 1)])
+def test_E_is_dense_below_the_crossover_and_matrix_free_from_it(name, alpha, N):
+    K = -(-MATRIX_FREE_MIN_DOF // (N + 1))   # the smallest mesh at or above it
+    below = build_problem(make_example(name, alpha, K - 1, N))
+    assert below.n < MATRIX_FREE_MIN_DOF and isinstance(below.E, np.ndarray)
+    at = build_problem(make_example(name, alpha, K, N))
+    assert at.n >= MATRIX_FREE_MIN_DOF
+    _assert_matches_dense_fusion(at)
+
+
+def test_manakov_bench_cell_is_matrix_free():
+    # the bench's manakov_soliton alpha = 1.6 cell (K = 200, N = 2: n = 600)
+    prob = build_problem(make_example("manakov", 1.6, 200, 2, cross_coupling=1.0))
+    assert prob.n == 600 >= MATRIX_FREE_MIN_DOF
+    _assert_matches_dense_fusion(prob)
+
+
+def test_l2_norms_squared_match_per_field_einsum():
+    # all fields in one product, against one einsum per field, with and
+    # without a lift, on real and complex states
+    rng = np.random.default_rng(3)
+    for name in ("ex1", "ex4", "ex7", "ex8", "manakov"):
+        prob = build_problem(make_example(name, 1.5, 12, 2))
+        m = prob.spec.n_components
+        s = rng.standard_normal(m * prob.n)
+        if prob.spec.is_complex:
+            s = s + 1j * rng.standard_normal(m * prob.n)
+        mass = 0.5 * prob.mesh.dx * prob.basis.mass
+        for t in (0.0, 0.3):
+            full = prob.full_fields(s.reshape(m, prob.n), t)
+            want = [np.einsum("ki,ij,kj->", c.reshape(prob.mesh.K, -1).conj(), mass,
+                              c.reshape(prob.mesh.K, -1)).real for c in full]
+            got = prob.l2_norms_squared(s, t)
+            assert len(got) == m and all(type(v) is float for v in got)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
