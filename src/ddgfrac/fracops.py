@@ -23,9 +23,12 @@ the small-size fused path and for tests.  The blocks are
 * separated cells: the kernel is analytic, and a tensor Gauss-Legendre rule
   converges geometrically (no cancellation-prone series needed).
 
-Forcing terms for manufactured solutions use the closed-form Riesz fractional
-derivative of monomials on [a, b] (both one-sided derivatives of order alpha
-taken on the finite domain), projected onto the mesh exactly.
+Forcing terms for manufactured solutions use the closed-form Riesz
+derivative of a polynomial on [a, b] (both one-sided Caputo derivatives of
+order alpha taken on the finite domain): one power-rule series in
+(x-a)^(j-alpha) and (b-x)^(j-alpha), evaluated pointwise or projected onto
+every cell at once, with the singular side of the two end cells integrated
+exactly by Gauss-Jacobi rules.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .meshbasis import ElementBasis, Mesh1D, mass_solve, project
+from .meshbasis import ElementBasis, Mesh1D, cell_centers_and_points, mass_solve, project
 from .specfun import (
     gamma_fn,
     gauss_jacobi,
@@ -58,8 +62,6 @@ class FracOperator:
     k - m; the right-integral blocks are its reflections ``right[m]``.
     """
 
-    mu: float
-    alpha: float
     left: np.ndarray
     riesz_scale: float
     mesh: Mesh1D
@@ -103,7 +105,7 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
     C = _basis_monomial_coeffs(basis, h)             # about the left edge
     D = np.vstack([polynomial_in_shifted_basis(C[j], 1.0, h) for j in range(n)])
     r = np.arange(n)
-    gam = np.array([gamma_fn(rr + 1.0) / gamma_fn(rr + 1.0 + mu) for rr in r])
+    gam = _power_rule(r, -mu)
 
     blocks = np.zeros((K, n, n))
 
@@ -152,21 +154,36 @@ def assemble_frac_operator(mesh: Mesh1D, basis: ElementBasis, alpha: float) -> F
         raise ValueError(f"fractional order must lie in (1, 2), got {alpha}")
     mu = 2.0 - alpha
     return FracOperator(
-        mu=mu, alpha=alpha, left=_left_integral_blocks(mesh, basis, mu),
+        left=_left_integral_blocks(mesh, basis, mu),
         riesz_scale=1.0 / (2.0 * math.cos(0.5 * math.pi * mu)),
         mesh=mesh, basis=basis,
     )
 
 
-def _caputo_factors(alpha: float, degree: int) -> np.ndarray:
-    """Gamma(p + 1) / Gamma(p + 1 - alpha) for p = 2..degree.
+def _power_rule(p, order: float) -> np.ndarray:
+    """Gamma(p + 1) / Gamma(p + 1 - order) for every power p: the factor by
+    which the order-``order`` derivative based at 0 maps y^p to y^(p - order)
+    (a negative order is the integral of order -order)."""
+    return np.array([gamma_fn(pp + 1.0) / gamma_fn(pp + 1.0 - order) for pp in p])
 
-    The one-sided order-alpha Caputo derivative on [a, b] annihilates
-    degrees 0 and 1 and maps (x - a)^p to this factor times
-    (x - a)^(p - alpha) (mirrored for the right side).
+
+def _riesz_series(alpha: float, coeffs, a: float, b: float):
+    """(j, ca, db, s) with, for the polynomial p of ``coeffs``,
+
+        (-Laplacian)^(alpha/2) p(x) = s (sum_j ca_j (x-a)^(j-alpha)
+                                         + sum_j db_j (b-x)^(j-alpha)).
+
+    The one-sided Caputo derivatives annihilate degrees 0 and 1, so j runs
+    from 2 and a linear p gives an empty series.
     """
-    return np.array([gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha)
-                     for p in range(2, degree + 1)])
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"order must lie in (1, 2] for this solver, got {alpha}")
+    c = np.asarray(coeffs, dtype=float)
+    j = np.arange(2, c.size)
+    g = _power_rule(j, alpha)
+    ca = polynomial_in_shifted_basis(c, 1.0, a)[2:] * g
+    db = (polynomial_in_shifted_basis(c, 1.0, b) * (-1.0) ** np.arange(c.size))[2:] * g
+    return j, ca, db, 1.0 / (2.0 * math.cos(0.5 * math.pi * alpha))
 
 
 def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
@@ -176,28 +193,14 @@ def riesz_frac_deriv_poly(alpha: float, coeffs, a: float, b: float, x):
     1/(2 cos(pi alpha / 2)) Riesz factor.  alpha = 2 falls back to the
     classical limit -p''(x).
     """
-    c = np.asarray(coeffs, dtype=float)
-    shape = np.shape(x)
-    xs = np.asarray(x, dtype=float).ravel()
-
+    xs = np.asarray(x, dtype=float)
     if alpha == 2.0:
-        d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
-        out = -np.polynomial.polynomial.polyval(xs, d2)
-        return out.reshape(shape) if shape else float(out[0])
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (1, 2] for this solver, got {alpha}")
-
-    if c.size <= 2:
-        out = np.zeros_like(xs)
-        return out.reshape(shape) if shape else 0.0
-    g = _caputo_factors(alpha, c.size - 1)
-    ca = polynomial_in_shifted_basis(c, 1.0, a)
-    db = polynomial_in_shifted_basis(c, 1.0, b) * (-1.0) ** np.arange(c.size)
-    j = np.arange(2, c.size)  # degrees 0 and 1 are annihilated
-    left = ((xs[:, None] - a) ** (j[None, :] - alpha)) @ (ca[2:] * g)
-    right = ((b - xs[:, None]) ** (j[None, :] - alpha)) @ (db[2:] * g)
-    out = (left + right) / (2.0 * math.cos(0.5 * math.pi * alpha))
-    return out.reshape(shape) if shape else float(out[0])
+        out = -P.polyval(xs, P.polyder(coeffs, 2))
+    else:
+        j, ca, db, s = _riesz_series(alpha, coeffs, a, b)
+        xs = xs[..., None]
+        out = s * (((xs - a) ** (j - alpha)) @ ca + ((b - xs) ** (j - alpha)) @ db)
+    return out if np.ndim(out) else float(out)
 
 
 def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) -> np.ndarray:
@@ -205,60 +208,33 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
 
     The image is a sum of (x-a)^(j-alpha) and (b-x)^(j-alpha) profiles, only
     Hoelder continuous at the endpoints, so plain Gauss-Legendre projection
-    on the first/last cell is quadrature limited.  Here the endpoint cells
-    use a Gauss-Jacobi(0, 2-alpha) rule, which integrates the singular factor
-    exactly; interior cells see an analytic integrand one cell away from the
-    branch point and use a high-order Legendre rule.
+    on the first/last cell is quadrature limited.  Both series are evaluated
+    on a high-order Legendre rule in every cell, where the integrand is
+    analytic, except the singular side of the two end cells: there a
+    Gauss-Jacobi(0, 2-alpha) rule integrates the singular factor exactly.
     """
-    c = np.asarray(coeffs, dtype=float)
     a, b = mesh.a, mesh.b
     if alpha == 2.0:
-        d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
-        return project(lambda x: -np.polynomial.polynomial.polyval(x, d2),
+        return project(lambda x: riesz_frac_deriv_poly(alpha, coeffs, a, b, x),
                        mesh, basis).values
+    j, ca, db, s = _riesz_series(alpha, coeffs, a, b)
+    mu, h, K = 2.0 - alpha, mesh.dx, mesh.K
 
-    mu = 2.0 - alpha
-    scale = 1.0 / (2.0 * math.cos(0.5 * math.pi * alpha))
-    n, h, K = basis.n_nodes, mesh.dx, mesh.K
-    weak = np.zeros((K, n))
+    gl = gauss_legendre(_N_SMOOTH)
+    x = cell_centers_and_points(mesh, gl.nodes)[..., None]
+    left = ((x - a) ** (j - alpha)) @ ca
+    right = ((b - x) ** (j - alpha)) @ db
+    left[0] = right[-1] = 0.0     # the singular sides, added below
+    weak = 0.5 * h * ((left + right) * gl.weights) @ basis.eval_matrix(gl.nodes)
 
-    if c.size > 2:
-        g = _caputo_factors(alpha, c.size - 1)
-        ca = polynomial_in_shifted_basis(c, 1.0, a)[2:] * g
-        db = (polynomial_in_shifted_basis(c, 1.0, b)
-              * (-1.0) ** np.arange(c.size))[2:] * g
-        jj = np.arange(2, c.size)
+    # y = distance to the end: y^(j-alpha) = y^mu y^(j-2), the Jacobi weight
+    # taking y^mu; integer powers y^(j-2) keep the rule exact to round-off
+    n_jac = max((j.size - 1 + basis.N) // 2 + 2, 2)
+    for k, side, coef, exps in ((0, 1.0, ca, (0.0, mu)), (K - 1, -1.0, db, (mu, 0.0))):
+        jac = gauss_jacobi(n_jac, *exps)
+        y = 0.5 * h * (1.0 + side * jac.nodes)
+        poly = (y[:, None] ** (j - 2)) @ coef
+        weak[k] += ((0.5 * h) ** (1.0 + mu)
+                    * (jac.weights * poly) @ basis.eval_matrix(jac.nodes))
 
-        gl = gauss_legendre(_N_SMOOTH)
-        Ls = basis.eval_matrix(gl.nodes)
-        n_jac = max((c.size - 3 + basis.N) // 2 + 2, 2)
-        jacL = gauss_jacobi(n_jac, 0.0, mu)   # weight (1+t)^mu, left endpoint
-        jacR = gauss_jacobi(n_jac, mu, 0.0)   # weight (1-t)^mu, right endpoint
-        LjL = basis.eval_matrix(jacL.nodes)
-        LjR = basis.eval_matrix(jacR.nodes)
-
-        for k in range(K):
-            xl = mesh.boundaries[k]
-            # left-endpoint series sum_j ca_j (x-a)^(j-alpha)
-            if k == 0:
-                y = 0.5 * h * (1.0 + jacL.nodes)
-                poly = (y[:, None] ** (jj[None, :] - 2)) @ ca
-                weak[k] += ((0.5 * h) ** (1.0 + mu)
-                            * (jacL.weights * poly) @ LjL)
-            else:
-                x = xl + 0.5 * h * (1.0 + gl.nodes)
-                vals = ((x[:, None] - a) ** (jj[None, :] - alpha)) @ ca
-                weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
-            # right-endpoint series sum_j db_j (b-x)^(j-alpha)
-            if k == K - 1:
-                y = 0.5 * h * (1.0 - jacR.nodes)
-                poly = (y[:, None] ** (jj[None, :] - 2)) @ db
-                weak[k] += ((0.5 * h) ** (1.0 + mu)
-                            * (jacR.weights * poly) @ LjR)
-            else:
-                x = xl + 0.5 * h * (1.0 + gl.nodes)
-                vals = ((b - x[:, None]) ** (jj[None, :] - alpha)) @ db
-                weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
-
-    return mass_solve(mesh, basis, scale * weak)
-
+    return mass_solve(mesh, basis, s * weak)

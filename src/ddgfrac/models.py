@@ -168,18 +168,24 @@ class ProblemSpec:
             raise ValueError("convection_diffusion requires a convective flux")
         if self.is_complex and self.nl_coupling is None:
             raise ValueError(f"{self.family} requires nl_coupling")
-        m = self.n_components
-        for name in ("coupling", "nl_coupling"):
-            w = None if getattr(self, name) is None else np.array(getattr(self, name), float)
-            if w is not None and w.shape != (m, m):
-                raise ValueError(f"{name} must have shape ({m}, {m}), got {w.shape}")
-            setattr(self, name, w)
+        self.check_couplings()
         bc = BoundarySpec()
         if self.lift is not None:
             (a, b), (f, c) = self.domain, self.lift
             bc = BoundarySpec(left=lambda t, v=float(P.polyval(a, c)): f(t) * v,
                               right=lambda t, v=float(P.polyval(b, c)): f(t) * v)
         self.bcs = [bc] * self.n_components
+
+    def check_couplings(self):
+        """Turn ``coupling`` and ``nl_coupling`` into float (m, m) arrays, or
+        raise ValueError naming the field; ``build_problem`` runs it again,
+        as a spec may be edited after it is built."""
+        m = self.n_components
+        for name in ("coupling", "nl_coupling"):
+            w = None if getattr(self, name) is None else np.array(getattr(self, name), float)
+            if w is not None and w.shape != (m, m):
+                raise ValueError(f"{name} must have shape ({m}, {m}), got {w.shape}")
+            setattr(self, name, w)
 
     @property
     def n_components(self) -> int:
@@ -321,6 +327,13 @@ class SemiDiscreteProblem:
         return (c.conj() @ mass * c).real.sum(axis=(1, 2)).tolist()
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, where numpy's real FFT is fastest: for
+    each odd part q = 3^b 5^c, the least power of two 2^a >= n / q."""
+    e = range(n.bit_length())
+    return min(3**b * 5**c << (-(-n // (3**b * 5**c)) - 1).bit_length() for b in e for c in e)
+
+
 class BlockOperator:
     """E = M^-1 B M^-1 A applied from its blocks, without forming E.
 
@@ -328,9 +341,12 @@ class BlockOperator:
     over the zero-padded window [c_k, c_(k-1), c_(k+1)] of every cell gives
     the diagonal, lower and upper terms, and the two boundary cells add a
     correction.  The fractional stage M^-1 B is block Toeplitz and is
-    applied as its length-2K circulant embedding: rfft over cells, one
-    n x n product per frequency (``symbol``, shape (n, n, K + 1)), irfft.
-    At alpha = 2 only the DDG stage runs.
+    applied as a circulant embedding of length L = ``fft_len``, the smallest
+    2^a 3^b 5^c >= 2K - 1 (a length with a large prime factor, such as 2K
+    at K = 193, is several times slower): rfft over cells, one n x n
+    product per frequency (``symbol``, shape (n, n, L // 2 + 1)), irfft.
+    Complex rows go through it as their real and imaginary parts.  At
+    alpha = 2 only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
@@ -344,14 +360,15 @@ class BlockOperator:
         self.stencil = np.vstack([b.T for b in MA[:3]])
         self.fix_first, self.fix_last = MA[3].T, MA[4].T
         self.symbol = None
+        self.fft_len = L = _fast_len(2 * K - 1)
         if fop is not None:
             T = fop.toeplitz_blocks()               # offsets 1-K .. K-1
-            circ = np.concatenate([T[K - 1:], np.zeros((1, n, n)), T[:K - 1]])
+            circ = np.concatenate([T[K - 1:], np.zeros((L - 2 * K + 1, n, n)), T[:K - 1]])
             circ = mass_solve_mat(mesh, basis, circ.reshape(-1, n))
             # the symbol is small at high frequencies, where a float64 FFT
             # leaves it eps * max|symbol| off; a long double FFT (80-bit on
             # x86) removes that share of the apply's round-off for alpha -> 1
-            symbol = np.fft.rfft(circ.reshape(2 * K, n, n).astype(np.longdouble), axis=0)
+            symbol = np.fft.rfft(circ.reshape(L, n, n).astype(np.longdouble), axis=0)
             self.symbol = np.ascontiguousarray(symbol.transpose(1, 2, 0), dtype=complex)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -375,11 +392,13 @@ class BlockOperator:
         """M^-1 B applied to every row of q (identity at alpha = 2)."""
         if self.symbol is None:
             return q
-        K, n = self.K, self.n
-        # frequencies on the last axis: (m, n, K + 1) per component and node
-        qh = np.fft.rfft(q.reshape(-1, K, n).transpose(0, 2, 1), n=2 * K)
+        if np.iscomplexobj(q):
+            return self.frac(q.real) + 1j * self.frac(q.imag)
+        K, n, L = self.K, self.n, self.fft_len
+        # frequencies on the last axis: (m, n, L // 2 + 1) per component and node
+        qh = np.fft.rfft(q.reshape(-1, K, n).transpose(0, 2, 1), n=L)
         ph = (self.symbol[None] * qh[:, None]).sum(axis=2)
-        p = np.fft.irfft(ph, n=2 * K)[:, :, :K]
+        p = np.fft.irfft(ph, n=L)[:, :, :K]
         return p.transpose(0, 2, 1).reshape(q.shape)
 
 
@@ -390,6 +409,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     ``MATRIX_FREE_MIN_DOF`` DOFs per field; from there on, and at alpha = 2
     at every size, a ``BlockOperator`` applies it and no dense E is formed.
     """
+    spec.check_couplings()
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
     basis = build_basis(spec.N)

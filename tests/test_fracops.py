@@ -22,7 +22,12 @@ from ddgfrac.meshbasis import (
     project,
 )
 from ddgfrac.models import BlockOperator
-from ddgfrac.specfun import gamma_fn
+from ddgfrac.specfun import (
+    gamma_fn,
+    gauss_jacobi,
+    gauss_legendre,
+    polynomial_in_shifted_basis,
+)
 
 # oracles computed with 40-digit adaptive quadrature
 B11_MU05 = 1.0638460810704871412          # 1/(Gamma(2.5) cos(pi/4))
@@ -36,8 +41,7 @@ def test_operator_single_cell_closed_form():
     mesh, basis = build_mesh(0.0, 1.0, 1), build_basis(0)
     op = assemble_frac_operator(mesh, basis, 1.5)
     assert op.B[0, 0] == pytest.approx(B11_MU05, abs=1e-11)
-    assert op.mu == pytest.approx(0.5)
-    assert op.riesz_scale > 0
+    assert op.riesz_scale == pytest.approx(1.0 / (2.0 * math.cos(0.25 * math.pi)))
 
 
 def test_operator_symmetry_and_psd_random():
@@ -170,3 +174,59 @@ def test_project_riesz_poly_matches_operator_path():
     diff = l2_norm(FieldVector(via_B - via_series, mesh, basis))
     assert diff <= 1e-12
 
+
+
+def _project_riesz_per_cell(alpha, c, mesh, basis):
+    """The per-cell projection loop that ``project_riesz_poly`` replaced."""
+    a, b = mesh.a, mesh.b
+    if alpha == 2.0:
+        d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
+        return project(lambda x: -np.polynomial.polynomial.polyval(x, d2),
+                       mesh, basis).values
+    mu = 2.0 - alpha
+    n, h, K = basis.n_nodes, mesh.dx, mesh.K
+    weak = np.zeros((K, n))
+    g = np.array([gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha) for p in range(2, c.size)])
+    ca = polynomial_in_shifted_basis(c, 1.0, a)[2:] * g
+    db = (polynomial_in_shifted_basis(c, 1.0, b) * (-1.0) ** np.arange(c.size))[2:] * g
+    jj = np.arange(2, c.size)
+    gl = gauss_legendre(16)
+    Ls = basis.eval_matrix(gl.nodes)
+    n_jac = max((c.size - 3 + basis.N) // 2 + 2, 2)
+    jacL, jacR = gauss_jacobi(n_jac, 0.0, mu), gauss_jacobi(n_jac, mu, 0.0)
+    LjL, LjR = basis.eval_matrix(jacL.nodes), basis.eval_matrix(jacR.nodes)
+    for k in range(K):
+        x = mesh.boundaries[k] + 0.5 * h * (1.0 + gl.nodes)
+        if k == 0:
+            y = 0.5 * h * (1.0 + jacL.nodes)
+            poly = (y[:, None] ** (jj[None, :] - 2)) @ ca
+            weak[k] += (0.5 * h) ** (1.0 + mu) * (jacL.weights * poly) @ LjL
+        else:
+            vals = ((x[:, None] - a) ** (jj[None, :] - alpha)) @ ca
+            weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
+        if k == K - 1:
+            y = 0.5 * h * (1.0 - jacR.nodes)
+            poly = (y[:, None] ** (jj[None, :] - 2)) @ db
+            weak[k] += (0.5 * h) ** (1.0 + mu) * (jacR.weights * poly) @ LjR
+        else:
+            vals = ((b - x[:, None]) ** (jj[None, :] - alpha)) @ db
+            weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
+    return mass_solve(mesh, basis, weak / (2.0 * math.cos(0.5 * math.pi * alpha)))
+
+
+@pytest.mark.parametrize("degree", [2, 5, 11, 13])
+def test_project_riesz_poly_matches_per_cell_loop(degree):
+    # all cells at once against the per-cell loop, on a polynomial with
+    # every coefficient set and on one that vanishes at both ends
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(degree)
+    for c in (rng.standard_normal(degree + 1),
+              P.polymul(P.polyfromroots([0.0, 1.0]), rng.standard_normal(degree - 1))):
+        for K in (1, 2, 3, 16, 128):
+            mesh = build_mesh(0.0, 1.0, K) if K % 2 else build_mesh(-1.0, 1.0, K)
+            for N in (1, 3, 8):
+                basis = build_basis(N)
+                for alpha in (1.05, 1.5, 1.95, 2.0):
+                    want = _project_riesz_per_cell(alpha, c, mesh, basis)
+                    got = project_riesz_poly(alpha, c, mesh, basis)
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -369,6 +369,11 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
                     nl_coupling=np.eye(2))
+    # a spec edited after it is built is checked again when it is assembled
+    spec = make_example("manakov", 2.0, 8, 1)
+    spec.nl_coupling = [[1.0, 2.0, 3.0]]
+    with pytest.raises(ValueError, match="nl_coupling"):
+        build_problem(spec)
 
 
 def test_fields_drive_roles_norms_and_errors():
@@ -589,12 +594,18 @@ def _assert_matches_dense_fusion(prob):
     assert prob.stable_dt_cap() == pytest.approx(dense.stable_dt_cap(), rel=1e-13)
     s = prob.initial_state() + 0.1 * rng.standard_normal(prob.spec.n_components * prob.n)
     assert _rel(prob.rhs(0.2, s), dense.rhs(0.2, s)) <= 1e-13
+    Z = X + 1j * rng.standard_normal(X.shape)
+    assert _rel(prob.apply_E(Z), Z @ E.T) <= 1e-13
+    assert _rel(prob.E @ Z[0], E @ Z[0]) <= 1e-13
 
 
-@pytest.mark.parametrize("name,alpha", [("ex1", 1.5), ("ex7", 1.1), ("manakov", 2.0)])
-def test_problem_above_crossover_matches_dense_path(name, alpha):
-    prob = build_problem(make_example(name, alpha, 300, 2))
-    assert prob.n >= MATRIX_FREE_MIN_DOF
+# K = 193: the circulant is padded from 2K = 386 (= 2 * 193) to 400
+@pytest.mark.parametrize("name,alpha,K,fft_len", [
+    ("ex1", 1.5, 300, 600), ("ex7", 1.1, 300, 600), ("manakov", 2.0, 300, 600),
+    ("manakov", 1.6, 193, 400)])
+def test_problem_above_crossover_matches_dense_path(name, alpha, K, fft_len):
+    prob = build_problem(make_example(name, alpha, K, 2))
+    assert prob.n >= MATRIX_FREE_MIN_DOF and prob.apply_E.fft_len == fft_len
     _assert_matches_dense_fusion(prob)
 
 
@@ -611,7 +622,7 @@ def test_E_is_dense_below_the_crossover_and_matrix_free_from_it(name, alpha, N):
 def test_manakov_bench_cell_is_matrix_free():
     # the bench's manakov_soliton alpha = 1.6 cell (K = 200, N = 2: n = 600)
     prob = build_problem(make_example("manakov", 1.6, 200, 2, cross_coupling=1.0))
-    assert prob.n == 600 >= MATRIX_FREE_MIN_DOF
+    assert prob.n == 600 >= MATRIX_FREE_MIN_DOF and prob.apply_E.fft_len == 2 * 200
     _assert_matches_dense_fusion(prob)
 
 
