@@ -166,8 +166,6 @@ class ProblemSpec:
         self.eps = float(self.eps)
         if self.family == "convection_diffusion" and self.conv is None:
             raise ValueError("convection_diffusion requires a convective flux")
-        if self.is_complex and self.nl_coupling is None:
-            raise ValueError(f"{self.family} requires nl_coupling")
         self.check_couplings()
         bc = BoundarySpec()
         if self.lift is not None:
@@ -180,6 +178,8 @@ class ProblemSpec:
         """Turn ``coupling`` and ``nl_coupling`` into float (m, m) arrays, or
         raise ValueError naming the field; ``build_problem`` runs it again,
         as a spec may be edited after it is built."""
+        if self.is_complex and self.nl_coupling is None:
+            raise ValueError(f"{self.family} requires nl_coupling")
         m = self.n_components
         for name in ("coupling", "nl_coupling"):
             w = None if getattr(self, name) is None else np.array(getattr(self, name), float)

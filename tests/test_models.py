@@ -370,10 +370,11 @@ def test_problem_spec_validation():
         ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
                     nl_coupling=np.eye(2))
     # a spec edited after it is built is checked again when it is assembled
-    spec = make_example("manakov", 2.0, 8, 1)
-    spec.nl_coupling = [[1.0, 2.0, 3.0]]
-    with pytest.raises(ValueError, match="nl_coupling"):
-        build_problem(spec)
+    for w in ([[1.0, 2.0, 3.0]], None):
+        spec = make_example("manakov", 2.0, 8, 1)
+        spec.nl_coupling = w
+        with pytest.raises(ValueError, match="nl_coupling"):
+            build_problem(spec)
 
 
 def test_fields_drive_roles_norms_and_errors():
