@@ -12,8 +12,8 @@ basis function.  On a uniform mesh B is block Toeplitz, so only one block
 per cell offset is ever computed, and the operator is kept as those K
 blocks: memory grows linearly in K and there is no DOF cap.  The solver
 applies B through FFTs above a crossover size (``models.BlockOperator``);
-``FracOperator.B`` gathers the blocks into the dense matrix on request, for
-the small-size fused path and for tests.  The blocks are
+``FracOperator.B`` gathers the dense matrix for the fused path and tests.
+The blocks are
 
 * self cell: the power rule turns I^mu of a polynomial into a finite sum of
   y^(r+mu) terms, integrated exactly against a Gauss-Jacobi(0, mu) rule;
@@ -21,7 +21,8 @@ the small-size fused path and for tests.  The blocks are
   series (based at either cell edge); the singular-endpoint part again uses
   the Jacobi rule exactly, the analytic part a high-order Legendre rule;
 * separated cells: the kernel is analytic, and a tensor Gauss-Legendre rule
-  converges geometrically (no cancellation-prone series needed).
+  converges geometrically; with W the weighted basis values at its nodes,
+  all K - 2 blocks are two matrix products, W^T (kernel W).
 
 Forcing terms for manufactured solutions use the closed-form Riesz
 derivative of a polynomial on [a, b] (both one-sided Caputo derivatives of
@@ -110,35 +111,30 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
     blocks = np.zeros((K, n, n))
 
     jac = gauss_jacobi(basis.N + 2, 0.0, mu)
-    Lj = basis.eval_matrix(jac.nodes)
+    WLj = jac.weights[:, None] * basis.eval_matrix(jac.nodes)
     pow1pt = (1.0 + jac.nodes)[:, None] ** r[None, :]
 
     def singular_endpoint_block(coeffs):
         # exact: integrand is (1+t)^mu times a polynomial of degree <= 2N
         scaled = coeffs * gam[None, :] * (0.5 * h) ** r[None, :]
-        S = pow1pt @ scaled.T
-        return (0.5 * h) ** (1.0 + mu) * np.einsum("g,gi,gj->ij", jac.weights, Lj, S)
+        return (0.5 * h) ** (1.0 + mu) * (WLj.T @ (pow1pt @ scaled.T))
 
     blocks[0] = singular_endpoint_block(C)
 
     if K > 1:
         gl = gauss_legendre(_N_SMOOTH)
-        Ls = basis.eval_matrix(gl.nodes)
         y = h + 0.5 * h * (1.0 + gl.nodes)
-        V = (y[:, None] ** (r[None, :] + mu)) @ (C * gam[None, :]).T
-        smooth = 0.5 * h * np.einsum("g,gi,gj->ij", gl.weights, Ls, V)
-        blocks[1] = smooth - singular_endpoint_block(D)
+        V = gl.weights[:, None] * (y[:, None] ** (r[None, :] + mu)) @ (C * gam[None, :]).T
+        blocks[1] = 0.5 * h * (basis.eval_matrix(gl.nodes).T @ V) - singular_endpoint_block(D)
 
     if K > 2:
         glo = gauss_legendre(_N_FAR)
-        Lo = basis.eval_matrix(glo.nodes)
-        m = np.arange(2, K, dtype=float)
-        x = m[:, None] * h + 0.5 * h * (1.0 + glo.nodes)[None, :]
+        WL = glo.weights[:, None] * basis.eval_matrix(glo.nodes)
         s = 0.5 * h * (1.0 + glo.nodes)
-        kernel = (x[:, :, None] - s[None, None, :]) ** (mu - 1.0)
-        blocks[2:] = (0.25 * h * h / gamma_fn(mu)) * np.einsum(
-            "mgq,g,q,gi,qj->mij", kernel, glo.weights, glo.weights, Lo, Lo
-        )
+        x = np.arange(2, K)[:, None] * h + s
+        kernel = (x[:, :, None] - s) ** (mu - 1.0)
+        # sum_gq kernel[m, g, q] w_g w_q ell_i(g) ell_j(q) as two products
+        blocks[2:] = (0.25 * h * h / gamma_fn(mu)) * (WL.T @ (kernel @ WL))
     return blocks
 
 

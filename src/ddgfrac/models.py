@@ -83,8 +83,8 @@ FAMILIES = tuple(_LAYOUT)
 # inside an erk4_step loop, where a dense E past the L2 cache is read from
 # memory at every stage, on a 2-core x86 host (numpy 2.4, OpenBLAS, 2 MB L2
 # per core) over N = 1..3 and 1, 2 or 4 real rows, BlockOperator takes
-# 1.1-2.3x the dense time at n = 384 and 0.85-1.25x at n = 512 (a tie), and
-# wins every case from n = 576 on (0.64-0.97x; 0.29-0.75x at n = 768).
+# 0.84-2.2x the dense time at n = 384 and 1.05-1.5x at n = 448, and wins
+# every case from n = 512 on (0.64-0.97x; 0.59-0.86x at n = 576).
 MATRIX_FREE_MIN_DOF = 576
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
@@ -337,69 +337,73 @@ def _fast_len(n: int) -> int:
 class BlockOperator:
     """E = M^-1 B M^-1 A applied from its blocks, without forming E.
 
-    The DDG stage M^-1 A is block tridiagonal: one (K, 3n) @ (3n, n) product
-    over the zero-padded window [c_k, c_(k-1), c_(k+1)] of every cell gives
-    the diagonal, lower and upper terms, and the two boundary cells add a
-    correction.  The fractional stage M^-1 B is block Toeplitz and is
-    applied as a circulant embedding of length L = ``fft_len``, the smallest
-    2^a 3^b 5^c >= 2K - 1 (a length with a large prime factor, such as 2K
-    at K = 193, is several times slower): rfft over cells, one n x n
-    product per frequency (``symbol``, shape (n, n, L // 2 + 1)), irfft.
-    Complex rows go through it as their real and imaginary parts.  At
-    alpha = 2 only the DDG stage runs.
+    Both stages act along the cell axis of one (n, rows, K) copy of the
+    rows, complex rows entering as their real, then imaginary rows.  The
+    DDG stage M^-1 A is block tridiagonal: one (5n, n) product by
+    ``stencil`` (diagonal, lower and upper blocks, two boundary-cell
+    corrections) gives every cell's terms, the lower and upper ones added
+    one cell over.  The fractional stage M^-1 B is block Toeplitz, applied
+    as a circulant embedding of length L = ``fft_len`` = ``_fast_len(2K - 1)``:
+    rfft, one n x n product per frequency (``symbol``, shape
+    (n, n, L // 2 + 1)), irfft.  At alpha = 2 only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
         mesh, basis = qop.mesh, qop.basis
-        K, n = mesh.K, basis.n_nodes
+        self.K, self.n = K, n = mesh.K, basis.n_nodes
         fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
-        blocks = np.stack([qop.diag, qop.lower, qop.upper,
-                           qop.first - qop.diag, fix_last])
-        MA = mass_solve_mat(mesh, basis, blocks.reshape(-1, n)).reshape(5, n, n)
-        self.K, self.n = K, n
-        self.stencil = np.vstack([b.T for b in MA[:3]])
-        self.fix_first, self.fix_last = MA[3].T, MA[4].T
+        blocks = [qop.diag, qop.lower, qop.upper, qop.first - qop.diag, fix_last]
+        self.stencil = mass_solve_mat(mesh, basis, np.concatenate(blocks))
         self.symbol = None
         self.fft_len = L = _fast_len(2 * K - 1)
         if fop is not None:
-            T = fop.toeplitz_blocks()               # offsets 1-K .. K-1
+            # M^-1 B's blocks and their FFT in long double (80-bit on x86):
+            # rounding either to float64 adds to the apply's round-off for
+            # alpha -> 1 (small high-frequency symbol, cancelling products)
+            T = fop.toeplitz_blocks().astype(np.longdouble)   # offsets 1-K .. K-1
             circ = np.concatenate([T[K - 1:], np.zeros((L - 2 * K + 1, n, n)), T[:K - 1]])
-            circ = mass_solve_mat(mesh, basis, circ.reshape(-1, n))
-            # the symbol is small at high frequencies, where a float64 FFT
-            # leaves it eps * max|symbol| off; a long double FFT (80-bit on
-            # x86) removes that share of the apply's round-off for alpha -> 1
-            symbol = np.fft.rfft(circ.reshape(L, n, n).astype(np.longdouble), axis=0)
+            symbol = np.fft.rfft(mass_solve_mat(mesh, basis, circ), axis=0)
             self.symbol = np.ascontiguousarray(symbol.transpose(1, 2, 0), dtype=complex)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """E applied to every row of X, shape (K*n,) or (m, K*n)."""
-        return self.frac(self.ddg(X))
+        return self._apply(X, self._ddg, self._frac)
 
     def ddg(self, X: np.ndarray) -> np.ndarray:
         """M^-1 A applied to every row of X."""
-        K, n = self.K, self.n
-        c = X.reshape(-1, K, n)
-        W = np.zeros((len(c), K, 3, n), dtype=c.dtype)
-        W[:, :, 0] = c
-        W[:, 1:, 1] = c[:, :-1]
-        W[:, :-1, 2] = c[:, 1:]
-        q = (W.reshape(-1, 3 * n) @ self.stencil).reshape(c.shape)
-        q[:, 0] += c[:, 0] @ self.fix_first
-        q[:, -1] += c[:, -1] @ self.fix_last
-        return q.reshape(X.shape)
+        return self._apply(X, self._ddg)
 
     def frac(self, q: np.ndarray) -> np.ndarray:
         """M^-1 B applied to every row of q (identity at alpha = 2)."""
+        return self._apply(q, self._frac)
+
+    def _apply(self, X: np.ndarray, *stages) -> np.ndarray:
+        """The stages run on one (n, rows, K) copy of the rows of X."""
+        c = X.reshape(-1, self.K, self.n).transpose(2, 0, 1)
+        c = np.concatenate([c.real, c.imag], axis=1) if np.iscomplexobj(X) else c.copy()
+        for stage in stages:
+            c = stage(c)
+        c = c.transpose(1, 2, 0)
+        if np.iscomplexobj(X):
+            c = c[:len(c) // 2] + 1j * c[len(c) // 2:]
+        return c.reshape(X.shape)
+
+    def _ddg(self, c: np.ndarray) -> np.ndarray:
+        G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
+        G[1, :, -1] = G[2, :, 0] = 0.0     # else the flat shifts cross rows
+        q = G[0]
+        q.reshape(-1)[1:] += G[1].reshape(-1)[:-1]
+        q.reshape(-1)[:-1] += G[2].reshape(-1)[1:]
+        q[:, 0] += G[3, :, 0]
+        q[:, -1] += G[4, :, -1]
+        return q.reshape(c.shape)
+
+    def _frac(self, q: np.ndarray) -> np.ndarray:
         if self.symbol is None:
             return q
-        if np.iscomplexobj(q):
-            return self.frac(q.real) + 1j * self.frac(q.imag)
-        K, n, L = self.K, self.n, self.fft_len
-        # frequencies on the last axis: (m, n, L // 2 + 1) per component and node
-        qh = np.fft.rfft(q.reshape(-1, K, n).transpose(0, 2, 1), n=L)
-        ph = (self.symbol[None] * qh[:, None]).sum(axis=2)
-        p = np.fft.irfft(ph, n=L)[:, :, :K]
-        return p.transpose(0, 2, 1).reshape(q.shape)
+        qh = np.fft.rfft(q, n=self.fft_len)         # (n, rows, L // 2 + 1)
+        ph = (self.symbol[:, :, None] * qh[None]).sum(axis=1)
+        return np.fft.irfft(ph, n=self.fft_len)[..., :self.K]
 
 
 def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:

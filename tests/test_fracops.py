@@ -80,6 +80,34 @@ def test_operator_blocks_have_no_size_cap():
     assert np.all(np.isfinite(op.left))
 
 
+def _far_blocks_by_double_sum(mesh, basis, mu):
+    """left[m] for m >= 2, one offset at a time, as the explicit double sum
+    over the 14-point tensor Gauss-Legendre rule of
+
+        1/Gamma(mu) int_{cell k} int_{cell k-m} phi_i(x) (x - s)^(mu-1) phi_j(s)."""
+    gl, h = gauss_legendre(14), mesh.dx
+    L = basis.eval_matrix(gl.nodes)
+    s = 0.5 * h * (1.0 + gl.nodes)
+    blocks = np.zeros((mesh.K - 2, basis.n_nodes, basis.n_nodes))
+    for m in range(2, mesh.K):
+        for g in range(gl.nodes.size):
+            kern = (m * h + s[g] - s) ** (mu - 1.0)
+            blocks[m - 2] += gl.weights[g] * np.outer(L[g], (gl.weights * kern) @ L)
+    return (0.25 * h * h / gamma_fn(mu)) * blocks
+
+
+def test_far_blocks_match_double_sum():
+    # the separated-cell blocks, formed as two matrix products over all
+    # offsets, against the quadrature they stand for summed offset by offset
+    for K in (3, 17, 128):
+        for N in range(9):
+            mesh, basis = build_mesh(-1.0, 1.0, K), build_basis(N)
+            for alpha in (1.05, 1.5, 1.95):
+                got = assemble_frac_operator(mesh, basis, alpha).left[2:]
+                want = _far_blocks_by_double_sum(mesh, basis, 2.0 - alpha)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_dense_view_gathers_toeplitz_blocks():
     mesh, basis = build_mesh(-1.0, 1.0, 5), build_basis(2)
     op = assemble_frac_operator(mesh, basis, 1.3)

@@ -526,9 +526,9 @@ def _frac_by_offsets(fop, X):
 def test_block_operator_matches_dense_view():
     # N = 0..8, every alpha, 1/2/4 components.  For K <= 128 the whole apply
     # is checked against the dense views A and B.  At K = 1024 the dense
-    # views would need up to 680 MB, so each stage is checked on its own
-    # against block-by-block sums: composed, the two float64 round-offs of
-    # this ill-conditioned product (alpha = 1.05 at N = 8) reach 1e-13.
+    # views would need up to 680 MB, so each stage on its own and the
+    # composed apply are checked against block-by-block sums; the FFT
+    # stage's round-off at alpha = 1.05, N = 8 keeps those pairs near 1e-13.
     rng = np.random.default_rng(11)
     worst = 0.0
     for K in (1, 2, 3, 17, 128, 1024):
@@ -541,9 +541,12 @@ def test_block_operator_matches_dense_view():
                 if K == 1024:
                     q, ref_q = op.ddg(X), _ddg_by_blocks(qop, X)
                     pairs = [(q[:m], ref_q[:m]) for m in (1, 2, 4)]
+                    ref = ref_q
                     if fop is not None:
                         ref_p = _frac_by_offsets(fop, q)
                         pairs += [(op.frac(q[:m]), ref_p[:m]) for m in (1, 2, 4)]
+                        ref = _frac_by_offsets(fop, ref_q)
+                    pairs += [(op(X[:m]), ref[:m]) for m in (1, 2, 4)]
                 else:
                     MA = mass_solve_mat(mesh, basis, qop.A)
                     MB = (np.eye(K * (N + 1)) if fop is None
