@@ -3,7 +3,6 @@ and (coupled) Schrodinger equations with a Riesz fractional Laplacian of order
 alpha in (1, 2]."""
 
 from .ddg_spatial import (
-    BoundarySpec,
     ConvectionFlux,
     DdgOperators,
     FluxParams,

@@ -52,20 +52,6 @@ def default_flux(N: int) -> FluxParams:
     return FluxParams(beta0=max(1.0, 0.5 * (N + 1.0) ** 2), beta1=0.0)
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Dirichlet data at the two domain endpoints (constants or functions of t)."""
-
-    left: object = 0.0
-    right: object = 0.0
-
-    def left_at(self, t: float) -> float:
-        return self.left(t) if callable(self.left) else float(self.left)
-
-    def right_at(self, t: float) -> float:
-        return self.right(t) if callable(self.right) else float(self.right)
-
-
 @dataclass
 class DdgOperators:
     """Assembled weak second-derivative operator, closed for zero data.
@@ -177,7 +163,7 @@ class ConvectionFlux:
 def convection_rhs(
     u: FieldVector,
     conv: ConvectionFlux,
-    bc: BoundarySpec,
+    bc: Callable[[float], tuple],
     t: float = 0.0,
 ) -> FieldVector:
     """-M^-1 of the weak divergence of f(u), with a global Lax-Friedrichs flux.
@@ -195,8 +181,7 @@ def convection_rhs(
     states = np.empty((mesh.K + 1, 2))          # (minus, plus) at each face
     states[1:, 0] = traces[:, 0]
     states[:-1, 1] = traces[:, 1]
-    states[0, 0] = bc.left_at(t)
-    states[-1, 1] = bc.right_at(t)
+    states[0, 0], states[-1, 1] = bc(t)
 
     speed = np.abs(conv.df(states)).max()
     f_states = conv.f(states)

@@ -49,7 +49,6 @@ from numpy.polynomial import polynomial as P
 from scipy.sparse.linalg import LinearOperator
 
 from .ddg_spatial import (
-    BoundarySpec,
     ConvectionFlux,
     DdgOperators,
     FluxParams,
@@ -112,7 +111,7 @@ class ForcingProfile:
         return dofs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Everything needed to assemble one semi-discrete problem.
 
@@ -124,7 +123,10 @@ class ProblemSpec:
 
     with densities rho_k = |u_k|^2.  ``eps`` is a scalar shared by every
     field; ``coupling`` and ``nl_coupling`` (the density weights, required by
-    the complex families) are fields x fields matrices, kept as float arrays.
+    the complex families and rejected by the real ones) are fields x fields
+    matrices, kept as read-only float arrays.  ``conv`` is given exactly for
+    ``convection_diffusion``.  ``flux=None`` is ``default_flux(N)`` at
+    assembly.
 
     ``ic`` and ``exact`` hold one callable per field (``n_components``),
     complex valued for the complex families.  ``forcing`` is one tuple of
@@ -132,8 +134,9 @@ class ProblemSpec:
     every field.  ``lift`` is one (time_fn, linear poly coeffs) pair for
     problems posed with inhomogeneous Dirichlet data; every evolved field is
     then the field minus T(t) l(x), with zero data.  ``bcs`` is not an
-    input: it is derived from ``lift``, one ``BoundarySpec`` per field
-    holding T(t) l(a) and T(t) l(b), or zero data without a lift.
+    input: it is derived from ``lift``, one function per field of t giving
+    (T(t) l(a), T(t) l(b)), or (0.0, 0.0) without a lift.  The spec is
+    frozen: edit it with ``dataclasses.replace``, which runs every check.
     """
 
     family: str
@@ -147,45 +150,43 @@ class ProblemSpec:
     coupling: Optional[np.ndarray] = None     # fields x fields, linear
     nl_coupling: Optional[np.ndarray] = None  # fields x fields, on densities
     conv: Optional[ConvectionFlux] = None
-    ic: Optional[list] = None        # per-field callables of x
+    ic: Optional[tuple] = None       # per-field callables of x
     forcing: tuple = ()              # (time_fn, ForcingProfile) terms
     exact: Optional[tuple] = None    # per-field callables of (x, t)
     lift: Optional[tuple] = None     # (time_fn, linear poly coeffs)
     cfl_c: Optional[float] = None
-    bcs: list = field(init=False)    # per-field BoundarySpec, from lift
+    bcs: tuple = field(init=False)   # per-field t -> boundary data, from lift
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.cfl_c is None:
-            self.cfl_c = 0.05 if self.is_complex else 0.1
-        if self.flux is None:
-            self.flux = default_flux(self.N)
-        self.eps = float(self.eps)
-        if self.family == "convection_diffusion" and self.conv is None:
-            raise ValueError("convection_diffusion requires a convective flux")
-        self.check_couplings()
-        bc = BoundarySpec()
-        if self.lift is not None:
-            (a, b), (f, c) = self.domain, self.lift
-            bc = BoundarySpec(left=lambda t, v=float(P.polyval(a, c)): f(t) * v,
-                              right=lambda t, v=float(P.polyval(b, c)): f(t) * v)
-        self.bcs = [bc] * self.n_components
-
-    def check_couplings(self):
-        """Turn ``coupling`` and ``nl_coupling`` into float (m, m) arrays, or
-        raise ValueError naming the field; ``build_problem`` runs it again,
-        as a spec may be edited after it is built."""
+        if (self.conv is None) == (self.family == "convection_diffusion"):
+            raise ValueError(f"{self.family} {'takes no' if self.conv else 'requires a'} "
+                             "convective flux")
         if self.is_complex and self.nl_coupling is None:
             raise ValueError(f"{self.family} requires nl_coupling")
-        m = self.n_components
+        if not self.is_complex and (self.coupling is not None or self.nl_coupling is not None):
+            raise ValueError(f"{self.family} takes no coupling or nl_coupling")
+        m, couplings = self.n_components, []
         for name in ("coupling", "nl_coupling"):
             w = None if getattr(self, name) is None else np.array(getattr(self, name), float)
             if w is not None and w.shape != (m, m):
                 raise ValueError(f"{name} must have shape ({m}, {m}), got {w.shape}")
-            setattr(self, name, w)
+            if w is not None:
+                w.flags.writeable = False
+            couplings.append(w)
+        bc = lambda t: (0.0, 0.0)
+        if self.lift is not None:
+            (a, b), (f, c) = self.domain, self.lift
+            va, vb = float(P.polyval(a, c)), float(P.polyval(b, c))
+            bc = lambda t: (f(t) * va, f(t) * vb)
+        cfl_c = (0.05 if self.is_complex else 0.1) if self.cfl_c is None else self.cfl_c
+        ic = None if self.ic is None else tuple(self.ic)
+        for name, value in zip(("eps", "cfl_c", "coupling", "nl_coupling", "ic", "bcs"),
+                               (float(self.eps), cfl_c, *couplings, ic, (bc,) * m)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
@@ -413,11 +414,10 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     ``MATRIX_FREE_MIN_DOF`` DOFs per field; from there on, and at alpha = 2
     at every size, a ``BlockOperator`` applies it and no dense E is formed.
     """
-    spec.check_couplings()
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
     basis = build_basis(spec.N)
-    qop = assemble_q_operator(mesh, basis, spec.flux)
+    qop = assemble_q_operator(mesh, basis, spec.flux or default_flux(spec.N))
     fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
     ndof = mesh.K * basis.n_nodes

@@ -16,13 +16,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")
 
 
-# manakov goes through ``run``, as the bench's manakov_soliton does:
-# ``converge`` writes no snapshots and rejects snapshot_times
+# ex4 has a lift, so the convection kernel reads nonzero boundary data
+# (ex3's are zero); manakov goes through ``run``, as the bench's
+# manakov_soliton does: ``converge`` writes no snapshots and rejects
+# snapshot_times
 @pytest.mark.parametrize("command,config", [
     ("converge", {"problem": "ex3", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}),
+    ("converge", {"problem": "ex4", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}),
     ("run", {"problem": "manakov", "alpha": 2.0, "N": 1, "K": 16, "T": 0.1,
              "cross_coupling": 1.0, "snapshot_times": [0.05]}),
-], ids=["ex3", "manakov"])
+], ids=["ex3", "ex4", "manakov"])
 def test_traced_bench_child_runs(tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy.sparse.linalg import LinearOperator
 
-from ddgfrac.ddg_spatial import assemble_q_operator, default_flux
+from ddgfrac.ddg_spatial import ConvectionFlux, FluxParams, assemble_q_operator, default_flux
 from ddgfrac.fracops import assemble_frac_operator, riesz_frac_deriv_poly
 from ddgfrac.meshbasis import (
     FieldVector,
@@ -23,6 +23,7 @@ from ddgfrac.models import (
     EXAMPLES,
     MATRIX_FREE_MIN_DOF,
     RK4_RADIUS,
+    _BURGERS,
     BlockOperator,
     ProblemSpec,
     _manufactured,
@@ -37,8 +38,7 @@ RIESZ_X11_A11_X1 = -44.458853207226804721
 
 def test_zero_state_unforced_families():
     for name, alpha in (("ex5", 1.4), ("nls_soliton", 1.5), ("manakov", 2.0)):
-        spec = make_example(name, alpha, 8, 1)
-        spec.forcing = ()
+        spec = dataclasses.replace(make_example(name, alpha, 8, 1), forcing=())
         prob = build_problem(spec)
         z = np.zeros(spec.n_components * prob.n, dtype=complex if spec.is_complex else float)
         assert np.abs(prob.rhs(0.3, z)).max() == 0.0
@@ -158,7 +158,7 @@ def test_schrodinger_term_conserves_the_g_norm():
     for alpha in (1.1, 1.5, 2.0):
         for N in (1, 2, 3):
             prob = build_problem(make_example("ex7", alpha, 16, N))
-            assert prob.spec.flux.beta1 == 0.0
+            assert prob.qop.flux.beta1 == 0.0
             M = global_mass_matrix(prob.mesh, prob.basis)
             G = M if alpha == 2.0 else M @ np.linalg.solve(
                 assemble_frac_operator(prob.mesh, prob.basis, alpha).B, M)
@@ -178,10 +178,12 @@ def test_schrodinger_term_conserves_the_g_norm():
 
 def test_stacked_forcing_is_the_sum_of_its_terms():
     # g = T(t) @ H, H stacking the projected profiles, on a zero state with
-    # no other term left: rhs(t, 0) = g
+    # no other term left: rhs(t, 0) = g.  ex4's Burgers term gives way to a
+    # zero flux, whose convection term is exactly zero
     for name in ("ex1", "ex2", "ex4", "ex7"):
         spec = make_example(name, 1.4, 12, 3)
-        spec.conv = None
+        if spec.conv is not None:
+            spec = dataclasses.replace(spec, conv=ConvectionFlux(np.zeros_like, np.zeros_like))
         prob = build_problem(spec)
         H = prob.forcing[1]
         assert H.shape == (len(spec.forcing), prob.n)
@@ -310,8 +312,7 @@ def test_lift_carries_the_dirichlet_data(name):
     a, b = spec.domain
     for bc, exact in zip(spec.bcs, spec.exact):
         for t in (0.0, 0.3):
-            assert bc.left_at(t) == pytest.approx(exact(a, t), abs=1e-15)
-            assert bc.right_at(t) == pytest.approx(exact(b, t), abs=1e-15)
+            assert bc(t) == pytest.approx((exact(a, t), exact(b, t)), abs=1e-15)
     prob = build_problem(spec)
     full = prob.full_fields(prob.initial_state().reshape(spec.n_components, prob.n), 0.0)
     for u, exact in zip(full, spec.exact):
@@ -328,7 +329,7 @@ def test_round_off_at_an_endpoint_is_no_lift():
     spec = make_example("ex3", 1.5, 8, 2)
     assert spec.exact[0](1.0, 0.0) != 0.0
     assert spec.lift is None and len(spec.forcing) == 2
-    assert [spec.bcs[0].left_at(0.3), spec.bcs[0].right_at(0.3)] == [0.0, 0.0]
+    assert spec.bcs[0](0.3) == (0.0, 0.0)
     # data off zero by about 20x the bound is lifted; so are ex2, ex4 and ex8
     u0 = P.polyadd(P.polypow([-1.0, 0.0, 1.0], 4) / 100.0, [1e-14])
     assert _manufactured("convection_diffusion", (-1.0, 1.0), u0, (1.0, 0.0), 1.5)["lift"]
@@ -369,12 +370,36 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(family="nls", alpha=1.5, domain=(0, 1), K=4, N=1, T=1.0,
                     nl_coupling=np.eye(2))
-    # a spec edited after it is built is checked again when it is assembled
+    # the spec is frozen, and an edit through replace runs every check again
+    spec = make_example("manakov", 2.0, 8, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.nl_coupling = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.nl_coupling[0, 1] = 5.0
     for w in ([[1.0, 2.0, 3.0]], None):
-        spec = make_example("manakov", 2.0, 8, 1)
-        spec.nl_coupling = w
         with pytest.raises(ValueError, match="nl_coupling"):
-            build_problem(spec)
+            dataclasses.replace(spec, nl_coupling=w)
+    with pytest.raises(ValueError, match="convective flux"):
+        dataclasses.replace(make_example("ex4", 1.4, 12, 3), conv=None)
+    # terms a family ignores are rejected: a convective flux outside
+    # convection_diffusion, couplings on the real families
+    with pytest.raises(ValueError, match="convective flux"):
+        dataclasses.replace(make_example("ex7", 1.5, 16, 2), conv=_BURGERS)
+    for terms in ({"coupling": [[3.0]]}, {"nl_coupling": [[5.0]]}):
+        with pytest.raises(ValueError, match="takes no coupling"):
+            dataclasses.replace(make_example("ex1", 1.5, 16, 2), **terms)
+
+
+def test_a_replaced_degree_takes_its_own_default_flux():
+    # flux=None is resolved at assembly, so an edit of N does not keep the
+    # old degree's beta0 (4.5 at N = 2 against 12.5 at N = 4); a flux that
+    # is given is kept
+    replaced = dataclasses.replace(make_example("ex1", 1.5, 16, 2), N=4)
+    assert replaced.flux is None
+    want = build_problem(make_example("ex1", 1.5, 16, 4)).qop.flux
+    assert build_problem(replaced).qop.flux == want == default_flux(4)
+    given = make_example("ex1", 1.5, 16, 2, flux=FluxParams(3.0))
+    assert build_problem(dataclasses.replace(given, N=4)).qop.flux == FluxParams(3.0)
 
 
 def test_fields_drive_roles_norms_and_errors():
@@ -411,10 +436,9 @@ def test_stable_dt_cap_scales_with_the_family_coefficient():
     # radius, so the cap pins that every family scales the spectral radius
     # by its fractional coefficient
     def cap(name, eps, nl_scale=None):
-        spec = make_example(name, 1.5, 16, 2)
-        spec.eps = eps
+        spec = dataclasses.replace(make_example(name, 1.5, 16, 2), eps=eps)
         if nl_scale is not None:
-            spec.nl_coupling = nl_scale * spec.nl_coupling
+            spec = dataclasses.replace(spec, nl_coupling=nl_scale * spec.nl_coupling)
         return build_problem(spec).stable_dt_cap()
 
     assert cap("ex1", 0.25) == pytest.approx(4.0 * cap("ex1", 1.0), rel=1e-12)
@@ -462,8 +486,7 @@ def test_stable_dt_cap_power_iteration_finds_the_spectral_radius(name, alpha, K,
     # all 79 distinct configs/ sizes the ratio is 0.954-1.003, and on these
     # cells other than the two worst 0.988-1.000; without initial data the
     # cap has no advective term, so cap = 0.9 r / (|eps| rho_est)
-    spec = make_example(name, alpha, K, N)
-    spec.ic = None
+    spec = dataclasses.replace(make_example(name, alpha, K, N), ic=None)
     prob = build_problem(spec)
     rho_est = 0.9 * RK4_RADIUS[spec.is_complex] / (abs(spec.eps) * prob.stable_dt_cap())
     mesh, basis = prob.mesh, prob.basis
@@ -479,7 +502,8 @@ def test_stable_dt_cap_reads_the_physical_speed():
     # physical data, whose largest nodal value is u0(1) = 0.01
     spec = make_example("ex4", 1.5, 16, 2)
     seen = []
-    spec.conv = dataclasses.replace(spec.conv, df=lambda u: seen.append(np.abs(u).max()) or u)
+    spec = dataclasses.replace(spec, conv=dataclasses.replace(
+        spec.conv, df=lambda u: seen.append(np.abs(u).max()) or u))
     build_problem(spec).stable_dt_cap()
     assert seen == [pytest.approx(0.01, rel=1e-12)]
 
