@@ -169,10 +169,10 @@ def convection_rhs(
     """-M^-1 of the weak divergence of f(u), with a global Lax-Friedrichs flux.
 
     Cell k gets (2/h) M^-1 ((f(u), dphi/dx) - f*_{k+1} phi(1) + f*_k phi(-1)),
-    f* = {f} - (c/2) [u] on the face's (minus, plus) states, with ``bc`` for
-    the outer ones and c = max |f'| over all of them.  f and f' run once on
-    the (K + 1, 2) state array; ``basis.trace`` and ``basis.conv_apply`` do
-    the rest in one product each.
+    f* = {f} - (c/2) [u] on the face's (minus, plus) states, the outer two
+    being the Dirichlet data (left, right) = ``bc(t)``, and c = max |f'|
+    over all of them.  f and f' run once on the (K + 1, 2) state array;
+    ``basis.trace`` and ``basis.conv_apply`` do the rest in one product each.
     """
     mesh, basis = u.mesh, u.basis
     cells = u.by_cell
