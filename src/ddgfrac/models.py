@@ -7,9 +7,9 @@ families and complex for the Schrodinger ones, so the right-hand side, the
 norms, the errors, the row names and the snapshot files act on each field
 directly.  As in the paper's coupled system and its manufactured tests,
 every field shares one fractional coefficient, one forcing and one lift,
-and two matrices couple the fields and their densities.  E stays real: a
-complex block goes through it as its real rows stacked over its imaginary
-rows, so E is never copied to complex.
+and two matrices couple the fields and their densities.  E stays real: the
+complex right-hand side runs in real arithmetic on the (re, im) pairs of a
+float view of the state, so E is never copied to complex.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -88,6 +88,12 @@ MATRIX_FREE_MIN_DOF = 576
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
 RK4_RADIUS = {False: 2.6155, True: 2.0 * math.sqrt(2.0)}
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])   # i u on (re, im) pairs: [-im, re]
+
+
+def _pairs(X: np.ndarray) -> np.ndarray:
+    """The (re, im) pairs of complex X as a float view, shape X.shape + (2,)."""
+    return np.ascontiguousarray(X, complex).view(float).reshape(*X.shape, 2)
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,7 @@ class SemiDiscreteProblem:
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
     forcing: tuple = field(repr=False)     # (time_fns, H: projected profiles)
     lift_nodal: Optional[np.ndarray] = field(repr=False, default=None)
+    i_eps: Optional[np.ndarray] = field(repr=False, default=None)
     quad_eval: Optional[np.ndarray] = field(repr=False, default=None)
     quad_back: Optional[np.ndarray] = field(repr=False, default=None)
 
@@ -267,15 +274,6 @@ class SemiDiscreteProblem:
             [project(f, self.mesh, self.basis).values for f in self.spec.ic]
         )
 
-    def _frac_apply(self, comps: np.ndarray) -> np.ndarray:
-        """F applied to every complex row of comps, shape (ncomp, n), as its
-        real rows over its imaginary rows through the real E."""
-        m = len(comps)
-        X = self.apply_E(np.concatenate([comps.real, comps.imag]))
-        out = np.empty(comps.shape, dtype=complex)
-        out.real, out.imag = X[:m], X[m:]
-        return out
-
     def full_fields(self, comps: np.ndarray, t: float) -> np.ndarray:
         """Physical fields, adding the boundary lift back when present."""
         if self.lift_nodal is None:
@@ -283,12 +281,14 @@ class SemiDiscreteProblem:
         return comps + self.spec.lift[0](t) * self.lift_nodal
 
     def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
-        """d/dt of the flat state.  The complex fields go as one (m, K, nodes)
-        stack: u_t = i (eps F + coupling u + P(f u)) + g, f = nl_coupling rho."""
+        """d/dt of the flat state, which is only read.  The complex fields run
+        as an (m, n, 2) float view of their (re, im) pairs through real
+        ``i_eps``, ``quad_eval`` and ``quad_back`` (i P): u_t = i (eps F +
+        coupling u + P(f u)) + g, f = nl_coupling rho."""
         spec = self.spec
         time_fns, H = self.forcing
         # g = sum T_i(t) h_i, shared by every field
-        g = np.array([f(t) for f in time_fns]) @ H if time_fns else 0.0
+        g = np.dot([f(t) for f in time_fns], H) if time_fns else 0.0
 
         if not spec.is_complex:  # one real field: flat is its row
             out = spec.eps * self.apply_E(flat) + g
@@ -298,19 +298,18 @@ class SemiDiscreteProblem:
                 out += convection_rhs(u, spec.conv, spec.bcs[0], t).values
             return out
 
-        comps = flat.reshape(spec.n_components, self.n)
-        F = self._frac_apply(comps)
-        full = self.full_fields(comps, t)
-        # f u is formed at quadrature points and L2-projected back (P =
-        # quad_back): keeps Re <u, i P(f u)> = 0 exact and avoids the nodal
-        # aliasing of high-degree products
-        u = full.reshape(len(full), self.mesh.K, -1) @ self.quad_eval.T
-        rho = (u * u.conj()).real
-        f = (spec.nl_coupling @ rho.reshape(len(rho), -1)).reshape(rho.shape)
-        d = spec.eps * F + ((f * u) @ self.quad_back).reshape(F.shape)
+        comps = np.ascontiguousarray(flat, complex).reshape(spec.n_components, self.n)
+        full = self.full_fields(comps, t).view(float)     # (re, im) pairs
+        d = _pairs(self.apply_E(comps)) @ self.i_eps
+        # f u is formed at quadrature points and L2-projected back (P): keeps
+        # Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing of
+        # high-degree products
+        U = (full.reshape(-1, len(self.quad_eval)) @ self.quad_eval).view(complex)
+        f = np.dot(spec.nl_coupling, (U * U.conj()).real.reshape(len(comps), -1))
+        d += ((f.reshape(U.shape) * U).view(float) @ self.quad_back).reshape(d.shape)
         if spec.coupling is not None:
-            d += spec.coupling @ full
-        return (1j * d + g).ravel()
+            d += np.dot(spec.coupling, full).reshape(d.shape) @ _J
+        return (d.view(complex)[..., 0] + g).ravel()
 
     def field_errors(self, flat: np.ndarray, t: float) -> list:
         """L2 error per physical field."""
@@ -338,15 +337,16 @@ def _fast_len(n: int) -> int:
 class BlockOperator:
     """E = M^-1 B M^-1 A applied from its blocks, without forming E.
 
-    Both stages act along the cell axis of one (n, rows, K) copy of the
-    rows, complex rows entering as their real, then imaginary rows.  The
-    DDG stage M^-1 A is block tridiagonal: one (5n, n) product by
-    ``stencil`` (diagonal, lower and upper blocks, two boundary-cell
-    corrections) gives every cell's terms, the lower and upper ones added
-    one cell over.  The fractional stage M^-1 B is block Toeplitz, applied
-    as a circulant embedding of length L = ``fft_len`` = ``_fast_len(2K - 1)``:
-    rfft, one n x n product per frequency (``symbol``, shape
-    (n, n, L // 2 + 1)), irfft.  At alpha = 2 only the DDG stage runs.
+    Both stages act along the cell axis of one (n, rows, K) copy gathered
+    from the rows' float view, a complex row as its (re, im) parts.  The DDG
+    stage M^-1 A is block tridiagonal: one (5n, n) product by ``stencil``
+    (diagonal, lower and upper blocks, two boundary-cell corrections) gives
+    every cell's terms, the lower and upper ones added one cell over;
+    ``compose`` fuses the dense E from the same blocks.  The fractional stage
+    M^-1 B is block Toeplitz, applied as a circulant embedding of length
+    L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one n x n product per
+    frequency (``symbol``, shape (n, n, L // 2 + 1)), irfft.  At alpha = 2
+    only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
@@ -378,16 +378,28 @@ class BlockOperator:
         """M^-1 B applied to every row of q (identity at alpha = 2)."""
         return self._apply(q, self._frac)
 
+    def compose(self, MB: np.ndarray) -> np.ndarray:
+        """MB M^-1 A as a dense matrix, O(n^2 p): cell column j is MB's cell
+        columns j - 1, j, j + 1 times the upper, diagonal and lower block."""
+        S = self.stencil.reshape(5, self.n, self.n)
+        C = MB.reshape(len(MB), self.K, self.n)
+        E = C @ S[0]
+        E[:, 1:] += C[:, :-1] @ S[2]
+        E[:, :-1] += C[:, 1:] @ S[1]
+        E[:, 0] += C[:, 0] @ S[3]
+        E[:, -1] += C[:, -1] @ S[4]
+        return E.reshape(MB.shape)
+
     def _apply(self, X: np.ndarray, *stages) -> np.ndarray:
-        """The stages run on one (n, rows, K) copy of the rows of X."""
-        c = X.reshape(-1, self.K, self.n).transpose(2, 0, 1)
-        c = np.concatenate([c.real, c.imag], axis=1) if np.iscomplexobj(X) else c.copy()
+        """The stages run on one (n, rows, K) copy of the float view of X."""
+        X = np.ascontiguousarray(X, complex if np.iscomplexobj(X) else float)
+        out = np.empty_like(X)
+        V, W = (a.view(float).reshape(-1, self.K, self.n, X.itemsize // 8) for a in (X, out))
+        c = np.array(V.transpose(2, 0, 3, 1)).reshape(self.n, -1, self.K)
         for stage in stages:
             c = stage(c)
-        c = c.transpose(1, 2, 0)
-        if np.iscomplexobj(X):
-            c = c[:len(c) // 2] + 1j * c[len(c) // 2:]
-        return c.reshape(X.shape)
+        W[...] = c.reshape(self.n, len(W), -1, self.K).transpose(1, 3, 0, 2)
+        return out
 
     def _ddg(self, c: np.ndarray) -> np.ndarray:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
@@ -411,8 +423,9 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
     For alpha < 2, E is fused into a dense matrix below
-    ``MATRIX_FREE_MIN_DOF`` DOFs per field; from there on, and at alpha = 2
-    at every size, a ``BlockOperator`` applies it and no dense E is formed.
+    ``MATRIX_FREE_MIN_DOF`` DOFs per field, from M^-1 B and the blocks of
+    M^-1 A (``BlockOperator.compose``); from there on, and at alpha = 2 at
+    every size, a ``BlockOperator`` applies it.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
@@ -422,33 +435,35 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
 
     ndof = mesh.K * basis.n_nodes
     if fop is not None and ndof < MATRIX_FREE_MIN_DOF:
-        MB = mass_solve_mat(mesh, basis, fop.B)
-        E = MB @ mass_solve_mat(mesh, basis, qop.A)
-        apply_E = lambda X: X @ E.T
+        E = BlockOperator(qop, None).compose(mass_solve_mat(mesh, basis, fop.B))
+        apply_E = lambda X: ((E @ _pairs(X.T).reshape(ndof, -1)).view(complex).T.reshape(X.shape)
+                             if np.iscomplexobj(X) else X @ E.T)
     else:
         apply_E = BlockOperator(qop, fop)
         E = LinearOperator((ndof, ndof), matvec=apply_E, dtype=float,
                            matmat=lambda V: apply_E(V.T).T)
 
     forcing = (tuple(f for f, _h in spec.forcing),
-               np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing]))
+               np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing],
+                        dtype=complex if spec.is_complex else float))
 
     lift_nodal = None
     if spec.lift is not None:
         nodes = cell_centers_and_points(mesh, basis.ref_nodes)
         lift_nodal = P.polyval(nodes, spec.lift[1]).ravel()
 
-    quad_eval = quad_back = None
+    pair_ops = {}
     if spec.is_complex:
         # enough points for exact projection of cubic products of the fields
         rule = gauss_legendre(min(2 * basis.N + 3, 64))
-        quad_eval = basis.eval_matrix(rule.nodes)
-        quad_back = (rule.weights[:, None] * quad_eval) @ basis.mass_inv.T
+        L = basis.eval_matrix(rule.nodes)
+        back = (rule.weights[:, None] * L) @ basis.mass_inv.T
+        pair_ops = dict(i_eps=spec.eps * _J, quad_eval=np.kron(L.T, np.eye(2)),
+                        quad_back=np.kron(back, _J))
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
                                E=E, apply_E=apply_E, forcing=forcing,
-                               lift_nodal=lift_nodal, quad_eval=quad_eval,
-                               quad_back=quad_back)
+                               lift_nodal=lift_nodal, **pair_ops)
 
 
 # ---------------------------------------------------------------------------

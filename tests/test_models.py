@@ -79,23 +79,39 @@ def test_nls_linear_case_matches_hand_build():
     assert r.imag == pytest.approx(want.imag, rel=1e-12, abs=1e-12)
 
 
+def _dense_E(prob):
+    """E = M^-1 B M^-1 A as the product of the dense views."""
+    mesh, basis, alpha = prob.mesh, prob.basis, prob.spec.alpha
+    MB = (np.eye(prob.n) if alpha == 2.0 else
+          mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B))
+    return MB @ mass_solve_mat(mesh, basis, prob.qop.A)
+
+
 def _per_field_rhs(prob, t, flat):
-    """The complex RHS as a loop over the fields, each factor written as
-    sum_k W[j][k] rho_k and each coupling as a sum over the fields: the
-    reference for the stacked path."""
-    spec = prob.spec
-    time_fns, H = prob.forcing
-    g = np.array([f(t) for f in time_fns]) @ H if time_fns else 0.0
+    """The complex RHS as a loop over the fields in complex arithmetic, each
+    factor written as sum_k W[j][k] rho_k and each coupling as a sum over the
+    fields: the reference for the (re, im) pair path.  It builds its own
+    Gauss rule, Lagrange values and mass matrix, and applies E as
+    ``comps @ E_dense.T``."""
+    spec, basis = prob.spec, prob.basis
+    g = sum((f(t) * h.project_onto(prob.mesh, basis, spec.alpha) for f, h in spec.forcing), 0.0)
     comps = flat.reshape(spec.n_components, prob.n)
-    F = prob._frac_apply(comps)
-    full = prob.full_fields(comps, t)
+    F = comps @ _dense_E(prob).T
+    nodes = prob.mesh.boundaries[:-1, None] + 0.5 * prob.mesh.dx * (basis.ref_nodes + 1.0)
+    full = comps if spec.lift is None else comps + spec.lift[0](t) * P.polyval(
+        nodes, spec.lift[1]).ravel()
+    x, w = np.polynomial.legendre.leggauss(2 * basis.N + 3)
+    r = basis.ref_nodes
+    L = np.array([[np.prod([(xg - r[k]) / (r[i] - r[k]) for k in range(len(r)) if k != i])
+                   for i in range(len(r))] for xg in x])
+    back = (w[:, None] * L) @ np.linalg.inv(L.T @ (w[:, None] * L)).T
     W = spec.nl_coupling.tolist()
-    at_quad = [u.reshape(prob.mesh.K, -1) @ prob.quad_eval.T for u in full]
+    at_quad = [u.reshape(prob.mesh.K, -1) @ L.T for u in full]
     rho = [(u * u.conj()).real for u in at_quad]
     out = np.empty_like(F)
     for j, u in enumerate(at_quad):
         f = sum(w * r for w, r in zip(W[j], rho))
-        d = spec.eps * F[j] + ((f * u) @ prob.quad_back).ravel()
+        d = spec.eps * F[j] + ((f * u) @ back).ravel()
         if spec.coupling is not None:
             d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
         out[j] = 1j * d + g
@@ -103,29 +119,47 @@ def _per_field_rhs(prob, t, flat):
 
 
 def _schrodinger_cases():
+    # dense E
     yield make_example("ex7", 1.3, 12, 2)
-    yield make_example("ex8", 1.5, 12, 2)
+    yield make_example("ex8", 1.5, 12, 2)     # lifted
     yield make_example("nls_soliton", 1.5, 16, 2)
     yield make_example("coupled_strong", 1.6, 16, 2, cross_coupling=0.0175)
-    for alpha in (1.6, 2.0):
-        for beta in (1.0, 0.3):
-            yield make_example("manakov", alpha, 16, 2, cross_coupling=beta)
+    for beta in (1.0, 0.3):
+        yield make_example("manakov", 1.6, 16, 2, cross_coupling=beta)
+    # an nls lift: every complex family with and without one
+    tilt = (lambda t: complex(np.exp(-1j * t)), np.array([0.3, -0.5]))
+    yield dataclasses.replace(make_example("ex7", 1.4, 10, 3), lift=tilt)
     # asymmetric weights: contracting the wrong axis of either matrix differs
     yield dataclasses.replace(make_example("ex8", 1.4, 12, 3),
                               coupling=[[1.0, 0.3], [-0.8, 0.5]],
                               nl_coupling=[[0.2, 1.7], [0.9, -0.4]])
+    # BlockOperator: the DDG stage alone at alpha = 2, and with the FFT
+    # stage from MATRIX_FREE_MIN_DOF on
+    for beta in (1.0, 0.3):
+        yield make_example("manakov", 2.0, 16, 2, cross_coupling=beta)
+    yield make_example("ex8", 2.0, 12, 2)
+    yield dataclasses.replace(make_example("ex7", 2.0, 10, 3), lift=tilt)
+    for name in ("nls_soliton", "manakov"):
+        spec = make_example(name, 1.6, 200, 2)
+        yield spec
+        yield dataclasses.replace(spec, lift=tilt)
 
 
 def test_schrodinger_rhs_matches_per_field_reference():
     rng = np.random.default_rng(11)
     for spec in _schrodinger_cases():
         prob = build_problem(spec)
+        assert isinstance(prob.apply_E, BlockOperator) == (
+            spec.alpha == 2.0 or prob.n >= MATRIX_FREE_MIN_DOF)
         # distinct random fields, so that no weight multiplies equal rows
         for flat in (prob.initial_state(), _complex_normal(rng, spec.n_components * prob.n)):
             for t in (0.0, 0.3):
                 want = _per_field_rhs(prob, t, flat)
+                before = flat.copy()
                 err = np.abs(prob.rhs(t, flat) - want).max()
                 assert err <= 1e-13 * np.abs(want).max(), (spec.family, spec.alpha, err)
+                # rhs reads the RK4 state through a float view: no write may reach it
+                assert flat.tobytes() == before.tobytes()
 
 
 def test_nls_semidiscrete_norm_balance():
@@ -600,9 +634,9 @@ def test_alpha_2_E_is_the_block_ddg_stage():
                 assert _rel(prob.apply_E(X[:m]), X[:m] @ E.T) <= 1e-13
             assert _rel(prob.apply_E(X[0]), E @ X[0]) <= 1e-13
             comps = X[:2] + 1j * X[2:]
-            assert _rel(prob._frac_apply(comps), comps @ E.T) <= 1e-13
             # complex rows straight through the DDG stage, as the bench's E kernel
             assert _rel(prob.apply_E(comps), comps @ E.T) <= 1e-13
+            assert _rel(prob.apply_E(comps[1]), E @ comps[1]) <= 1e-13
 
 
 def _assert_matches_dense_fusion(prob):
@@ -649,6 +683,37 @@ def test_E_is_dense_below_the_crossover_and_matrix_free_from_it(name, alpha, N):
     at = build_problem(make_example(name, alpha, K, N))
     assert at.n >= MATRIX_FREE_MIN_DOF
     _assert_matches_dense_fusion(at)
+
+
+def test_dense_E_is_fused_from_the_ddg_blocks():
+    # E = MB M^-1 A from the three block diagonals of M^-1 A, against the
+    # dense product; K = 1 has one block (first = last), K = 2 no interior
+    # cell
+    for K in (1, 2, 3, 17, 150):
+        for N in range(1, 5):
+            for alpha in (1.1, 1.5, 1.9):
+                qop, fop = _operators(K, N, alpha)
+                mesh, basis = qop.mesh, qop.basis
+                MB = mass_solve_mat(mesh, basis, fop.B)
+                want = MB @ mass_solve_mat(mesh, basis, qop.A)
+                got = BlockOperator(qop, None).compose(MB)
+                assert _rel(got, want) <= 1e-13, (K, N, alpha)
+
+
+def test_dense_E_takes_complex_rows_as_pairs():
+    # the dense path below the crossover: build_problem's E is the fused
+    # one, and complex rows (one, or a stack of two) go through the float
+    # view of their (re, im) pairs
+    rng = np.random.default_rng(2)
+    for name in ("ex7", "ex8"):
+        prob = build_problem(make_example(name, 1.5, 17, 3))
+        assert isinstance(prob.E, np.ndarray)
+        E = _dense_E(prob)
+        assert _rel(prob.E, E) <= 1e-13
+        Z = _complex_normal(rng, (2, prob.n))
+        assert _rel(prob.apply_E(Z), Z @ E.T) <= 1e-13
+        assert _rel(prob.apply_E(Z[1]), E @ Z[1]) <= 1e-13
+        assert _rel(prob.apply_E(Z.real), Z.real @ E.T) <= 1e-13
 
 
 def test_manakov_bench_cell_is_matrix_free():
