@@ -82,8 +82,9 @@ FAMILIES = tuple(_LAYOUT)
 # inside an erk4_step loop, where a dense E past the L2 cache is read from
 # memory at every stage, on a 2-core x86 host (numpy 2.4, OpenBLAS, 2 MB L2
 # per core) over N = 1..3 and 1, 2 or 4 real rows, BlockOperator takes
-# 0.84-2.2x the dense time at n = 384 and 1.05-1.5x at n = 448, and wins
-# every case from n = 512 on (0.64-0.97x; 0.59-0.86x at n = 576).
+# 1.42-2.0x the dense time at n = 384 and 1.09-1.42x at n = 448, and wins
+# every case from n = 512 on (0.73-0.88x; 0.51-0.72x at n = 576).  512 is
+# the crossover; moving there waits for a bench round of its own.
 MATRIX_FREE_MIN_DOF = 576
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
@@ -393,13 +394,12 @@ class BlockOperator:
     def _apply(self, X: np.ndarray, *stages) -> np.ndarray:
         """The stages run on one (n, rows, K) copy of the float view of X."""
         X = np.ascontiguousarray(X, complex if np.iscomplexobj(X) else float)
-        out = np.empty_like(X)
-        V, W = (a.view(float).reshape(-1, self.K, self.n, X.itemsize // 8) for a in (X, out))
-        c = np.array(V.transpose(2, 0, 3, 1)).reshape(self.n, -1, self.K)
+        V = X.view(float).reshape(-1, self.K, self.n, X.itemsize // 8)
+        c = np.ascontiguousarray(V.transpose(2, 0, 3, 1)).reshape(self.n, -1, self.K)
         for stage in stages:
             c = stage(c)
-        W[...] = c.reshape(self.n, len(W), -1, self.K).transpose(1, 3, 0, 2)
-        return out
+        c = c.reshape(self.n, len(V), -1, self.K).transpose(1, 3, 0, 2)
+        return np.array(c, order="C").view(X.dtype).reshape(X.shape)
 
     def _ddg(self, c: np.ndarray) -> np.ndarray:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)

@@ -643,10 +643,7 @@ def _assert_matches_dense_fusion(prob):
     """E, stable_dt_cap and rhs of a matrix-free problem against the same
     problem with E fused into the dense M^-1 B M^-1 A."""
     assert isinstance(prob.E, LinearOperator)
-    mesh, basis, alpha = prob.mesh, prob.basis, prob.spec.alpha
-    MB = (np.eye(prob.n) if alpha == 2.0 else
-          mass_solve_mat(mesh, basis, assemble_frac_operator(mesh, basis, alpha).B))
-    E = MB @ mass_solve_mat(mesh, basis, prob.qop.A)
+    E = _dense_E(prob)
     dense = dataclasses.replace(prob, E=E, apply_E=lambda X: X @ E.T)
 
     rng = np.random.default_rng(5)
