@@ -341,20 +341,19 @@ class BlockOperator:
     Both stages act along the cell axis of one (n, rows, K) copy gathered
     from the rows' float view, a complex row as its (re, im) parts.  The DDG
     stage M^-1 A is block tridiagonal: one (5n, n) product by ``stencil``
-    (diagonal, lower and upper blocks, two boundary-cell corrections) gives
-    every cell's terms, the lower and upper ones added one cell over;
-    ``compose`` fuses the dense E from the same blocks.  The fractional stage
-    M^-1 B is block Toeplitz, applied as a circulant embedding of length
-    L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one n x n product per
-    frequency (``symbol``, shape (n, n, L // 2 + 1)), irfft.  At alpha = 2
-    only the DDG stage runs.
+    (diagonal, lower and upper blocks, the first and last cells' diagonal
+    blocks) gives every cell's terms, the lower and upper ones added one
+    cell over; ``compose`` fuses the dense E from the same blocks.  The
+    fractional stage M^-1 B is block Toeplitz, applied as a circulant
+    embedding of length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one
+    n x n product per frequency (``symbol``, shape (n, n, L // 2 + 1)),
+    irfft.  At alpha = 2 only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
         mesh, basis = qop.mesh, qop.basis
         self.K, self.n = K, n = mesh.K, basis.n_nodes
-        fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
-        blocks = [qop.diag, qop.lower, qop.upper, qop.first - qop.diag, fix_last]
+        blocks = [qop.diag, qop.lower, qop.upper, qop.first, qop.last]
         self.stencil = mass_solve_mat(mesh, basis, np.concatenate(blocks))
         self.symbol = None
         self.fft_len = L = _fast_len(2 * K - 1)
@@ -380,15 +379,17 @@ class BlockOperator:
         return self._apply(q, self._frac)
 
     def compose(self, MB: np.ndarray) -> np.ndarray:
-        """MB M^-1 A as a dense matrix, O(n^2 p): cell column j is MB's cell
-        columns j - 1, j, j + 1 times the upper, diagonal and lower block."""
-        S = self.stencil.reshape(5, self.n, self.n)
-        C = MB.reshape(len(MB), self.K, self.n)
-        E = C @ S[0]
-        E[:, 1:] += C[:, :-1] @ S[2]
-        E[:, :-1] += C[:, 1:] @ S[1]
-        E[:, 0] += C[:, 0] @ S[3]
-        E[:, -1] += C[:, -1] @ S[4]
+        """MB M^-1 A as a dense matrix in O(n^2 p), summed in the dense
+        product's order: cell column j is the window of MB's cell columns
+        j - 1, j, j + 1 (zero-padded) times the upper, diagonal (the boundary
+        cells' own) and lower blocks stacked."""
+        n, (D, lo, up, first, last) = self.n, self.stencil.reshape(5, self.n, self.n)
+        W = np.zeros((len(MB), (self.K + 2) * n))
+        W[:, n:-n] = MB
+        win = np.lib.stride_tricks.sliding_window_view(W, 3 * n, axis=1)[:, ::n]
+        E = win @ np.concatenate([up, D, lo])
+        E[:, 0] = win[:, 0] @ np.concatenate([up, first, lo])
+        E[:, -1] = win[:, -1] @ np.concatenate([up, last, lo])
         return E.reshape(MB.shape)
 
     def _apply(self, X: np.ndarray, *stages) -> np.ndarray:
@@ -405,10 +406,9 @@ class BlockOperator:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
         G[1, :, -1] = G[2, :, 0] = 0.0     # else the flat shifts cross rows
         q = G[0]
+        q[:, 0], q[:, -1] = G[3, :, 0], G[4, :, -1]     # the boundary cells' own blocks
         q.reshape(-1)[1:] += G[1].reshape(-1)[:-1]
         q.reshape(-1)[:-1] += G[2].reshape(-1)[1:]
-        q[:, 0] += G[3, :, 0]
-        q[:, -1] += G[4, :, -1]
         return q.reshape(c.shape)
 
     def _frac(self, q: np.ndarray) -> np.ndarray:
