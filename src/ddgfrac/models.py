@@ -8,8 +8,8 @@ norms, the errors, the row names and the snapshot files act on each field
 directly.  As in the paper's coupled system and its manufactured tests,
 every field shares one fractional coefficient, one forcing and one lift,
 and two matrices couple the fields and their densities.  E stays real: the
-complex right-hand side runs in real arithmetic on the (re, im) pairs of a
-float view of the state, so E is never copied to complex.
+complex right-hand side applies E, i eps and the quadrature maps as real
+matrices to a float view of the state's (re, im) pairs.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -79,12 +79,11 @@ FAMILIES = tuple(_LAYOUT)
 
 # Crossover in DOFs per component, used for alpha < 2 only (alpha = 2
 # always applies the BlockOperator DDG stage).  Measured as the complete RHS
-# inside an erk4_step loop, where a dense E past the L2 cache is read from
-# memory at every stage, on a 2-core x86 host (numpy 2.4, OpenBLAS, 2 MB L2
-# per core) over N = 1..3 and 1, 2 or 4 real rows, BlockOperator takes
-# 1.42-2.0x the dense time at n = 384 and 1.09-1.42x at n = 448, and wins
-# every case from n = 512 on (0.73-0.88x; 0.51-0.72x at n = 576).  512 is
-# the crossover; moving there waits for a bench round of its own.
+# in an erk4_step loop (a dense E past the 2 MB L2 cache is read from memory
+# at every stage) on a 2-core x86 host over N = 1..3 and 1, 2 or 4 real
+# rows, BlockOperator takes 1.42-2.0x the dense time at n = 384, 1.09-1.42x
+# at 448, and wins every case from 512 on (0.73-0.88x; 0.51-0.72x at 576):
+# 512 is the crossover, kept at 576 until a bench round of its own.
 MATRIX_FREE_MIN_DOF = 576
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
@@ -341,20 +340,21 @@ class BlockOperator:
     Both stages act along the cell axis of one (n, rows, K) copy gathered
     from the rows' float view, a complex row as its (re, im) parts.  The DDG
     stage M^-1 A is block tridiagonal: one (5n, n) product by ``stencil``
-    (diagonal, lower and upper blocks, the first and last cells' diagonal
-    blocks) gives every cell's terms, the lower and upper ones added one
-    cell over; ``compose`` fuses the dense E from the same blocks.  The
-    fractional stage M^-1 B is block Toeplitz, applied as a circulant
-    embedding of length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one
-    n x n product per frequency (``symbol``, shape (n, n, L // 2 + 1)),
-    irfft.  At alpha = 2 only the DDG stage runs.
+    (diagonal, lower, upper blocks, two boundary-cell corrections) gives
+    every cell's terms, the lower and upper ones added one cell over.  The
+    fractional stage M^-1 B is block Toeplitz, applied as a circulant of
+    length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one n x n product
+    per frequency (``symbol``, (n, n, L // 2 + 1)), irfft.  At alpha = 2
+    only the DDG stage runs; ``compose`` fuses a dense E from its blocks.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
         mesh, basis = qop.mesh, qop.basis
         self.K, self.n = K, n = mesh.K, basis.n_nodes
-        blocks = [qop.diag, qop.lower, qop.upper, qop.first, qop.last]
+        fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
+        blocks = [qop.diag, qop.lower, qop.upper, qop.first - qop.diag, fix_last]
         self.stencil = mass_solve_mat(mesh, basis, np.concatenate(blocks))
+        self.ends = mass_solve_mat(mesh, basis, np.vstack([qop.first, qop.last]))
         self.symbol = None
         self.fft_len = L = _fast_len(2 * K - 1)
         if fop is not None:
@@ -379,13 +379,12 @@ class BlockOperator:
         return self._apply(q, self._frac)
 
     def compose(self, MB: np.ndarray) -> np.ndarray:
-        """MB M^-1 A as a dense matrix in O(n^2 p), summed in the dense
-        product's order: cell column j is the window of MB's cell columns
-        j - 1, j, j + 1 (zero-padded) times the upper, diagonal (the boundary
-        cells' own) and lower blocks stacked."""
-        n, (D, lo, up, first, last) = self.n, self.stencil.reshape(5, self.n, self.n)
-        W = np.zeros((len(MB), (self.K + 2) * n))
-        W[:, n:-n] = MB
+        """MB M^-1 A in O(n^2 p), summed as the dense product sums: cell column
+        j is MB's zero-padded cell columns j - 1, j, j + 1 times the stacked
+        upper, diagonal (``ends`` at j = 0, K - 1) and lower M^-1 blocks."""
+        n = self.n
+        (D, lo, up), (first, last) = self.stencil.reshape(5, n, n)[:3], self.ends.reshape(2, n, n)
+        W = np.pad(MB, ((0, 0), (n, n)))
         win = np.lib.stride_tricks.sliding_window_view(W, 3 * n, axis=1)[:, ::n]
         E = win @ np.concatenate([up, D, lo])
         E[:, 0] = win[:, 0] @ np.concatenate([up, first, lo])
@@ -406,9 +405,10 @@ class BlockOperator:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
         G[1, :, -1] = G[2, :, 0] = 0.0     # else the flat shifts cross rows
         q = G[0]
-        q[:, 0], q[:, -1] = G[3, :, 0], G[4, :, -1]     # the boundary cells' own blocks
         q.reshape(-1)[1:] += G[1].reshape(-1)[:-1]
         q.reshape(-1)[:-1] += G[2].reshape(-1)[1:]
+        q[:, 0] += G[3, :, 0]
+        q[:, -1] += G[4, :, -1]
         return q.reshape(c.shape)
 
     def _frac(self, q: np.ndarray) -> np.ndarray:
