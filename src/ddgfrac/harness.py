@@ -177,10 +177,15 @@ def grid_cells(cfg: RunConfig) -> list:
     return cells
 
 
+def cell_spec(cfg: RunConfig, alpha: float, N: int, K: int):
+    """The ProblemSpec of one grid cell."""
+    return make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
+                        cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
+
+
 def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
     """One simulation; returns (problem, final state, diagnostics dict)."""
-    spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
-                        cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
+    spec = cell_spec(cfg, alpha, N, K)
     # every requested snapshot is reached and gets a file of its own
     tags = {f"{spec.T:.6f}": spec.T}
     for t in sorted(set(cfg.snapshot_times) - {spec.T}):
@@ -283,15 +288,13 @@ def run_convergence(cfg: RunConfig, out_dir: str) -> dict:
         # they would shorten steps to land on each time and write nothing
         raise ConfigError("converge writes no snapshots; remove snapshot_times "
                           "or use run")
+    cells = grid_cells(cfg)
+    for alpha, N, K in cells:
+        if cell_spec(cfg, alpha, N, K).exact is None:
+            raise ConfigError(f"problem {cfg.problem!r} has no exact solution at "
+                              f"{case_tag(cfg, alpha, N, K)}; convergence studies need one")
     os.makedirs(out_dir, exist_ok=True)
-    diags = []
-    for alpha, N, K in grid_cells(cfg):
-        diag = simulate(cfg, alpha, N, K)[3]
-        if "l2_errors" not in diag:
-            raise ConfigError(
-                f"problem {cfg.problem!r} has no exact solution; "
-                "convergence studies need one")
-        diags.append(diag)
+    diags = [simulate(cfg, alpha, N, K)[3] for alpha, N, K in cells]
 
     n_tables = len(diags[0]["l2_errors"])
     tables = {}

@@ -194,7 +194,7 @@ def project(f, mesh: Mesh1D, basis: ElementBasis, n_quad: int = None) -> FieldVe
 
 
 def eval_field(u: FieldVector, points) -> np.ndarray:
-    """Evaluate the broken-polynomial field at physical points.
+    """Evaluate the broken-polynomial field, real or complex, at physical points.
 
     Points on interior cell boundaries evaluate the left cell's polynomial;
     anything outside [a, b] is a domain error.

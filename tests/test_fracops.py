@@ -118,11 +118,17 @@ def test_dense_view_gathers_toeplitz_blocks():
 
 
 def _frac_applies(mesh, basis, alpha):
-    """M^-1 B as the dense matrix and as ``BlockOperator.frac``."""
+    """M^-1 B as the dense matrix and as the FFT stage of ``BlockOperator``,
+    which acts along the cell axis of an (n, rows, K) array."""
     op = assemble_frac_operator(mesh, basis, alpha)
     MB = mass_solve_mat(mesh, basis, op.B)
     block = BlockOperator(assemble_q_operator(mesh, basis, default_flux(basis.N)), op)
-    return op, (lambda q: MB @ q, block.frac)
+    K, n = mesh.K, basis.n_nodes
+
+    def fft_stage(q):
+        return block._frac(q.reshape(K, n).T[:, None, :])[:, 0].T.ravel()
+
+    return op, (lambda q: MB @ q, fft_stage)
 
 
 def test_apply_frac_zero_linearity_psd():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ddgfrac
+from ddgfrac import harness
 from ddgfrac.cli import main as cli_main
 from ddgfrac.harness import (
     ConfigError,
@@ -144,6 +145,24 @@ def test_convergence_requires_exact_solution(tmp_path):
     cfg = RunConfig(problem="ex5", alphas=[1.5], N_list=[1], K_list=[8, 16], T=0.05)
     with pytest.raises(ConfigError):
         run_convergence(cfg, str(tmp_path / "out"))
+
+
+def test_convergence_checks_every_cell_for_an_exact_solution_before_stepping(
+        tmp_path, monkeypatch):
+    # nls_soliton has no exact solution, and manakov has one only at
+    # alpha = 2: neither may step a cell before converge exits 2
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a cell stepped")
+
+    monkeypatch.setattr(harness, "integrate", no_stepping)
+    for i, raw in enumerate(({"problem": "nls_soliton", "alpha": 1.5, "N": 2,
+                              "K": [200, 300], "T": 4.0},
+                             {"problem": "manakov", "alpha": [2.0, 1.6], "N": 2,
+                              "K": [16, 32], "T": 0.1})):
+        cfg = _write(tmp_path, f"c{i}.json", raw)
+        with pytest.raises(ConfigError, match="no exact solution"):
+            run_convergence(load_config(cfg), str(tmp_path / f"out{i}"))
+        assert cli_main(["converge", "--config", cfg, "--out", str(tmp_path / f"cli{i}")]) == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -135,6 +135,24 @@ def test_eval_field_matches_direct_lagrange():
     assert got == pytest.approx(want, abs=1e-13)
 
 
+def test_eval_field_takes_complex_fields():
+    # a projected exp(ix) evaluates to complex values, whose parts agree
+    # with the evaluations of u.real and u.imag to round-off (bitwise at
+    # N = 1; einsum sums the real and the complex products in different
+    # orders from N = 2 on)
+    xs = np.linspace(-1.0, 1.0, 41)
+    for N in (1, 3):
+        mesh, basis = build_mesh(-1.0, 1.0, 16), build_basis(N)
+        u = project(lambda x: np.exp(1j * x), mesh, basis)
+        got = eval_field(u, xs)
+        assert got.dtype == complex
+        assert np.abs(got - np.exp(1j * xs)).max() <= mesh.dx ** (N + 1)
+        for part, c in ((got.real, u.values.real), (got.imag, u.values.imag)):
+            want = eval_field(FieldVector(c, mesh, basis), xs)
+            assert np.abs(part - want).max() <= 4e-16
+            assert N > 1 or part.tobytes() == want.tobytes()
+
+
 def test_eval_field_domain_error_and_interface_ownership():
     mesh, basis = build_mesh(0.0, 1.0, 4), build_basis(1)
     vals = np.zeros(8)
