@@ -173,7 +173,7 @@ def _riesz_series(alpha: float, coeffs, a: float, b: float):
     from 2 and a linear p gives an empty series.
     """
     if not 1.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (1, 2] for this solver, got {alpha}")
+        raise ValueError(f"order must lie in (1, 2) for this solver, got {alpha}")
     c = np.asarray(coeffs, dtype=float)
     j = np.arange(2, c.size)
     g = _power_rule(j, alpha)

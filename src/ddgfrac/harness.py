@@ -184,7 +184,7 @@ def cell_spec(cfg: RunConfig, alpha: float, N: int, K: int):
 
 
 def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
-    """One simulation; returns (problem, final state, diagnostics dict)."""
+    """One simulation; returns (problem, final state, snapshots, diagnostics)."""
     spec = cell_spec(cfg, alpha, N, K)
     # every requested snapshot is reached and gets a file of its own
     tags = {f"{spec.T:.6f}": spec.T}
@@ -195,7 +195,7 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
             raise ConfigError(f"snapshot times {tags[f'{t:.6f}']!r} and {t!r} share "
                               f"the file tag snapshot_t{t:.6f}")
     problem = build_problem(spec)
-    control = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c,
+    control = RunControl(T=spec.T, cfl_c=spec.cfl_c,
                          dt_override=cfg.dt_override,
                          snapshot_times=cfg.snapshot_times)
     history = []
@@ -236,20 +236,19 @@ def snapshot_grid(problem: SemiDiscreteProblem, points_per_cell: int) -> np.ndar
     return np.append(xs, mesh.b)
 
 
-def write_snapshot(path: str, problem: SemiDiscreteProblem, flat: np.ndarray,
+def write_snapshot(path: str, problem: SemiDiscreteProblem, state: np.ndarray,
                    t: float, points_per_cell: int = 8) -> list:
-    """Plot-ready text columns; complex fields write (x, re, im) triples.
+    """Plot-ready columns of the (m, n) state; complex fields write (x, re, im).
 
     Writes one file per physical field, and returns their paths: a single
     field uses ``path`` itself, several get ``_u1``, ``_u2`` suffixes.
     """
     xs = snapshot_grid(problem, points_per_cell)
-    spec = problem.spec
-    full = problem.full_fields(flat.reshape(spec.n_components, problem.n), t)
+    full = problem.full_fields(state, t)
     base, ext = os.path.splitext(path)
     written = []
     for u, name in zip(full, problem.roles):
-        parts = (u.real, u.imag) if spec.is_complex else (u,)
+        parts = (u.real, u.imag) if problem.spec.is_complex else (u,)
         cols = [eval_field(FieldVector(c, problem.mesh, problem.basis), xs) for c in parts]
         fp = f"{base}_{name}{ext}" if len(full) > 1 else path
         # np.savetxt(fmt="%.17g")'s bytes, in one format call
@@ -268,10 +267,9 @@ def run_single(cfg: RunConfig, out_dir: str) -> list:
         problem, state, snaps, diag = simulate(cfg, alpha, N, K)
         case_dir = os.path.join(out_dir, case_tag(cfg, alpha, N, K))
         os.makedirs(case_dir, exist_ok=True)
-        files = write_snapshot(
-            os.path.join(case_dir, f"snapshot_t{diag['T']:.6f}.txt"),
-            problem, state, diag["T"], cfg.points_per_cell)
-        for t_snap, s in sorted(snaps.items()):
+        # T is in snaps too when it was requested: one file per time
+        files = []
+        for t_snap, s in sorted({**snaps, diag["T"]: state}.items()):
             files += write_snapshot(
                 os.path.join(case_dir, f"snapshot_t{t_snap:.6f}.txt"),
                 problem, s, t_snap, cfg.points_per_cell)

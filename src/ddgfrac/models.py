@@ -1,8 +1,8 @@
 """Semi-discrete right-hand sides for the four problem families.
 
-The state holds one row per physical field (``_LAYOUT``), each
-element-major: ``diffusion``, ``convection_diffusion`` and ``nls`` hold (u)
-and ``coupled_nls`` holds (u1, u2).  The rows are real for the first two
+The state is one (m, n) array, a row per physical field (``_LAYOUT``),
+each element-major: ``diffusion``, ``convection_diffusion`` and ``nls`` hold
+(u) and ``coupled_nls`` holds (u1, u2).  The rows are real for the first two
 families and complex for the Schrodinger ones, so the right-hand side, the
 norms, the errors, the row names and the snapshot files act on each field
 directly.  As in the paper's coupled system and its manufactured tests,
@@ -268,11 +268,10 @@ class SemiDiscreteProblem:
         return 0.9 * RK4_RADIUS[spec.is_complex] / rho_eff
 
     def initial_state(self) -> np.ndarray:
+        """The state: one row of DOFs per physical field, shape (m, n)."""
         if self.spec.ic is None:
             raise ValueError("problem has no initial data")
-        return np.concatenate(
-            [project(f, self.mesh, self.basis).values for f in self.spec.ic]
-        )
+        return np.array([project(f, self.mesh, self.basis).values for f in self.spec.ic])
 
     def full_fields(self, comps: np.ndarray, t: float) -> np.ndarray:
         """Physical fields, adding the boundary lift back when present."""
@@ -280,14 +279,13 @@ class SemiDiscreteProblem:
             return comps
         return comps + self.spec.lift[0](t) * self.lift_nodal
 
-    def rhs(self, t: float, flat: np.ndarray) -> np.ndarray:
-        """d/dt of the flat state, which is only read, in the state's own
+    def rhs(self, t: float, comps: np.ndarray) -> np.ndarray:
+        """d/dt of the (m, n) state, which is only read, in the state's own
         arithmetic: u_t = c_eps F + i P(f u) + i coupling u + g - f(u)_x, with
         c_eps = eps (real families) or i eps (complex ones), f = nl_coupling
         rho.  The terms are added in this order."""
         spec = self.spec
         time_fns, H = self.forcing
-        comps = flat.reshape(spec.n_components, self.n)
         full = self.full_fields(comps, t)
         d = self.c_eps * self.apply_E(comps)
         if spec.nl_coupling is not None:
@@ -308,20 +306,18 @@ class SemiDiscreteProblem:
             # convection_rhs already carries the -d/dx f(u) sign
             u = FieldVector(full[0], self.mesh, self.basis)
             d += convection_rhs(u, spec.conv, spec.bcs[0], t).values[None]
-        return d.ravel()
+        return d
 
-    def field_errors(self, flat: np.ndarray, t: float) -> list:
-        """L2 error per physical field."""
+    def field_errors(self, comps: np.ndarray, t: float) -> list:
+        """L2 error per physical field of the (m, n) state."""
         if self.spec.exact is None:
             raise ValueError("problem has no exact solution")
-        full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
         return [l2_error(FieldVector(u, self.mesh, self.basis), lambda x, g=g: g(x, t))
-                for u, g in zip(full, self.spec.exact)]
+                for u, g in zip(self.full_fields(comps, t), self.spec.exact)]
 
-    def l2_norms_squared(self, flat: np.ndarray, t: float = 0.0) -> list:
-        """Discrete squared L2 norm per physical field."""
-        full = self.full_fields(flat.reshape(self.spec.n_components, self.n), t)
-        c = full.reshape(len(full), self.mesh.K, -1)
+    def l2_norms_squared(self, comps: np.ndarray, t: float = 0.0) -> list:
+        """Discrete squared L2 norm per physical field of the (m, n) state."""
+        c = self.full_fields(comps, t).reshape(-1, self.mesh.K, self.basis.n_nodes)
         mass = 0.5 * self.mesh.dx * self.basis.mass
         return (c.conj() @ mass * c).real.sum(axis=(1, 2)).tolist()
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-MAX_OBSERVATIONS = 400  # strided steps an observer sees, besides t0 and the last
+MAX_OBSERVATIONS = 400  # strided steps an observer sees, besides t = 0 and the last
 
 
 class IntegrationError(RuntimeError):
@@ -28,15 +28,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunControl:
-    t0: float
     T: float
     cfl_c: float = 0.1
     dt_override: Optional[float] = None
     snapshot_times: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.T > self.t0:
-            raise ValueError(f"need T > t0, got ({self.t0}, {self.T})")
+        if not self.T > 0.0:
+            raise ValueError(f"need T > 0, got {self.T}")
         if not 0.0 < self.cfl_c < 1.0:
             raise ValueError(f"cfl_c must lie in (0, 1), got {self.cfl_c}")
         if self.dt_override is not None and self.dt_override <= 0:
@@ -78,23 +77,23 @@ def integrate(
     dt_cap: Optional[float] = None,
     labels: Sequence[str] = ("state",),
 ):
-    """March state0 from t0 to T; returns (state, snapshots, dt, n_steps).
+    """March state0 from 0 to T; returns (state, snapshots, dt, n_steps).
 
     Snapshot times are landed on exactly by shortening the step; snapshots
     maps each requested time to a copy of the state there.  ``dt_cap``
     bounds the CFL-rule step where the spatial operator's measured spectral
     radius demands it (an explicit override is taken literally).  The state
-    keeps its dtype (real or complex) and is ``len(labels)`` equal blocks,
-    named by ``labels`` when a step diverges.  The observer sees t0, the last
-    step and every max(1, (n_steps + 1) // ``MAX_OBSERVATIONS``)-th step.
+    keeps its dtype (real or complex) and has ``len(labels)`` rows, named by
+    ``labels`` when a step diverges.  The observer sees t = 0, the last step
+    and every max(1, (n_steps + 1) // ``MAX_OBSERVATIONS``)-th step.
     """
     dt = cfl_timestep(control, dx, alpha, dt_cap)
     if dt <= 0:
         raise IntegrationError("computed time step is not positive")
 
-    events = sorted(t for t in set(control.snapshot_times) if control.t0 < t <= control.T)
+    events = sorted(t for t in set(control.snapshot_times) if 0.0 < t <= control.T)
     events.append(control.T)
-    plan, t = [], control.t0  # (event time, [(t, step) of the steps reaching it])
+    plan, t = [], 0.0  # (event time, [(t, step) of the steps reaching it])
     for target in events:
         steps = []
         while t < target - 1e-13 * max(1.0, abs(target)):
@@ -108,7 +107,7 @@ def integrate(
     state = np.array(state0, copy=True)
     n_steps, snapshots = 0, {}
     if observer is not None:
-        observer(control.t0, state)
+        observer(0.0, state)
     peak0 = float(np.abs(state).max(initial=0.0))
 
     # a diverging run overflows inside the RHS kernels before the state
@@ -119,14 +118,14 @@ def integrate(
                 try:
                     state = erk4_step(rhs, state, t, step)
                 except IntegrationError as exc:
-                    # name the first non-finite entry by its state block
+                    # name the first non-finite entry by its state row
                     size = exc.state.size // len(labels)
                     i = int(np.flatnonzero(~np.isfinite(exc.state))[0])
                     raise IntegrationError(
                         f"non-finite state in component {labels[i // size]!r} "
                         f"(DOF {i % size}) after the step from t = {t:.6g} with "
                         f"dt = {step:.3g}; max |state| grew from {peak0:.3g} at "
-                        f"t = {control.t0:.6g} to {np.abs(state).max():.3g} over "
+                        f"t = 0 to {np.abs(state).max():.3g} over "
                         f"{n_steps} steps", exc.state) from None
                 n_steps += 1
                 if observer is not None and (n_steps % stride == 0 or n_steps == total):

@@ -43,7 +43,7 @@ def _report(num, title, ok, detail=""):
 def _run_case(name, alpha, N, K, flux=None, T=None, cfl=None, **kw):
     spec = dg.make_example(name, alpha, K, N, flux=flux, T=T, cfl_c=cfl, **kw)
     prob = build_problem(spec)
-    ctrl = RunControl(t0=0.0, T=spec.T, cfl_c=spec.cfl_c)
+    ctrl = RunControl(T=spec.T, cfl_c=spec.cfl_c)
     state, _, dt, _ = integrate(prob.rhs, prob.initial_state(), ctrl,
                                 prob.mesh.dx, alpha,
                                 dt_cap=prob.stable_dt_cap())
@@ -183,7 +183,7 @@ def test_criterion_5_stability_norm_monotone():
         prob = build_problem(spec)
         rng = np.random.default_rng(2026)
         state = project(_random_band_limited_ic(rng), prob.mesh, prob.basis).values
-        dt = cfl_timestep(RunControl(0.0, 1.0, cfl_c=0.1), prob.mesh.dx,
+        dt = cfl_timestep(RunControl(1.0, cfl_c=0.1), prob.mesh.dx,
                           alpha, prob.stable_dt_cap())
         prev = prob.l2_norms_squared(state)[0]
         t = 0.0
@@ -204,7 +204,7 @@ def test_criterion_6_nls_norm_conservation():
     spec = dg.make_example("nls_soliton", 1.5, 200, 3, T=1.0)
     prob = build_problem(spec)
     s0 = prob.initial_state()
-    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.5 * spec.cfl_c)
+    ctrl = RunControl(T=1.0, cfl_c=0.5 * spec.cfl_c)
     sT, _, dt, _ = integrate(prob.rhs, s0, ctrl, prob.mesh.dx, 1.5)
     n0 = prob.l2_norms_squared(s0)[0]
     nT = prob.l2_norms_squared(sT)[0]
@@ -256,7 +256,7 @@ def test_criterion_7_operator_properties():
 def test_criterion_8_manakov_soliton():
     spec = dg.make_example("manakov", 2.0, 200, 2, T=20.0)
     prob = build_problem(spec)
-    ctrl = RunControl(t0=0.0, T=20.0, cfl_c=spec.cfl_c, snapshot_times=(5.0,))
+    ctrl = RunControl(T=20.0, cfl_c=spec.cfl_c, snapshot_times=(5.0,))
     sT, snaps, dt, _ = integrate(prob.rhs, prob.initial_state(), ctrl,
                                  prob.mesh.dx, 2.0,
                                  dt_cap=prob.stable_dt_cap())

@@ -108,7 +108,7 @@ def test_converge_deterministic_modulo_walltime(tmp_path):
     assert strip_wall("a") == strip_wall("b")
 
 
-def test_run_writes_snapshots_and_diagnostics(tmp_path):
+def test_run_writes_snapshots_and_diagnostics(tmp_path, monkeypatch):
     cfg = RunConfig(problem="ex7", alphas=[1.5], N_list=[1], K_list=[8],
                     T=0.1, points_per_cell=8)
     results = run_single(cfg, str(tmp_path / "out"))
@@ -129,6 +129,19 @@ def test_run_writes_snapshots_and_diagnostics(tmp_path):
         assert d["dt_bound"] == bound and d["dt_cap"] < d["dt_cfl"]
         assert d["dt"] == (d["dt_cap"] if dt_override is None else dt_override)
     assert results[0]["l2_errors"][0] < 5e-2
+    # a snapshot time equal to T is written once, as the final state
+    calls = []
+
+    def counting(path, *args):
+        calls.append(os.path.basename(path))
+        return write_snapshot(path, *args)
+
+    monkeypatch.setattr(harness, "write_snapshot", counting)
+    cfg = RunConfig(problem="ex1", alphas=[1.5], N_list=[1], K_list=[8], T=0.05,
+                    snapshot_times=(0.02, 0.05))
+    files = run_single(cfg, str(tmp_path / "at_T"))[0]["files"]
+    assert calls == ["snapshot_t0.020000.txt", "snapshot_t0.050000.txt"]
+    assert [os.path.basename(f) for f in files] == calls
 
 
 def test_coupled_run_writes_one_file_per_field(tmp_path):
@@ -307,13 +320,14 @@ def test_snapshot_bytes_match_savetxt(tmp_path):
     for name in ("ex8", "ex1"):
         prob = build_problem(make_example(name, 1.5, 6, 2))
         m, t = prob.spec.n_components, 0.25
-        flat = rng.standard_normal(m * prob.n) * 10.0 ** rng.integers(-12, 12, m * prob.n)
+        shape = (m, prob.n)
+        state = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
         if prob.spec.is_complex:
-            flat = flat + 1j * rng.standard_normal(m * prob.n)
-        files = write_snapshot(str(tmp_path / f"{name}.txt"), prob, flat, t, 4)
+            state = state + 1j * rng.standard_normal(shape)
+        files = write_snapshot(str(tmp_path / f"{name}.txt"), prob, state, t, 4)
         assert len(files) == m
         xs = snapshot_grid(prob, 4)
-        full = prob.full_fields(flat.reshape(m, prob.n), t)
+        full = prob.full_fields(state, t)
         for fp, u in zip(files, full):
             parts = (u.real, u.imag) if prob.spec.is_complex else (u,)
             cols = [eval_field(FieldVector(c, prob.mesh, prob.basis), xs) for c in parts]

@@ -41,7 +41,7 @@ def test_zero_state_unforced_families():
     for name, alpha in (("ex5", 1.4), ("nls_soliton", 1.5), ("manakov", 2.0)):
         spec = dataclasses.replace(make_example(name, alpha, 8, 1), forcing=())
         prob = build_problem(spec)
-        z = np.zeros(spec.n_components * prob.n, dtype=complex if spec.is_complex else float)
+        z = np.zeros((spec.n_components, prob.n), dtype=complex if spec.is_complex else float)
         assert np.abs(prob.rhs(0.3, z)).max() == 0.0
 
 
@@ -56,7 +56,7 @@ def test_manufactured_rhs_consistency_refines():
             prob = build_problem(spec)
             r = prob.rhs(0.0, prob.initial_state())
             expect = project(lambda x: -((x**2 - 1.0) ** 4), prob.mesh, prob.basis)
-            res.append(l2_norm(FieldVector(r - expect.values, prob.mesh, prob.basis)))
+            res.append(l2_norm(FieldVector(r[0] - expect.values, prob.mesh, prob.basis)))
         orders = [math.log2(res[i - 1] / res[i]) for i in (1, 2)]
         assert min(orders) >= floor
 
@@ -72,9 +72,9 @@ def test_nls_linear_case_matches_hand_build():
     spec = dataclasses.replace(make_example("ex7", 1.5, 6, 2), forcing=(),
                                nl_coupling=[[0.0]], coupling=c * np.eye(1))
     prob = build_problem(spec)
-    u = _complex_normal(np.random.default_rng(0), prob.n)
+    u = _complex_normal(np.random.default_rng(0), (1, prob.n))
     r = prob.rhs(0.0, u)
-    want = 1j * (spec.eps * (prob.E @ u) + c * u)
+    want = 1j * (spec.eps * (u @ prob.E.T) + c * u)
     assert r.dtype == complex
     assert r.real == pytest.approx(want.real, rel=1e-12, abs=1e-12)
     assert r.imag == pytest.approx(want.imag, rel=1e-12, abs=1e-12)
@@ -88,7 +88,7 @@ def _dense_E(prob):
     return MB @ mass_solve_mat(mesh, basis, prob.qop.A)
 
 
-def _per_field_rhs(prob, t, flat):
+def _per_field_rhs(prob, t, comps):
     """The RHS as a loop over the fields, the reference for the one ``rhs``:
     eps E u + g - f(u)_x for a real field, with the convection term summed
     face by face on the lifted field, and i (eps E u + P(f u) + coupling u)
@@ -98,7 +98,6 @@ def _per_field_rhs(prob, t, flat):
     E as ``comps @ E_dense.T``."""
     spec, basis = prob.spec, prob.basis
     g = sum((f(t) * h.project_onto(prob.mesh, basis, spec.alpha) for f, h in spec.forcing), 0.0)
-    comps = flat.reshape(spec.n_components, prob.n)
     F = comps @ _dense_E(prob).T
     nodes = prob.mesh.boundaries[:-1, None] + 0.5 * prob.mesh.dx * (basis.ref_nodes + 1.0)
     full = comps if spec.lift is None else comps + spec.lift[0](t) * P.polyval(
@@ -106,7 +105,7 @@ def _per_field_rhs(prob, t, flat):
     if not spec.is_complex:
         conv = 0.0 if spec.conv is None else _convection_face_by_face(
             FieldVector(full[0], prob.mesh, basis), spec.conv, spec.bcs[0], t).ravel()
-        return spec.eps * F[0] + g + conv
+        return (spec.eps * F[0] + g + conv)[None]
     x, w = np.polynomial.legendre.leggauss(2 * basis.N + 3)
     r = basis.ref_nodes
     L = np.array([[np.prod([(xg - r[k]) / (r[i] - r[k]) for k in range(len(r)) if k != i])
@@ -122,7 +121,7 @@ def _per_field_rhs(prob, t, flat):
         if spec.coupling is not None:
             d = d + sum(w * full[k] for k, w in enumerate(spec.coupling[j]))
         out[j] = 1j * d + g
-    return out.ravel()
+    return out
 
 
 def _assert_rhs_matches_reference(specs, rng, initial=True):
@@ -133,16 +132,18 @@ def _assert_rhs_matches_reference(specs, rng, initial=True):
         assert isinstance(prob.apply_E, BlockOperator) == (
             spec.alpha == 2.0 or prob.n >= MATRIX_FREE_MIN_DOF)
         # distinct random fields, so that no weight multiplies equal rows
-        size = spec.n_components * prob.n
-        noise = _complex_normal(rng, size) if spec.is_complex else rng.standard_normal(size)
-        for flat in (prob.initial_state(), noise)[not initial:]:
+        shape = (spec.n_components, prob.n)
+        noise = _complex_normal(rng, shape) if spec.is_complex else rng.standard_normal(shape)
+        for state in (prob.initial_state(), noise)[not initial:]:
             for t in (0.0, 0.3):
-                want = _per_field_rhs(prob, t, flat)
-                before = flat.copy()
-                err = np.abs(prob.rhs(t, flat) - want).max()
-                assert err <= 1e-13 * np.abs(want).max(), (spec.family, spec.alpha, err)
+                want = _per_field_rhs(prob, t, state)
+                before = state.copy()
+                got = prob.rhs(t, state)
+                err = np.abs(got - want).max()
+                assert got.shape == shape and err <= 1e-13 * np.abs(want).max(), (
+                    spec.family, spec.alpha, err)
                 # rhs reads the RK4 state: no write may reach it
-                assert flat.tobytes() == before.tobytes()
+                assert state.tobytes() == before.tobytes()
 
 
 def _schrodinger_cases():
@@ -249,7 +250,7 @@ def test_stacked_forcing_is_the_sum_of_its_terms():
         prob = build_problem(spec)
         H = prob.forcing[1]
         assert H.shape == (len(spec.forcing), prob.n)
-        z = np.zeros(prob.n, dtype=complex if spec.is_complex else float)
+        z = np.zeros((1, prob.n), dtype=complex if spec.is_complex else float)
         for t in (0.0, 0.3, 0.9):
             want = sum(f(t) * h.project_onto(prob.mesh, prob.basis, spec.alpha)
                        for f, h in spec.forcing)
@@ -260,7 +261,7 @@ def test_gauge_covariance_of_cubic_term():
     # rhs(e^{i theta} u) = e^{i theta} rhs(u)
     spec = make_example("nls_soliton", 1.5, 24, 2)
     prob = build_problem(spec)
-    u = _complex_normal(np.random.default_rng(4), prob.n)
+    u = _complex_normal(np.random.default_rng(4), (1, prob.n))
     phase = np.exp(0.77j)
     r, rrot = prob.rhs(0.0, u), prob.rhs(0.0, phase * u)
     want = phase * r
@@ -272,12 +273,11 @@ def test_coupled_symmetric_reduction_stays_equal():
     spec = make_example("manakov", 1.6, 32, 2)   # identical fields, no coupling
     prob = build_problem(spec)
     s = prob.initial_state()
-    n = prob.n
     # mirror the second field onto the first so both complex fields coincide
-    s[n:] = s[:n]
-    ctrl = RunControl(t0=0.0, T=0.2, cfl_c=0.05)
+    s[1] = s[0]
+    ctrl = RunControl(T=0.2, cfl_c=0.05)
     out, _, _, _ = integrate(prob.rhs, s, ctrl, prob.mesh.dx, 1.6)
-    assert np.array_equal(out[:n], out[n:])
+    assert np.array_equal(out[0], out[1])
 
 
 def test_exact_library_values():
@@ -350,7 +350,7 @@ def test_every_example_builds():
             spec = make_example(name, alpha, 6, 2)
             prob = build_problem(spec)
             r = prob.rhs(0.1, prob.initial_state())
-            assert r.shape == (spec.n_components * prob.n,) and np.isfinite(r).all()
+            assert r.shape == (spec.n_components, prob.n) and np.isfinite(r).all()
 
 
 def test_cross_coupling_sets_the_coupling():
@@ -376,7 +376,7 @@ def test_lift_carries_the_dirichlet_data(name):
         for t in (0.0, 0.3):
             assert bc(t) == pytest.approx((exact(a, t), exact(b, t)), abs=1e-15)
     prob = build_problem(spec)
-    full = prob.full_fields(prob.initial_state().reshape(spec.n_components, prob.n), 0.0)
+    full = prob.full_fields(prob.initial_state(), 0.0)
     for u, exact in zip(full, spec.exact):
         want = project(lambda x: exact(x, 0.0), prob.mesh, prob.basis).values
         assert np.abs(u - want).max() <= 1e-14
@@ -471,8 +471,8 @@ def test_fields_drive_roles_norms_and_errors():
         prob = build_problem(spec)
         assert prob.roles == roles and spec.n_components == len(roles)
         s = prob.initial_state()
-        assert s.dtype == dtype and s.size == len(roles) * prob.n
-        comps = prob.full_fields(s.reshape(spec.n_components, prob.n), 0.0)
+        assert s.dtype == dtype and s.shape == (len(roles), prob.n)
+        comps = prob.full_fields(s, 0.0)
         # a complex field's squared norm is that of its real part plus its
         # imaginary part
         want = [sum(l2_norm(FieldVector(part, prob.mesh, prob.basis)) ** 2
@@ -682,7 +682,7 @@ def _assert_matches_dense_fusion(prob):
     assert _rel(X @ prob.E.T, X @ E.T) <= 1e-13
     assert _rel(prob.E @ X[0], E @ X[0]) <= 1e-13
     assert prob.stable_dt_cap() == pytest.approx(dense.stable_dt_cap(), rel=1e-13)
-    s = prob.initial_state() + 0.1 * rng.standard_normal(prob.spec.n_components * prob.n)
+    s = prob.initial_state() + 0.1 * rng.standard_normal((prob.spec.n_components, prob.n))
     assert _rel(prob.rhs(0.2, s), dense.rhs(0.2, s)) <= 1e-13
     Z = X + 1j * rng.standard_normal(X.shape)
     assert _rel(prob.apply_E(Z), Z @ E.T) <= 1e-13
@@ -758,12 +758,12 @@ def test_l2_norms_squared_match_per_field_einsum():
     for name in ("ex1", "ex4", "ex7", "ex8", "manakov"):
         prob = build_problem(make_example(name, 1.5, 12, 2))
         m = prob.spec.n_components
-        s = rng.standard_normal(m * prob.n)
+        s = rng.standard_normal((m, prob.n))
         if prob.spec.is_complex:
-            s = s + 1j * rng.standard_normal(m * prob.n)
+            s = s + 1j * rng.standard_normal((m, prob.n))
         mass = 0.5 * prob.mesh.dx * prob.basis.mass
         for t in (0.0, 0.3):
-            full = prob.full_fields(s.reshape(m, prob.n), t)
+            full = prob.full_fields(s, t)
             want = [np.einsum("ki,ij,kj->", c.reshape(prob.mesh.K, -1).conj(), mass,
                               c.reshape(prob.mesh.K, -1)).real for c in full]
             got = prob.l2_norms_squared(s, t)

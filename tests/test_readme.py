@@ -29,6 +29,6 @@ def test_readme_library_use_runs():
     code = _readme().split("## Library use", 1)[1].split("```python\n", 1)[1]
     scope = {}
     exec(compile(code.split("```", 1)[0], README, "exec"), scope)
-    spec, prob, u = scope["spec"], scope["prob"], scope["u"]
-    assert u.shape == (spec.n_components, prob.n) and u.dtype == complex
-    assert max(prob.field_errors(scope["state"], spec.T)) < 1e-5
+    spec, prob, state = scope["spec"], scope["prob"], scope["state"]
+    assert state.shape == (spec.n_components, prob.n) and state.dtype == complex
+    assert max(prob.field_errors(state, spec.T)) < 1e-5

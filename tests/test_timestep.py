@@ -50,31 +50,36 @@ def test_nan_raises_with_diagnostic():
 
 
 def test_divergence_report_names_component_time_and_growth():
-    # only the second block grows (amplification ~65 per step at z = 5) and
-    # overflows inside the matmul before the state check sees it
+    # only the second block, or in (2, 2) rows only DOF 1 of row 'im', grows
+    # (amplification ~65 per step at z = 5) and overflows inside the product
+    # before the state check sees it
     G = np.diag([0.0, 0.0, 50.0, 50.0])
-    ctrl = RunControl(t0=0.0, T=100.0, cfl_c=0.1, dt_override=0.1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(IntegrationError) as info:
-            integrate(lambda t, u: G @ u, np.ones(4), ctrl, 0.1, 1.5,
-                      labels=("re", "im"))
-    assert [str(w.message) for w in caught] == []
-    msg = str(info.value)
-    m = re.fullmatch(r"non-finite state in component 'im' \(DOF 0\) after the "
-                     r"step from t = (\S+) with dt = 0\.1; max \|state\| grew "
-                     r"from 1 at t = 0 to (\S+) over (\d+) steps", msg)
-    assert m, msg
-    t_fail, peak, steps = float(m.group(1)), float(m.group(2)), int(m.group(3))
-    assert t_fail == pytest.approx(0.1 * steps)
-    assert 1e290 < peak < 1e309 and steps > 100
-    assert not np.all(np.isfinite(info.value.state))
+    W = np.array([[0.0, 0.0], [0.0, 50.0]])
+    ctrl = RunControl(T=100.0, cfl_c=0.1, dt_override=0.1)
+    for rhs, state0, dof in ((lambda t, u: G @ u, np.ones(4), 0),
+                             (lambda t, u: W * u, np.ones((2, 2)), 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationError) as info:
+                integrate(rhs, state0, ctrl, 0.1, 1.5, labels=("re", "im"))
+        assert [str(w.message) for w in caught] == []
+        msg = str(info.value)
+        m = re.fullmatch(rf"non-finite state in component 'im' \(DOF {dof}\) after the "
+                         r"step from t = (\S+) with dt = 0\.1; max \|state\| grew "
+                         r"from 1 at t = 0 to (\S+) over (\d+) steps", msg)
+        assert m, msg
+        t_fail, peak, steps = float(m.group(1)), float(m.group(2)), int(m.group(3))
+        assert t_fail == pytest.approx(0.1 * steps)
+        assert 1e290 < peak < 1e309 and steps > 100
+        assert info.value.state.shape == state0.shape
+        assert not np.all(np.isfinite(info.value.state))
+
 
 def test_cfl_formula():
-    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1)
+    ctrl = RunControl(T=1.0, cfl_c=0.1)
     assert cfl_timestep(ctrl, 0.1, 1.5) == pytest.approx(0.1 * 0.1**1.5, rel=1e-15)
     assert cfl_timestep(ctrl, 0.1, 1.5) == pytest.approx(3.1623e-3, rel=1e-4)
-    ctrl2 = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=0.007)
+    ctrl2 = RunControl(T=1.0, cfl_c=0.1, dt_override=0.007)
     assert cfl_timestep(ctrl2, 0.1, 1.5) == 0.007
 
 
@@ -85,7 +90,7 @@ def test_integrate_lands_exactly_on_T():
         calls.append(t)
         return -u
 
-    ctrl = RunControl(t0=0.0, T=0.95, cfl_c=0.1, dt_override=0.3)
+    ctrl = RunControl(T=0.95, cfl_c=0.1, dt_override=0.3)
     state, snaps, dt, n = integrate(rhs, np.array([1.0]), ctrl, 1.0, 1.5)
     # 3 full steps of 0.3 plus one shortened step of 0.05
     assert n == 4
@@ -93,7 +98,7 @@ def test_integrate_lands_exactly_on_T():
 
 
 def test_integrate_snapshots_hit_times():
-    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=0.24,
+    ctrl = RunControl(T=1.0, cfl_c=0.1, dt_override=0.24,
                       snapshot_times=(0.5,))
     state, snaps, dt, n = integrate(lambda t, u: -u, np.array([2.0]), ctrl, 1.0, 1.5)
     assert set(snaps) == {0.5}
@@ -101,7 +106,7 @@ def test_integrate_snapshots_hit_times():
 
 
 def test_integrate_thins_observations_to_a_stride():
-    # the observer sees t0, every stride-th step and the last one, with
+    # the observer sees t = 0, every stride-th step and the last one, with
     # stride = max(1, (n_steps + 1) // MAX_OBSERVATIONS); the snapshot at
     # 0.3 splits a step, so 1,025 steps give stride 2 and an odd last step
     evals, seen = [], []
@@ -110,7 +115,7 @@ def test_integrate_thins_observations_to_a_stride():
         evals.append(t)
         return -u
 
-    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=1.0 / 1024,
+    ctrl = RunControl(T=1.0, cfl_c=0.1, dt_override=1.0 / 1024,
                       snapshot_times=(0.3,))
     _, snaps, _, n = integrate(rhs, np.array([1.0]), ctrl, 1.0, 1.5,
                                observer=lambda t, u: seen.append((len(evals) // 4, t)))
@@ -127,7 +132,7 @@ def test_fourth_order_richardson():
 
     errs = []
     for dt in (0.1, 0.05):
-        ctrl = RunControl(t0=0.0, T=2.0, cfl_c=0.5, dt_override=dt)
+        ctrl = RunControl(T=2.0, cfl_c=0.5, dt_override=dt)
         s, _, _, _ = integrate(rhs, np.array([1.0, 0.0]), ctrl, 1.0, 1.0)
         errs.append(abs(s[0] - math.cos(2.0)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.15)
@@ -142,7 +147,7 @@ def test_linear_homogeneity():
         return A @ u
 
     u0 = rng.standard_normal(4)
-    ctrl = RunControl(t0=0.0, T=0.7, cfl_c=0.2, dt_override=0.07)
+    ctrl = RunControl(T=0.7, cfl_c=0.2, dt_override=0.07)
     s1, _, _, _ = integrate(rhs, u0, ctrl, 1.0, 1.0)
     s2, _, _, _ = integrate(rhs, 3.0 * u0, ctrl, 1.0, 1.0)
     assert s2 == pytest.approx(3.0 * s1, rel=1e-13)
@@ -151,7 +156,7 @@ def test_linear_homogeneity():
 def test_integrate_keeps_a_complex_state():
     # u_t = -i u: the state stays complex and follows exp(-it) u0
     u0 = np.array([1.0 + 0.5j])
-    ctrl = RunControl(t0=0.0, T=1.0, cfl_c=0.1, dt_override=0.05,
+    ctrl = RunControl(T=1.0, cfl_c=0.1, dt_override=0.05,
                       snapshot_times=(0.5,))
     state, snaps, _, _ = integrate(lambda t, u: -1j * u, u0, ctrl, 1.0, 1.5)
     assert state.dtype == complex and snaps[0.5].dtype == complex
@@ -161,10 +166,10 @@ def test_integrate_keeps_a_complex_state():
 
 def test_control_validation():
     with pytest.raises(ValueError):
-        RunControl(t0=1.0, T=0.5)
+        RunControl(T=0.0)
     with pytest.raises(ValueError):
-        RunControl(t0=0.0, T=1.0, cfl_c=1.5)
+        RunControl(T=1.0, cfl_c=1.5)
     with pytest.raises(ValueError):
-        RunControl(t0=0.0, T=1.0, dt_override=-0.1)
+        RunControl(T=1.0, dt_override=-0.1)
     with pytest.raises(ValueError):
         erk4_step(lambda t, u: u, np.zeros(1), 0.0, 0.0)
