@@ -24,7 +24,6 @@ from .meshbasis import (
     build_mesh,
     eval_field,
     l2_error,
-    l2_norm,
     project,
 )
 from .models import (
@@ -33,7 +32,7 @@ from .models import (
     build_problem,
     make_example,
 )
-from .specfun import QuadRule, gamma_fn, gauss_jacobi, gauss_legendre
+from .specfun import gamma_fn, gauss_jacobi, gauss_legendre
 from .timestep import IntegrationError, RunControl, erk4_step, integrate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -110,9 +110,9 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
 
     blocks = np.zeros((K, n, n))
 
-    jac = gauss_jacobi(basis.N + 2, 0.0, mu)
-    WLj = jac.weights[:, None] * basis.eval_matrix(jac.nodes)
-    pow1pt = (1.0 + jac.nodes)[:, None] ** r[None, :]
+    t, w = gauss_jacobi(basis.N + 2, 0.0, mu)
+    WLj = w[:, None] * basis.eval_matrix(t)
+    pow1pt = (1.0 + t)[:, None] ** r[None, :]
 
     def singular_endpoint_block(coeffs):
         # exact: integrand is (1+t)^mu times a polynomial of degree <= 2N
@@ -122,15 +122,15 @@ def _left_integral_blocks(mesh: Mesh1D, basis: ElementBasis, mu: float) -> np.nd
     blocks[0] = singular_endpoint_block(C)
 
     if K > 1:
-        gl = gauss_legendre(_N_SMOOTH)
-        y = h + 0.5 * h * (1.0 + gl.nodes)
-        V = gl.weights[:, None] * (y[:, None] ** (r[None, :] + mu)) @ (C * gam[None, :]).T
-        blocks[1] = 0.5 * h * (basis.eval_matrix(gl.nodes).T @ V) - singular_endpoint_block(D)
+        t, w = gauss_legendre(_N_SMOOTH)
+        y = h + 0.5 * h * (1.0 + t)
+        V = w[:, None] * (y[:, None] ** (r[None, :] + mu)) @ (C * gam[None, :]).T
+        blocks[1] = 0.5 * h * (basis.eval_matrix(t).T @ V) - singular_endpoint_block(D)
 
     if K > 2:
-        glo = gauss_legendre(_N_FAR)
-        WL = glo.weights[:, None] * basis.eval_matrix(glo.nodes)
-        s = 0.5 * h * (1.0 + glo.nodes)
+        t, w = gauss_legendre(_N_FAR)
+        WL = w[:, None] * basis.eval_matrix(t)
+        s = 0.5 * h * (1.0 + t)
         x = np.arange(2, K)[:, None] * h + s
         kernel = (x[:, :, None] - s) ** (mu - 1.0)
         # sum_gq kernel[m, g, q] w_g w_q ell_i(g) ell_j(q) as two products
@@ -211,26 +211,26 @@ def project_riesz_poly(alpha: float, coeffs, mesh: Mesh1D, basis: ElementBasis) 
     """
     a, b = mesh.a, mesh.b
     if alpha == 2.0:
-        return project(lambda x: riesz_frac_deriv_poly(alpha, coeffs, a, b, x),
-                       mesh, basis).values
+        # a Legendre rule exact for -p'' times a degree-N basis function
+        return project(lambda x: riesz_frac_deriv_poly(alpha, coeffs, a, b, x), mesh, basis,
+                       n_quad=max(basis.N + 2, (len(coeffs) + basis.N) // 2 + 1)).values
     j, ca, db, s = _riesz_series(alpha, coeffs, a, b)
     mu, h, K = 2.0 - alpha, mesh.dx, mesh.K
 
-    gl = gauss_legendre(_N_SMOOTH)
-    x = cell_centers_and_points(mesh, gl.nodes)[..., None]
+    t, w = gauss_legendre(_N_SMOOTH)
+    x = cell_centers_and_points(mesh, t)[..., None]
     left = ((x - a) ** (j - alpha)) @ ca
     right = ((b - x) ** (j - alpha)) @ db
     left[0] = right[-1] = 0.0     # the singular sides, added below
-    weak = 0.5 * h * ((left + right) * gl.weights) @ basis.eval_matrix(gl.nodes)
+    weak = 0.5 * h * ((left + right) * w) @ basis.eval_matrix(t)
 
     # y = distance to the end: y^(j-alpha) = y^mu y^(j-2), the Jacobi weight
     # taking y^mu; integer powers y^(j-2) keep the rule exact to round-off
     n_jac = max((j.size - 1 + basis.N) // 2 + 2, 2)
     for k, side, coef, exps in ((0, 1.0, ca, (0.0, mu)), (K - 1, -1.0, db, (mu, 0.0))):
-        jac = gauss_jacobi(n_jac, *exps)
-        y = 0.5 * h * (1.0 + side * jac.nodes)
+        t, w = gauss_jacobi(n_jac, *exps)
+        y = 0.5 * h * (1.0 + side * t)
         poly = (y[:, None] ** (j - 2)) @ coef
-        weak[k] += ((0.5 * h) ** (1.0 + mu)
-                    * (jac.weights * poly) @ basis.eval_matrix(jac.nodes))
+        weak[k] += (0.5 * h) ** (1.0 + mu) * (w * poly) @ basis.eval_matrix(t)
 
     return mass_solve(mesh, basis, s * weak)

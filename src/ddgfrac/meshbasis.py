@@ -63,6 +63,20 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _lagrange_eval(nodes: np.ndarray, bary_w: np.ndarray, points) -> np.ndarray:
+    """Matrix L with L[g, i] = ell_i(points[g]) (barycentric, exact at nodes)."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    L = np.zeros((pts.size, nodes.size))
+    diffs = pts[:, None] - nodes[None, :]
+    exact = np.isclose(diffs, 0.0, rtol=0.0, atol=1e-14)
+    on_node = exact.any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = bary_w[None, :] / diffs
+    L[~on_node] = terms[~on_node] / terms[~on_node].sum(axis=1, keepdims=True)
+    L[on_node] = exact[on_node].astype(float)
+    return L
+
+
 @dataclass(frozen=True)
 class ElementBasis:
     """Degree-N nodal Lagrange basis on the reference interval [-1, 1].
@@ -92,16 +106,7 @@ class ElementBasis:
 
     def eval_matrix(self, points) -> np.ndarray:
         """Matrix L with L[g, i] = ell_i(points[g]) (barycentric, exact at nodes)."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        L = np.zeros((pts.size, self.n_nodes))
-        diffs = pts[:, None] - self.ref_nodes[None, :]
-        exact = np.isclose(diffs, 0.0, rtol=0.0, atol=1e-14)
-        on_node = exact.any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.bary_w[None, :] / diffs
-        L[~on_node] = terms[~on_node] / terms[~on_node].sum(axis=1, keepdims=True)
-        L[on_node] = exact[on_node].astype(float)
-        return L
+        return _lagrange_eval(self.ref_nodes, self.bary_w, points)
 
 
 def build_basis(N: int) -> ElementBasis:
@@ -111,41 +116,28 @@ def build_basis(N: int) -> ElementBasis:
     nodes = _lgl_nodes(N)
     bary = _barycentric_weights(nodes)
 
-    n = N + 1
-    if N == 0:
-        diff = np.zeros((1, 1))
-    else:
-        diff = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    diff[i, j] = (bary[j] / bary[i]) / (nodes[i] - nodes[j])
+    gap = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gap, 1.0)
+    diff = (bary[None, :] / bary[:, None]) / gap
+    np.fill_diagonal(diff, 0.0)
+    if N > 0:   # at N = 0 the entry stays +0.0, where -sum would give -0.0
         np.fill_diagonal(diff, -diff.sum(axis=1))
 
-    basis = ElementBasis(
-        N=N, ref_nodes=nodes, mass=np.empty((n, n)), diff=diff,
-        trace_left=np.empty((3, n)), trace_right=np.empty((3, n)),
-        mass_inv=np.empty((n, n)), bary_w=bary, trace=np.empty((n, 2)),
-        conv_apply=np.empty((n + 2, n)),
-    )
     # mass via GL(N+1): exact for the degree-2N integrand
-    rule = gauss_legendre(N + 1)
-    V = basis.eval_matrix(rule.nodes)
-    mass = V.T @ (rule.weights[:, None] * V)
+    gl_nodes, gl_weights = gauss_legendre(N + 1)
+    V = _lagrange_eval(nodes, bary, gl_nodes)
+    mass = V.T @ (gl_weights[:, None] * V)
     mass = 0.5 * (mass + mass.T)
-    object.__setattr__(basis, "mass", mass)
-    object.__setattr__(basis, "mass_inv", np.linalg.inv(mass))
+    mass_inv = np.linalg.inv(mass)
 
-    for attr, point in (("trace_left", -1.0), ("trace_right", 1.0)):
-        row = basis.eval_matrix([point])[0]
-        object.__setattr__(
-            basis, attr, np.vstack([row, row @ diff, row @ diff @ diff])
-        )
-    vl, vr = basis.trace_left[0], basis.trace_right[0]
-    object.__setattr__(basis, "trace", np.column_stack([vr, vl]))
-    object.__setattr__(basis, "conv_apply",
-                       np.vstack([mass @ diff, -vr, vl]) @ basis.mass_inv.T)
-    return basis
+    vl, vr = _lagrange_eval(nodes, bary, [-1.0, 1.0])
+    trace_left, trace_right = (np.vstack([v, v @ diff, v @ diff @ diff]) for v in (vl, vr))
+    return ElementBasis(
+        N=N, ref_nodes=nodes, mass=mass, diff=diff,
+        trace_left=trace_left, trace_right=trace_right, mass_inv=mass_inv,
+        bary_w=bary, trace=np.column_stack([vr, vl]),
+        conv_apply=np.vstack([mass @ diff, -vr, vl]) @ mass_inv.T,
+    )
 
 
 @dataclass
@@ -182,13 +174,13 @@ def project(f, mesh: Mesh1D, basis: ElementBasis, n_quad: int = None) -> FieldVe
     to exceed what the default rule integrates exactly.  A complex f gives
     complex coefficients.
     """
-    rule = gauss_legendre(basis.N + 2 if n_quad is None else n_quad)
-    X = cell_centers_and_points(mesh, rule.nodes)
+    nodes, weights = gauss_legendre(basis.N + 2 if n_quad is None else n_quad)
+    X = cell_centers_and_points(mesh, nodes)
     F = np.asarray(f(X))
     F = np.broadcast_to(F, X.shape).astype(np.promote_types(F.dtype, float))
-    L = basis.eval_matrix(rule.nodes)
+    L = basis.eval_matrix(nodes)
     # cell Jacobian dx/2 cancels against the mass-inverse scaling
-    rhs = F @ (rule.weights[:, None] * L)
+    rhs = F @ (weights[:, None] * L)
     coeffs = rhs @ basis.mass_inv.T
     return FieldVector(coeffs.ravel(), mesh, basis)
 
@@ -208,32 +200,15 @@ def eval_field(u: FieldVector, points) -> np.ndarray:
     return np.einsum("pi,pi->p", basis.eval_matrix(t), u.by_cell[cell])
 
 
-def l2_norm(u: FieldVector) -> float:
-    """Broken L2 norm via the exact block mass matrix."""
-    c = u.by_cell
-    return float(np.sqrt(0.5 * u.mesh.dx * np.einsum("ki,ij,kj->", c, u.basis.mass, c)))
-
-
 def l2_error(u: FieldVector, exact) -> float:
     """Broken L2 distance to a function of x, by Gauss-Legendre(N+3) per cell
     (complex fields and functions measure |u_h - u|)."""
-    rule = gauss_legendre(u.basis.N + 3)
-    X = cell_centers_and_points(u.mesh, rule.nodes)
-    L = u.basis.eval_matrix(rule.nodes)
-    uh = u.by_cell @ L.T
+    nodes, weights = gauss_legendre(u.basis.N + 3)
+    X = cell_centers_and_points(u.mesh, nodes)
+    uh = u.by_cell @ u.basis.eval_matrix(nodes).T
     diff = uh - np.asarray(exact(X))
-    err2 = 0.5 * u.mesh.dx * np.einsum("g,kg->", rule.weights, (diff * diff.conj()).real)
+    err2 = 0.5 * u.mesh.dx * np.einsum("g,kg->", weights, (diff * diff.conj()).real)
     return float(np.sqrt(max(err2, 0.0)))
-
-
-def global_mass_matrix(mesh: Mesh1D, basis: ElementBasis) -> np.ndarray:
-    """Dense block-diagonal mass matrix (test and diagnostic use)."""
-    n = basis.n_nodes
-    M = np.zeros((mesh.K * n, mesh.K * n))
-    block = 0.5 * mesh.dx * basis.mass
-    for k in range(mesh.K):
-        M[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
-    return M
 
 
 def mass_solve(mesh: Mesh1D, basis: ElementBasis, rhs: np.ndarray) -> np.ndarray:

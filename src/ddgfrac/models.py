@@ -435,9 +435,9 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         lift_nodal = P.polyval(nodes, spec.lift[1]).ravel()
 
     # enough points for exact projection of cubic products of the fields
-    rule = gauss_legendre(min(2 * basis.N + 3, 64))
-    L = basis.eval_matrix(rule.nodes)
-    back = (rule.weights[:, None] * L) @ basis.mass_inv.T
+    t, w = gauss_legendre(min(2 * basis.N + 3, 64))
+    L = basis.eval_matrix(t)
+    back = (w[:, None] * L) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
                                E=E, apply_E=apply_E, forcing=forcing,

@@ -1,44 +1,21 @@
 """Special functions and quadrature rules used throughout the solver.
 
 Provides the Gamma function on the positive axis, Gauss-Legendre and
-Gauss-Jacobi rules on [-1, 1], and exact re-centering of polynomials in
-shifted-monomial form.  The Jacobi rules carry the weight
-(1-t)^a_exp (1+t)^b_exp, which is what makes the weakly singular kernels
-|x - s|^(mu-1) integrable exactly after an affine map.
+Gauss-Jacobi rules on [-1, 1] as (nodes, weights) arrays, and exact
+re-centering of polynomials in shifted-monomial form.  The Jacobi rules
+carry the weight (1-t)^a_exp (1+t)^b_exp, which is what makes the weakly
+singular kernels |x - s|^(mu-1) integrable exactly after an affine map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 MAX_QUAD_POINTS = 64
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature rule on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1d arrays of equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < -1.0 - 1e-14 or nodes[-1] > 1.0 + 1e-14:
-            raise ValueError("nodes must lie in [-1, 1]")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
 
 
 def gamma_fn(x: float) -> float:
@@ -52,16 +29,17 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def gauss_legendre(n: int) -> QuadRule:
-    """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1."""
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Legendre rule, exact for
+    polynomials of degree 2n-1."""
     if not 1 <= n <= MAX_QUAD_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_QUAD_POINTS}], got {n}")
-    nodes, weights = leggauss(n)
-    return QuadRule(nodes, weights)
+    return leggauss(n)
 
 
-def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadRule:
-    """n-point Gauss-Jacobi rule for the weight (1-t)^a_exp (1+t)^b_exp.
+def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
+    (1-t)^a_exp (1+t)^b_exp.
 
     Exact for (1-t)^a_exp (1+t)^b_exp p(t) with deg p <= 2n-1.  Nodes and
     weights come from the Golub-Welsch eigenvalue problem for the Jacobi
@@ -71,8 +49,7 @@ def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadRule:
         raise ValueError(f"point count must be in [1, {MAX_QUAD_POINTS}], got {n}")
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError(f"weight exponents must exceed -1, got ({a_exp}, {b_exp})")
-    nodes, weights = roots_jacobi(n, a_exp, b_exp)
-    return QuadRule(nodes, weights)
+    return roots_jacobi(n, a_exp, b_exp)
 
 
 def polynomial_in_shifted_basis(coeffs_t, scale: float, shift: float) -> np.ndarray:

@@ -15,8 +15,7 @@ from ddgfrac.meshbasis import (
     FieldVector,
     build_basis,
     build_mesh,
-    global_mass_matrix,
-    l2_norm,
+    l2_error,
     mass_solve,
     mass_solve_mat,
     project,
@@ -60,7 +59,7 @@ def test_operator_symmetry_and_psd_random():
 def test_operator_classical_limit():
     mesh, basis = build_mesh(-1.0, 1.0, 10), build_basis(3)
     B = assemble_frac_operator(mesh, basis, 2.0 - 1e-3).B
-    M = global_mass_matrix(mesh, basis)
+    M = np.kron(np.eye(mesh.K), 0.5 * mesh.dx * basis.mass)
     assert np.abs(B - M).max() <= 5e-3 * np.abs(M).max()
 
 
@@ -80,19 +79,38 @@ def test_operator_blocks_have_no_size_cap():
     assert np.all(np.isfinite(op.left))
 
 
+def test_project_riesz_poly_classical_limit_is_exact():
+    # at alpha = 2 the image f = -p'' is a polynomial: its projection matches
+    # a 30-point Legendre projection to round-off, in L2 relative to ||f||,
+    # on ex1's and ex7's u0 and on x^5 and x^11
+    P = np.polynomial.polynomial
+    for c in (P.polypow([-1.0, 0.0, 1.0], 4), P.polypow([-1.0, 0.0, 1.0], 5),
+              [0.0] * 5 + [1.0], [0.0] * 11 + [1.0]):
+        d2 = P.polyder(c, 2)
+        norm = math.sqrt(np.diff(P.polyval([-1.0, 1.0], P.polyint(P.polymul(d2, d2))))[0])
+        for K in (1, 4, 16, 64):
+            mesh = build_mesh(-1.0, 1.0, K)
+            for N in range(1, 9):
+                basis = build_basis(N)
+                want = project(lambda x: -P.polyval(x, d2), mesh, basis, n_quad=30).values
+                got = project_riesz_poly(2.0, c, mesh, basis)
+                err = l2_error(FieldVector(got - want, mesh, basis), np.zeros_like)
+                assert err <= 1e-13 * norm
+
+
 def _far_blocks_by_double_sum(mesh, basis, mu):
     """left[m] for m >= 2, one offset at a time, as the explicit double sum
     over the 14-point tensor Gauss-Legendre rule of
 
         1/Gamma(mu) int_{cell k} int_{cell k-m} phi_i(x) (x - s)^(mu-1) phi_j(s)."""
-    gl, h = gauss_legendre(14), mesh.dx
-    L = basis.eval_matrix(gl.nodes)
-    s = 0.5 * h * (1.0 + gl.nodes)
+    (t, w), h = gauss_legendre(14), mesh.dx
+    L = basis.eval_matrix(t)
+    s = 0.5 * h * (1.0 + t)
     blocks = np.zeros((mesh.K - 2, basis.n_nodes, basis.n_nodes))
     for m in range(2, mesh.K):
-        for g in range(gl.nodes.size):
+        for g in range(t.size):
             kern = (m * h + s[g] - s) ** (mu - 1.0)
-            blocks[m - 2] += gl.weights[g] * np.outer(L[g], (gl.weights * kern) @ L)
+            blocks[m - 2] += w[g] * np.outer(L[g], (w * kern) @ L)
     return (0.25 * h * h / gamma_fn(mu)) * blocks
 
 
@@ -134,7 +152,7 @@ def _frac_applies(mesh, basis, alpha):
 def test_apply_frac_zero_linearity_psd():
     mesh, basis = build_mesh(-1.0, 1.0, 8), build_basis(2)
     op, applies = _frac_applies(mesh, basis, 1.4)
-    M = global_mass_matrix(mesh, basis)
+    M = np.kron(np.eye(mesh.K), 0.5 * mesh.dx * basis.mass)
     scale = np.linalg.norm(op.B, 2)
     for apply in applies:
         assert np.abs(apply(np.zeros(24))).max() == 0.0
@@ -153,7 +171,7 @@ def test_apply_frac_boundedness():
     mesh, basis = build_mesh(0.0, 1.0, 12), build_basis(2)
     op, applies = _frac_applies(mesh, basis, 1.7)
     # measure the operator constant once from the exact L2 operator norm
-    M = global_mass_matrix(mesh, basis)
+    M = np.kron(np.eye(mesh.K), 0.5 * mesh.dx * basis.mass)
     R = np.linalg.cholesky(M)
     C = np.linalg.norm(np.linalg.solve(R, op.B @ np.linalg.inv(R.T)), 2)
     assert math.isfinite(C)
@@ -161,8 +179,8 @@ def test_apply_frac_boundedness():
         rng = np.random.default_rng(12)
         for _ in range(100):
             q = rng.standard_normal(36)
-            ratio = (l2_norm(FieldVector(apply(q), mesh, basis))
-                     / l2_norm(FieldVector(q, mesh, basis)))
+            r = apply(q)
+            ratio = math.sqrt((r @ M @ r) / (q @ M @ q))
             assert ratio <= C * (1.0 + 1e-10)
 
 
@@ -205,7 +223,7 @@ def test_project_riesz_poly_matches_operator_path():
     op = assemble_frac_operator(mesh, basis, alpha)
     via_B = mass_solve(mesh, basis, op.B @ qex)
     via_series = -project_riesz_poly(alpha, c, mesh, basis)
-    diff = l2_norm(FieldVector(via_B - via_series, mesh, basis))
+    diff = l2_error(FieldVector(via_B - via_series, mesh, basis), np.zeros_like)
     assert diff <= 1e-12
 
 
@@ -215,8 +233,9 @@ def _project_riesz_per_cell(alpha, c, mesh, basis):
     a, b = mesh.a, mesh.b
     if alpha == 2.0:
         d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
+        # exact for the degree d2.size - 1 + N integrand
         return project(lambda x: -np.polynomial.polynomial.polyval(x, d2),
-                       mesh, basis).values
+                       mesh, basis, n_quad=(d2.size + basis.N) // 2 + 2).values
     mu = 2.0 - alpha
     n, h, K = basis.n_nodes, mesh.dx, mesh.K
     weak = np.zeros((K, n))
@@ -224,27 +243,27 @@ def _project_riesz_per_cell(alpha, c, mesh, basis):
     ca = polynomial_in_shifted_basis(c, 1.0, a)[2:] * g
     db = (polynomial_in_shifted_basis(c, 1.0, b) * (-1.0) ** np.arange(c.size))[2:] * g
     jj = np.arange(2, c.size)
-    gl = gauss_legendre(16)
-    Ls = basis.eval_matrix(gl.nodes)
+    tg, wg = gauss_legendre(16)
+    Ls = basis.eval_matrix(tg)
     n_jac = max((c.size - 3 + basis.N) // 2 + 2, 2)
-    jacL, jacR = gauss_jacobi(n_jac, 0.0, mu), gauss_jacobi(n_jac, mu, 0.0)
-    LjL, LjR = basis.eval_matrix(jacL.nodes), basis.eval_matrix(jacR.nodes)
+    (tL, wL), (tR, wR) = gauss_jacobi(n_jac, 0.0, mu), gauss_jacobi(n_jac, mu, 0.0)
+    LjL, LjR = basis.eval_matrix(tL), basis.eval_matrix(tR)
     for k in range(K):
-        x = mesh.boundaries[k] + 0.5 * h * (1.0 + gl.nodes)
+        x = mesh.boundaries[k] + 0.5 * h * (1.0 + tg)
         if k == 0:
-            y = 0.5 * h * (1.0 + jacL.nodes)
+            y = 0.5 * h * (1.0 + tL)
             poly = (y[:, None] ** (jj[None, :] - 2)) @ ca
-            weak[k] += (0.5 * h) ** (1.0 + mu) * (jacL.weights * poly) @ LjL
+            weak[k] += (0.5 * h) ** (1.0 + mu) * (wL * poly) @ LjL
         else:
             vals = ((x[:, None] - a) ** (jj[None, :] - alpha)) @ ca
-            weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
+            weak[k] += 0.5 * h * (wg * vals) @ Ls
         if k == K - 1:
-            y = 0.5 * h * (1.0 - jacR.nodes)
+            y = 0.5 * h * (1.0 - tR)
             poly = (y[:, None] ** (jj[None, :] - 2)) @ db
-            weak[k] += (0.5 * h) ** (1.0 + mu) * (jacR.weights * poly) @ LjR
+            weak[k] += (0.5 * h) ** (1.0 + mu) * (wR * poly) @ LjR
         else:
             vals = ((b - x[:, None]) ** (jj[None, :] - alpha)) @ db
-            weak[k] += 0.5 * h * (gl.weights * vals) @ Ls
+            weak[k] += 0.5 * h * (wg * vals) @ Ls
     return mass_solve(mesh, basis, weak / (2.0 * math.cos(0.5 * math.pi * alpha)))
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ddgfrac.specfun import (
-    QuadRule,
     gamma_fn,
     gauss_jacobi,
     gauss_legendre,
@@ -39,17 +38,17 @@ def test_gamma_recurrence_property():
 
 
 def test_gauss_legendre_small_rules():
-    r1 = gauss_legendre(1)
-    assert r1.nodes == pytest.approx([0.0], abs=1e-15)
-    assert r1.weights == pytest.approx([2.0], rel=1e-15)
-    r2 = gauss_legendre(2)
-    assert r2.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], rel=1e-15)
-    assert r2.weights == pytest.approx([1.0, 1.0], rel=1e-15)
+    x1, w1 = gauss_legendre(1)
+    assert x1 == pytest.approx([0.0], abs=1e-15)
+    assert w1 == pytest.approx([2.0], rel=1e-15)
+    x2, w2 = gauss_legendre(2)
+    assert x2 == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], rel=1e-15)
+    assert w2 == pytest.approx([1.0, 1.0], rel=1e-15)
 
 
 def test_gauss_legendre_exactness_x8():
-    rule = gauss_legendre(5)
-    got = rule.weights @ rule.nodes**8
+    x, w = gauss_legendre(5)
+    got = w @ x**8
     assert got == pytest.approx(2.0 / 9.0, abs=1e-14)
 
 
@@ -60,20 +59,19 @@ def test_gauss_legendre_range_errors():
 
 
 def test_gauss_jacobi_zero_exponents_is_legendre():
-    gj = gauss_jacobi(1, 0.0, 0.0)
-    gl = gauss_legendre(1)
-    assert gj.nodes == pytest.approx(gl.nodes, abs=1e-15)
-    assert gj.weights == pytest.approx(gl.weights, rel=1e-14)
+    (xj, wj), (xl, wl) = gauss_jacobi(1, 0.0, 0.0), gauss_legendre(1)
+    assert xj == pytest.approx(xl, abs=1e-15)
+    assert wj == pytest.approx(wl, rel=1e-14)
 
 
 def test_gauss_jacobi_singular_moment():
-    rule = gauss_jacobi(4, -0.5, 0.0)
-    assert rule.weights.sum() == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
+    _x, w = gauss_jacobi(4, -0.5, 0.0)
+    assert w.sum() == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
 
 def test_gauss_jacobi_oracle_t3():
-    rule = gauss_jacobi(6, 0.4 - 1.0, 0.0)
-    assert rule.weights @ rule.nodes**3 == pytest.approx(JACOBI_T3_MU04, rel=1e-12)
+    x, w = gauss_jacobi(6, 0.4 - 1.0, 0.0)
+    assert w @ x**3 == pytest.approx(JACOBI_T3_MU04, rel=1e-12)
 
 
 def test_gauss_jacobi_exponent_errors():
@@ -90,34 +88,35 @@ def test_quadrature_moment_exactness(kind, a, b):
     # every rule integrates its weighted monomials up to degree 2n-1
     for n in (1, 2, 4, 8):
         if kind == "legendre":
-            rule = gauss_legendre(n)
+            x, w = gauss_legendre(n)
             moments = [2.0 / (p + 1) if p % 2 == 0 else 0.0 for p in range(2 * n)]
         else:
-            rule = gauss_jacobi(n, a, b)
+            x, w = gauss_jacobi(n, a, b)
             # moments of (1-t)^a (1+t)^b t^p via recursive exact quadrature
-            big = gauss_jacobi(40, a, b)
-            moments = [big.weights @ big.nodes**p for p in range(2 * n)]
+            xb, wb = gauss_jacobi(40, a, b)
+            moments = [wb @ xb**p for p in range(2 * n)]
         for p in range(2 * n):
-            got = rule.weights @ rule.nodes**p
+            got = w @ x**p
             assert got == pytest.approx(moments[p], abs=1e-12 * max(1, abs(moments[p])))
 
 
 def test_jacobi_weight_mass_matches_rule():
     for a, b in ((-0.5, 0.0), (0.3, -0.2), (1.0, 2.0)):
-        rule = gauss_jacobi(10, a, b)
+        _x, w = gauss_jacobi(10, a, b)
         # the weight's mass is a Beta-function value
         mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) \
             / math.gamma(a + b + 2.0)
-        assert rule.weights.sum() == pytest.approx(mass, rel=1e-12)
+        assert w.sum() == pytest.approx(mass, rel=1e-12)
 
 
-def test_quadrule_invariants():
-    with pytest.raises(ValueError):
-        QuadRule(np.array([0.5, -0.5]), np.array([1.0, 1.0]))  # not increasing
-    with pytest.raises(ValueError):
-        QuadRule(np.array([-0.5, 0.5]), np.array([1.0, -1.0]))  # negative weight
-    with pytest.raises(ValueError):
-        QuadRule(np.array([-2.0, 0.5]), np.array([1.0, 1.0]))  # outside [-1,1]
+def test_rules_have_increasing_interior_nodes_and_positive_weights():
+    rules = [gauss_legendre(n) for n in range(1, 65)]
+    rules += [gauss_jacobi(n, a, b) for n in range(1, 65)
+              for a in (0.0, 0.5, 0.99) for b in (0.0, 0.5, 0.99)]
+    for x, w in rules:
+        assert x.shape == w.shape == (x.size,)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(w > 0)
 
 
 def test_shift_x_squared():
