@@ -46,8 +46,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.fft     # numpy loads fft and random on first use; importing them
+import numpy.random  # here keeps that cost out of the first build_problem
 from numpy.polynomial import polynomial as P
-from scipy.sparse.linalg import LinearOperator
 
 from .ddg_spatial import (
     ConvectionFlux,
@@ -212,7 +213,7 @@ class SemiDiscreteProblem:
     mesh: object
     basis: object
     qop: DdgOperators
-    E: object = field(repr=False)          # dense (alpha < 2) or LinearOperator
+    E_dense: Optional[np.ndarray] = field(repr=False)  # None where a BlockOperator applies E
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
     forcing: tuple = field(repr=False)     # (time_fns, H: projected profiles)
     c_eps: complex = field(repr=False)     # eps, or i eps for the complex families
@@ -229,6 +230,15 @@ class SemiDiscreteProblem:
         """Names of the state rows: u for a single field, else u1, u2."""
         m = self.spec.n_components
         return ("u",) if m == 1 else tuple(f"u{j + 1}" for j in range(m))
+
+    @property
+    def E(self):
+        """E_dense, else a scipy LinearOperator over apply_E (no run reads it)."""
+        if self.E_dense is not None:
+            return self.E_dense
+        from scipy.sparse.linalg import LinearOperator
+        return LinearOperator((self.n, self.n), matvec=self.apply_E, dtype=float,
+                              matmat=lambda V: self.apply_E(V.T).T)
 
     def stable_dt_cap(self) -> float:
         """Step bound 0.9 r / rho from the stiff part's spectral radius rho.
@@ -421,9 +431,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         apply_E = lambda X: ((E @ _pairs(X.T).reshape(ndof, -1)).view(complex).T.reshape(X.shape)
                              if np.iscomplexobj(X) else X @ E.T)
     else:
-        apply_E = BlockOperator(qop, fop)
-        E = LinearOperator((ndof, ndof), matvec=apply_E, dtype=float,
-                           matmat=lambda V: apply_E(V.T).T)
+        E, apply_E = None, BlockOperator(qop, fop)
 
     forcing = (tuple(f for f, _h in spec.forcing),
                np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing],
@@ -440,7 +448,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     back = (w[:, None] * L) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
-                               E=E, apply_E=apply_E, forcing=forcing,
+                               E_dense=E, apply_E=apply_E, forcing=forcing,
                                c_eps=1j * spec.eps if spec.is_complex else spec.eps,
                                quad_eval=L.T, quad_back=1j * back, lift_nodal=lift_nodal)
 

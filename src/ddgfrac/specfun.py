@@ -1,10 +1,10 @@
 """Special functions and quadrature rules used throughout the solver.
 
 Provides the Gamma function on the positive axis, Gauss-Legendre and
-Gauss-Jacobi rules on [-1, 1] as (nodes, weights) arrays, and exact
-re-centering of polynomials in shifted-monomial form.  The Jacobi rules
-carry the weight (1-t)^a_exp (1+t)^b_exp, which is what makes the weakly
-singular kernels |x - s|^(mu-1) integrable exactly after an affine map.
+Gauss-Jacobi rules on [-1, 1] as (nodes, weights) arrays, both from numpy,
+and exact re-centering of polynomials in shifted-monomial form.  The Jacobi
+rules carry the weight (1-t)^a_exp (1+t)^b_exp, which is what makes the
+weakly singular kernels |x - s|^(mu-1) integrable exactly after an affine map.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 MAX_QUAD_POINTS = 64
 
@@ -41,15 +40,23 @@ def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.nda
     """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
     (1-t)^a_exp (1+t)^b_exp.
 
-    Exact for (1-t)^a_exp (1+t)^b_exp p(t) with deg p <= 2n-1.  Nodes and
-    weights come from the Golub-Welsch eigenvalue problem for the Jacobi
-    recurrence (scipy's ``roots_jacobi``).
+    Exact for (1-t)^a_exp (1+t)^b_exp p(t) with deg p <= 2n-1.  Golub-Welsch
+    (Math. Comp. 23, 1969): nodes and weights from the eigenpairs of the Jacobi
+    matrix, its k = 0, 1 entries cancelled to stay finite at a + b = 0 and -1.
     """
     if not 1 <= n <= MAX_QUAD_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_QUAD_POINTS}], got {n}")
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError(f"weight exponents must exceed -1, got ({a_exp}, {b_exp})")
-    return roots_jacobi(n, a_exp, b_exp)
+    a, b = float(a_exp), float(b_exp)
+    s = 2.0 * np.arange(n) + a + b                       # 2k + a + b
+    k = np.arange(2, n)
+    diag = np.r_[(b - a) / (a + b + 2), (b * b - a * a) / (s[1:] * (s[1:] + 2))]
+    off2 = np.r_[4 * (1 + a) * (1 + b) / ((a + b + 2) ** 2 * (a + b + 3)),
+                 4 * k * (k + a) * (k + b) * (k + a + b) / (s[2:] ** 2 * (s[2:] ** 2 - 1))]
+    nodes, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2[:n - 1]), -1))
+    mu0 = 2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    return nodes, mu0 * v[0] ** 2
 
 
 def polynomial_in_shifted_basis(coeffs_t, scale: float, shift: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -249,16 +250,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "r7").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # the admissibility check needs numpy only; loading scipy.optimize would
-    # add about 14 MB to the resident memory of every run
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    # the solver needs numpy only: Gauss-Jacobi rules come from Golub-Welsch
+    # in numpy, and SemiDiscreteProblem.E imports scipy only when it is read.
+    # Loading scipy would add about 0.3 s and 27 MB to every CLI process.
+    # alpha = 2 applies E through a BlockOperator at every size; ex1 at
+    # alpha = 1.5 assembles the Riesz blocks and its forcing with Jacobi rules
+    configs = [_write(tmp_path, "m.json", {"problem": "manakov", "alpha": 2.0, "N": 1,
+                                           "K": 8, "T": 0.01, "cross_coupling": 1.0}),
+               _write(tmp_path, "e.json", {"problem": "ex1", "alpha": 1.5, "N": 2,
+                                           "K": 8, "T": 0.01})]
     src = os.path.dirname(os.path.dirname(ddgfrac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ddgfrac, ddgfrac.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    code = textwrap.dedent("""
+        import sys
+        from ddgfrac import cli
+        def loaded():
+            print("scipy:", [m for m in sys.modules if m.split(".")[0] == "scipy"])
+        loaded()
+        for i, cfg in enumerate(sys.argv[2:]):
+            assert cli.main(["run", "--config", cfg, "--out", sys.argv[1] + str(i)]) == 0
+        loaded()
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *configs],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert [line for line in out.splitlines() if line.startswith("scipy")] == ["scipy: []"] * 2
+    assert len(glob.glob(str(tmp_path / "out[01]" / "*" / "diagnostics.json"))) == 2
 
 
 def test_cli_rejects_grid_cells_that_share_a_case_tag(tmp_path, capsys):

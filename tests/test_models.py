@@ -675,7 +675,7 @@ def _assert_matches_dense_fusion(prob):
     problem with E fused into the dense M^-1 B M^-1 A."""
     assert isinstance(prob.E, LinearOperator)
     E = _dense_E(prob)
-    dense = dataclasses.replace(prob, E=E, apply_E=lambda X: X @ E.T)
+    dense = dataclasses.replace(prob, E_dense=E, apply_E=lambda X: X @ E.T)
 
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, prob.n))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from ddgfrac.specfun import (
     gamma_fn,
@@ -107,6 +108,33 @@ def test_jacobi_weight_mass_matches_rule():
         mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) \
             / math.gamma(a + b + 2.0)
         assert w.sum() == pytest.approx(mass, rel=1e-12)
+
+
+def test_gauss_jacobi_matches_scipy_roots_jacobi():
+    # scipy's rule as an independent oracle (scipy is a test dependency only)
+    for n in range(1, 17):
+        for a in (0.0, 0.1, 0.5, 0.9, 0.99):
+            for b in (0.0, 0.1, 0.5, 0.9, 0.99):
+                (x, w), (xs, ws) = gauss_jacobi(n, a, b), roots_jacobi(n, a, b)
+                assert np.abs(x - xs).max() <= 2e-15, (n, a, b)
+                assert np.abs(w / ws - 1.0).max() <= 5e-13, (n, a, b)
+
+
+def test_gauss_jacobi_chebyshev_closed_forms():
+    # a + b = -1 and a + b = 0 are where the generic recurrence divides 0/0
+    for n in range(1, 17):
+        i = np.arange(n, 0, -1)
+        x, w = gauss_jacobi(n, -0.5, -0.5)   # first kind, weight 1/sqrt(1-t^2)
+        assert np.abs(x - np.cos((2 * i - 1) * np.pi / (2 * n))).max() <= 2e-15
+        assert np.abs(w - np.pi / n).max() <= 1e-14
+        # weight sqrt((1+t)/(1-t)): nodes cos((2i-1) pi/(2n+1)), weights
+        # 2 pi (1 + t_i)/(2n+1); its mirror swaps the exponents
+        t = np.cos((2 * i - 1) * np.pi / (2 * n + 1))
+        for sign, (a, b) in ((1, (-0.5, 0.5)), (-1, (0.5, -0.5))):
+            x, w = gauss_jacobi(n, a, b)
+            want = np.sort(sign * t)
+            assert np.abs(x - want).max() <= 2e-15, (n, a, b)
+            assert np.abs(w / (2 * np.pi * (1 + sign * want) / (2 * n + 1)) - 1).max() <= 1e-13
 
 
 def test_rules_have_increasing_interior_nodes_and_positive_weights():
