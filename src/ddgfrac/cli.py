@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .ddg_spatial import FluxParams, check_admissibility
-from .harness import ConfigError, load_config, run_convergence, run_single
+from .harness import ConfigError, field_suffix, load_config, run_convergence, run_single
 from .timestep import IntegrationError
 
 EXIT_OK = 0
@@ -70,12 +70,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    tables = run_convergence(load_config(args.config), args.out)
-    for suffix, rows in tables.items():
-        for r in rows:
-            order = "-" if r.order is None else f"{r.order:.2f}"
-            print(f"{suffix} alpha={r.alpha:g} N={r.N} K={r.K}: "
-                  f"err={r.l2_error:.3e} order={order}")
+    cells = run_convergence(load_config(args.config), args.out)
+    n_fields = len(cells[0]["l2_errors"])
+    for f in range(n_fields):
+        for d in cells:
+            order = "-" if d["orders"][f] is None else f"{d['orders'][f]:.2f}"
+            print(f"{field_suffix(f, n_fields) or 'u'} alpha={d['alpha']:g} N={d['N']} "
+                  f"K={d['K']}: err={d['l2_errors'][f]:.3e} order={order}")
     print(f"wrote convergence tables under {args.out}")
     return EXIT_OK
 

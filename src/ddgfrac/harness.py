@@ -57,7 +57,9 @@ CONFIG_SCHEMA = {
 }
 
 class ConfigError(ValueError):
-    """Raised for schema violations and unknown problem names."""
+    """An unreadable config, a schema violation, an unknown problem, a grid that
+    repeats a cell, snapshot times outside (0, T] or sharing a file tag, converge
+    without an exact solution, or a misplaced cross_coupling or beta1 (flux)."""
 
 
 @dataclass
@@ -107,27 +109,16 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         problem=raw["problem"],
         alphas=_as_list(raw["alpha"]),
-        N_list=_as_list(raw["N"]),
-        K_list=_as_list(raw["K"]),
+        N_list=[int(N) for N in _as_list(raw["N"])],  # the schema takes 2.0 as an integer
+        K_list=[int(K) for K in _as_list(raw["K"])],
         T=raw.get("T"),
         cfl_c=raw.get("cfl_c"),
         dt_override=raw.get("dt_override"),
         flux=flux,
         cross_coupling=raw.get("cross_coupling"),
         snapshot_times=tuple(raw.get("snapshot_times", ())),
-        points_per_cell=raw.get("points_per_cell", 8),
+        points_per_cell=int(raw.get("points_per_cell", RunConfig.points_per_cell)),
     )
-
-
-@dataclass
-class ConvergenceRow:
-    alpha: float
-    N: int
-    K: int
-    dt: float
-    l2_error: float
-    order: Optional[float]
-    wall_time_ms: int
 
 
 def compute_order(errors, h_values) -> list:
@@ -149,12 +140,18 @@ def _fmt(x) -> str:
     return "" if x is None else format(x, ".17g")
 
 
-def write_rows_csv(path: str, rows) -> None:
+def field_suffix(field: int, n_fields: int) -> str:
+    """Names a field's convergence CSV: none for one field, else _u1, _u2."""
+    return "" if n_fields == 1 else f"_u{field + 1}"
+
+
+def write_rows_csv(path: str, cells, field: int) -> None:
     with open(path, "w") as fh:
         fh.write("alpha,N,K,dt,l2_error,order,wall_time_ms\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.alpha)},{r.N},{r.K},{_fmt(r.dt)},"
-                     f"{_fmt(r.l2_error)},{_fmt(r.order)},{r.wall_time_ms}\n")
+        for d in cells:
+            fh.write(f"{_fmt(d['alpha'])},{d['N']},{d['K']},{_fmt(d['dt'])},"
+                     f"{_fmt(d['l2_errors'][field])},{_fmt(d['orders'][field])},"
+                     f"{d['wall_time_ms']}\n")
 
 
 def case_tag(cfg: RunConfig, alpha: float, N: int, K: int) -> str:
@@ -237,7 +234,7 @@ def snapshot_grid(problem: SemiDiscreteProblem, points_per_cell: int) -> np.ndar
 
 
 def write_snapshot(path: str, problem: SemiDiscreteProblem, state: np.ndarray,
-                   t: float, points_per_cell: int = 8) -> list:
+                   t: float, points_per_cell: int) -> list:
     """Plot-ready columns of the (m, n) state; complex fields write (x, re, im).
 
     Writes one file per physical field, and returns their paths: a single
@@ -280,8 +277,8 @@ def run_single(cfg: RunConfig, out_dir: str) -> list:
     return results
 
 
-def run_convergence(cfg: RunConfig, out_dir: str) -> dict:
-    """Run the (alpha, N, K) grid and emit per-field convergence CSV tables."""
+def run_convergence(cfg: RunConfig, out_dir: str) -> list:
+    """Run the grid, write a convergence CSV per field, return the cell records."""
     if cfg.snapshot_times:
         # they would shorten steps to land on each time and write nothing
         raise ConfigError("converge writes no snapshots; remove snapshot_times "
@@ -293,24 +290,14 @@ def run_convergence(cfg: RunConfig, out_dir: str) -> dict:
                               f"{case_tag(cfg, alpha, N, K)}; convergence studies need one")
     os.makedirs(out_dir, exist_ok=True)
     diags = [simulate(cfg, alpha, N, K)[3] for alpha, N, K in cells]
-
-    n_tables = len(diags[0]["l2_errors"])
-    tables = {}
-    for f in range(n_tables):
-        rows = []
-        for alpha in cfg.alphas:
-            for N in cfg.N_list:
-                cells = [d for d in diags
-                         if d["alpha"] == alpha and d["N"] == N]
-                errs = [d["l2_errors"][f] for d in cells]
-                hs = [1.0 / d["K"] for d in cells]
-                orders = compute_order(errs, hs)
-                for d, e, o in zip(cells, errs, orders):
-                    rows.append(ConvergenceRow(
-                        alpha=alpha, N=N, K=d["K"], dt=d["dt"], l2_error=e,
-                        order=o, wall_time_ms=d["wall_time_ms"]))
-        suffix = "" if n_tables == 1 else f"_u{f + 1}"
-        path = os.path.join(out_dir, f"convergence{suffix}.csv")
-        write_rows_csv(path, rows)
-        tables[suffix or "u"] = rows
-    return tables
+    for i in range(0, len(diags), len(cfg.K_list)):  # K innermost: a slice per (alpha, N)
+        group = diags[i:i + len(cfg.K_list)]
+        orders = [compute_order(errs, [1.0 / d["K"] for d in group])
+                  for errs in zip(*(d["l2_errors"] for d in group))]
+        for d, o in zip(group, zip(*orders)):
+            d["orders"] = list(o)
+    n_fields = len(diags[0]["l2_errors"])
+    for f in range(n_fields):
+        write_rows_csv(os.path.join(out_dir, f"convergence{field_suffix(f, n_fields)}.csv"),
+                       diags, f)
+    return diags

@@ -72,12 +72,11 @@ from .meshbasis import (
     mass_solve_mat,
     project,
 )
-from .specfun import gamma_fn, gauss_legendre
+from .specfun import MAX_QUAD_POINTS, gamma_fn, gauss_legendre
 
 # (number of physical fields = state rows, whether they are complex) per family
 _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
            "nls": (1, True), "coupled_nls": (2, True)}
-FAMILIES = tuple(_LAYOUT)
 
 # Crossover in DOFs per component, used for alpha < 2 only (alpha = 2
 # always applies the BlockOperator DDG stage).  Measured as the complete RHS
@@ -111,7 +110,7 @@ class ForcingProfile:
     base: Optional[np.ndarray] = None
 
     def project_onto(self, mesh, basis, alpha: float) -> np.ndarray:
-        n_quad = min(max(basis.N + 2, (self.poly.size + basis.N) // 2 + 2), 64)
+        n_quad = min(max(basis.N + 2, (self.poly.size + basis.N) // 2 + 2), MAX_QUAD_POINTS)
         dofs = project(_polyval(self.poly), mesh, basis, n_quad=n_quad).values
         if self.base is not None and self.frac_scale != 0.0:
             dofs = dofs + self.frac_scale * project_riesz_poly(alpha, self.base, mesh, basis)
@@ -165,7 +164,7 @@ class ProblemSpec:
     bcs: tuple = field(init=False)   # per-field t -> boundary data, from lift
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _LAYOUT:
             raise ValueError(f"unknown family {self.family!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
@@ -261,12 +260,9 @@ class SemiDiscreteProblem:
         """
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.n)
-        rho = 1.0
         for _ in range(30):
             w = self.apply_E(v)
             rho = np.linalg.norm(w)
-            if rho == 0.0:
-                return math.inf
             v = w / rho
         spec = self.spec
         rho_eff = abs(spec.eps) * rho
@@ -443,7 +439,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         lift_nodal = P.polyval(nodes, spec.lift[1]).ravel()
 
     # enough points for exact projection of cubic products of the fields
-    t, w = gauss_legendre(min(2 * basis.N + 3, 64))
+    t, w = gauss_legendre(min(2 * basis.N + 3, MAX_QUAD_POINTS))
     L = basis.eval_matrix(t)
     back = (w[:, None] * L) @ basis.mass_inv.T
 
@@ -462,6 +458,7 @@ def _polyval(coeffs):
 
 
 _BURGERS = ConvectionFlux(f=lambda u: 0.5 * u * u, df=lambda u: u)
+_V0, _D = 0.4, 10.0  # speed and initial offset of the solitons of _manakov_exact
 
 # Manufactured examples u_j = T(t) u0(x) on every field j, one row each:
 # family, domain, default T, u0, the residual coefficients (c1, c3) and the
@@ -532,20 +529,19 @@ def _manufactured(family: str, domain: tuple, u0: np.ndarray, residual: tuple,
                 forcing=forcing, exact=exact)
 
 
-def _manakov_exact(r1: float = 1.0, r2: float = 1.0, v0: float = 0.4,
-                   D: float = 10.0) -> tuple:
-    """Two single solitons of the coupled cubic system moving toward each
-    other, one per field (alpha = 2, cross coupling 1).  They solve the
-    system up to the overlap of their tails, so this is a reference only
-    before they collide near t = 12.5."""
+def _manakov_exact() -> tuple:
+    """Two unit-amplitude single solitons of the coupled cubic system moving
+    toward each other, one per field (alpha = 2, cross coupling 1).  They
+    solve the system up to the overlap of their tails, so this is a
+    reference only before they collide near t = 12.5."""
     def u1(x, t):
-        amp = math.sqrt(2.0) * r1 / np.cosh(r1 * x - 2.0 * r1 * v0 * t + D)
-        return amp * np.exp(1j * (v0 * x + (r1**2 - v0**2) * t))
+        amp = math.sqrt(2.0) / np.cosh(x - 2.0 * _V0 * t + _D)
+        return amp * np.exp(1j * (_V0 * x + (1.0 - _V0**2) * t))
 
     def u2(x, t):
         # left-moving partner: momentum -v0 pairs with center D - 2 v0 t
-        amp = math.sqrt(2.0) * r2 / np.cosh(r2 * x + 2.0 * r2 * v0 * t - D)
-        return amp * np.exp(1j * (-v0 * x + (r2**2 - v0**2) * t))
+        amp = math.sqrt(2.0) / np.cosh(x + 2.0 * _V0 * t - _D)
+        return amp * np.exp(1j * (-_V0 * x + (1.0 - _V0**2) * t))
 
     return u1, u2
 

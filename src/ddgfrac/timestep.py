@@ -29,7 +29,7 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class RunControl:
     T: float
-    cfl_c: float = 0.1
+    cfl_c: float
     dt_override: Optional[float] = None
     snapshot_times: tuple = field(default_factory=tuple)
 

@@ -189,6 +189,13 @@ def test_riesz_poly_classical_limit():
     assert got == pytest.approx([-2.0, -2.0], abs=1e-14)
 
 
+def test_riesz_poly_rejects_orders_outside_the_open_range():
+    # alpha = 2 has its classical branch; every other order must lie in (1, 2)
+    for alpha in (1.0, 2.5):
+        with pytest.raises(ValueError, match=r"order must lie in \(1, 2\)"):
+            riesz_frac_deriv_poly(alpha, [0.0, 0.0, 1.0], 0.0, 1.0, 0.5)
+
+
 def test_riesz_poly_oracle_x2():
     got = riesz_frac_deriv_poly(1.5, [0.0, 0.0, 1.0], 0.0, 1.0, 0.5)
     assert got == pytest.approx(RIESZ_X2_A15_X05, rel=1e-10)

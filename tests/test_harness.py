@@ -14,9 +14,11 @@ import pytest
 import ddgfrac
 from ddgfrac import harness
 from ddgfrac.cli import main as cli_main
+from ddgfrac.ddg_spatial import FluxParams
 from ddgfrac.harness import (
     ConfigError,
     RunConfig,
+    cell_spec,
     compute_order,
     grid_cells,
     load_config,
@@ -87,13 +89,99 @@ def test_shipped_configs_load_and_build():
 def test_converge_produces_orders(tmp_path):
     cfg = RunConfig(problem="ex1", alphas=[1.3], N_list=[1], K_list=[8, 16],
                     T=0.25)
-    tables = run_convergence(cfg, str(tmp_path / "out"))
-    rows = tables["u"]
-    assert rows[0].order is None
-    assert rows[1].order == pytest.approx(2.0, abs=0.4)
+    cells = run_convergence(cfg, str(tmp_path / "out"))
+    assert [d["K"] for d in cells] == [8, 16]
+    assert cells[0]["orders"] == [None]
+    assert cells[1]["orders"][0] == pytest.approx(2.0, abs=0.4)
     csv = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
     assert csv[0] == "alpha,N,K,dt,l2_error,order,wall_time_ms"
     assert len(csv) == 3
+
+
+def test_converge_returns_the_cell_records_with_per_field_orders(tmp_path, capsys):
+    # one record per cell, simulate's diagnostics with each field's order
+    # over its (alpha, N) group; the CSVs and the printed table read them
+    cfg = _write(tmp_path, "c.json", {"problem": "ex8", "alpha": [1.3, 1.6], "N": 1,
+                                      "K": [4, 8], "T": 0.05})
+    cells = run_convergence(load_config(cfg), str(tmp_path / "out"))
+    assert [(d["alpha"], d["N"], d["K"]) for d in cells] == [
+        (1.3, 1, 4), (1.3, 1, 8), (1.6, 1, 4), (1.6, 1, 8)]
+    for group in (cells[:2], cells[2:]):
+        for f in range(2):
+            want = compute_order([d["l2_errors"][f] for d in group], [0.25, 0.125])
+            assert [d["orders"][f] for d in group] == want
+
+    def g17(x):
+        return "" if x is None else format(x, ".17g")
+
+    for f in range(2):
+        rows = (tmp_path / "out" / f"convergence_u{f + 1}.csv").read_text().splitlines()
+        assert [r.split(",")[:6] for r in rows[1:]] == [
+            [g17(d["alpha"]), str(d["N"]), str(d["K"]), g17(d["dt"]),
+             g17(d["l2_errors"][f]), g17(d["orders"][f])] for d in cells]
+    capsys.readouterr()
+    assert cli_main(["converge", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"_u{f} alpha={d['alpha']:g} N=1 K={d['K']}" for f in (1, 2) for d in cells]
+    assert lines[0].endswith("order=-") and not lines[1].endswith("order=-")
+
+
+def test_integral_floats_for_N_and_K_run_as_ints(tmp_path, capsys):
+    # the schema counts 2.0 as an integer; load_config makes it one, so the
+    # outputs are those of 2, and a repeated K is caught as one
+    base = {"problem": "ex1", "alpha": 1.5, "T": 0.02}
+    for i, (N, K, ppc) in enumerate(((2, [4, 8], 4), (2.0, [4.0, 8.0], 4.0))):
+        cfg = _write(tmp_path, f"c{i}.json", {**base, "N": N, "K": K, "points_per_cell": ppc})
+        for command in ("run", "converge"):
+            assert cli_main([command, "--config", cfg, "--out", str(tmp_path / str(i))]) == 0
+
+    def outputs(root):
+        got = {}
+        for path in sorted(glob.glob(str(root / "**" / "*.*"), recursive=True)):
+            if os.path.isdir(path):
+                continue
+            text = open(path).read()
+            if path.endswith(".json"):
+                text = {k: v for k, v in json.loads(text).items() if k != "wall_time_ms"}
+            elif path.endswith(".csv"):
+                text = [line.rsplit(",", 1)[0] for line in text.splitlines()]
+            got[os.path.relpath(path, root)] = text
+        return got
+
+    want = outputs(tmp_path / "0")
+    assert len(want) == 5 and outputs(tmp_path / "1") == want
+    twice = _write(tmp_path, "k.json", {**base, "N": 2, "K": [8, 8.0]})
+    capsys.readouterr()
+    for command in ("run", "converge"):
+        assert cli_main([command, "--config", twice, "--out", str(tmp_path / "k")]) == 2
+        assert "grid repeats the cell ex1_a1.5_N2_K8" in capsys.readouterr().err
+
+
+def test_config_flux_reaches_every_cell(tmp_path, capsys):
+    cfg = load_config(_write(tmp_path, "f.json", {"problem": "ex1", "alpha": [1.3, 2.0],
+                                                  "N": [1, 2], "K": 4,
+                                                  "beta0": 3, "beta1": 0.05}))
+    assert cfg.flux == FluxParams(3.0, 0.05)
+    for cell in grid_cells(cfg):
+        assert build_problem(cell_spec(cfg, *cell)).qop.flux == FluxParams(3.0, 0.05)
+    bad = _write(tmp_path, "b.json", {"problem": "ex1", "alpha": 1.3, "N": 1, "K": 4,
+                                      "beta1": 0.05})
+    capsys.readouterr()
+    for command in ("run", "converge"):
+        assert cli_main([command, "--config", bad, "--out", str(tmp_path / "b")]) == 2
+        assert "config error: beta1 given without beta0" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"problem": "ex1", "alpha": 1.3,')
+    capsys.readouterr()
+    for path in (str(tmp_path / "missing.json"), str(tmp_path), str(broken)):
+        for command in ("run", "converge"):
+            assert cli_main([command, "--config", path, "--out", str(tmp_path / "r")]) == 2
+            assert f"config error: cannot read config {path}: " in capsys.readouterr().err
 
 
 def test_converge_deterministic_modulo_walltime(tmp_path):

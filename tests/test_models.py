@@ -483,6 +483,15 @@ def test_fields_drive_roles_norms_and_errors():
         assert len(errs) == len(roles) and all(0.0 <= e < 1e-2 for e in errs)
 
 
+def test_a_spec_without_initial_data_or_exact_solution_says_so():
+    prob = build_problem(ProblemSpec(family="diffusion", alpha=1.5, domain=(0.0, 1.0),
+                                     K=4, N=1, T=1.0))
+    with pytest.raises(ValueError, match="problem has no initial data"):
+        prob.initial_state()
+    with pytest.raises(ValueError, match="problem has no exact solution"):
+        prob.field_errors(np.zeros((1, prob.n)), 0.0)
+
+
 def test_epsilon_values():
     def eps(name, alpha):
         return make_example(name, alpha, 4, 1).eps

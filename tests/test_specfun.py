@@ -82,6 +82,12 @@ def test_gauss_jacobi_exponent_errors():
         gauss_jacobi(4, 0.0, -1.5)
 
 
+def test_gauss_jacobi_range_errors():
+    for n in (0, 65):
+        with pytest.raises(ValueError, match=r"point count must be in \[1, 64\]"):
+            gauss_jacobi(n, -0.5, 0.0)
+
+
 @pytest.mark.parametrize("kind,a,b", [("legendre", None, None),
                                       ("jacobi", -0.5, 0.0),
                                       ("jacobi", 0.25, 0.75)])

@@ -166,10 +166,14 @@ def test_integrate_keeps_a_complex_state():
 
 def test_control_validation():
     with pytest.raises(ValueError):
-        RunControl(T=0.0)
+        RunControl(T=0.0, cfl_c=0.1)
     with pytest.raises(ValueError):
         RunControl(T=1.0, cfl_c=1.5)
     with pytest.raises(ValueError):
-        RunControl(T=1.0, dt_override=-0.1)
+        RunControl(T=1.0, cfl_c=0.1, dt_override=-0.1)
+    # the CFL constant has no default here: the family's default belongs to
+    # ProblemSpec (0.05 for the Schrodinger families, 0.1 otherwise)
+    with pytest.raises(TypeError):
+        RunControl(T=1.0)
     with pytest.raises(ValueError):
         erk4_step(lambda t, u: u, np.zeros(1), 0.0, 0.0)
