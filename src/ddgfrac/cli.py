@@ -47,12 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("converge", help="convergence study over (alpha, N, K)")
     _add_common(conv)
 
-    adm = sub.add_parser("admissibility", help="check a numerical-flux pair")
+    adm = sub.add_parser("admissibility", help="check a numerical-flux pair",
+                         argument_default=argparse.SUPPRESS)  # the callee owns each default
     adm.add_argument("--N", type=int, required=True)
     adm.add_argument("--beta0", type=float, required=True)
-    adm.add_argument("--beta1", type=float, default=0.0)
-    adm.add_argument("--gamma", type=float, default=0.5)
-    adm.add_argument("--mu", type=float, default=0.25)
+    adm.add_argument("--beta1", type=float)
+    adm.add_argument("--gamma", type=float)
+    adm.add_argument("--mu", type=float, dest="mu_pen")
     adm.add_argument("--out", default="out")
     return ap
 
@@ -82,14 +83,16 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
+    given = vars(args)
     try:
-        report = check_admissibility(FluxParams(args.beta0, args.beta1), args.N,
-                                     gamma=args.gamma, mu_pen=args.mu)
+        flux = FluxParams(**{k: given[k] for k in ("beta0", "beta1") if k in given})
+        report = check_admissibility(flux, args.N,
+                                     **{k: given[k] for k in ("gamma", "mu_pen") if k in given})
     except np.linalg.LinAlgError:  # a ValueError, but a fault of the check
         raise
     except ValueError as exc:  # a flag out of its range
         raise ConfigError(str(exc)) from None
-    print(f"flux (beta0={args.beta0:g}, beta1={args.beta1:g}) at N={args.N}: "
+    print(f"flux (beta0={flux.beta0:g}, beta1={flux.beta1:g}) at N={args.N}: "
           f"min_ratio={report.min_ratio:.6f} min_value={report.min_value:.3e} "
           f"admissible={report.admissible}")
     if report.admissible:
@@ -98,8 +101,8 @@ def _cmd_admissibility(args) -> int:
     witness_path = os.path.join(args.out, "admissibility_witness.json")
     with open(witness_path, "w") as fh:
         json.dump({
-            "beta0": args.beta0, "beta1": args.beta1, "N": args.N,
-            "gamma": args.gamma, "mu": args.mu,
+            "beta0": flux.beta0, "beta1": flux.beta1, "N": args.N,
+            "gamma": report.gamma, "mu": report.mu_pen,
             "min_value": report.min_value, "min_ratio": report.min_ratio,
             "witness_dofs_left": list(report.witness[: args.N + 1]),
             "witness_dofs_right": list(report.witness[args.N + 1:]),

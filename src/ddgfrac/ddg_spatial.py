@@ -196,6 +196,8 @@ class AdmissibilityReport:
     min_ratio: float
     min_value: float
     admissible: bool
+    gamma: float     # the check's own parameters, defaults included
+    mu_pen: float
     witness: Optional[np.ndarray] = field(default=None)
 
 
@@ -258,9 +260,5 @@ def check_admissibility(
     min_ratio = float(u0 @ numer @ u0 - b @ y)
 
     admissible = min_value >= -1e-10
-    return AdmissibilityReport(
-        min_ratio=min_ratio,
-        min_value=min_value,
-        admissible=admissible,
-        witness=None if admissible else vecs[:, 0],
-    )
+    return AdmissibilityReport(min_ratio, min_value, admissible, gamma, mu_pen,
+                               None if admissible else vecs[:, 0])

@@ -12,8 +12,8 @@ basis function.  On a uniform mesh B is block Toeplitz, so only one block
 per cell offset is ever computed, and the operator is kept as those K
 blocks: memory grows linearly in K and there is no DOF cap.  The solver
 applies B through FFTs above a crossover size (``models.BlockOperator``);
-``FracOperator.B`` gathers the blocks into the dense matrix on request, for
-the small-size fused path and for tests.  The blocks are
+``FracOperator.B`` gathers the blocks into the dense matrix on request, as
+the tests' reference (the dense E gathers its own rows).  The blocks are
 
 * self cell: the power rule turns I^mu of a polynomial into a finite sum of
   y^(r+mu) terms, integrated exactly against a Gauss-Jacobi(0, mu) rule;
@@ -80,7 +80,7 @@ class FracOperator:
 
     @property
     def B(self) -> np.ndarray:
-        """Dense matrix gathered from the blocks (reference and small sizes)."""
+        """Dense matrix gathered from the blocks (the tests' reference)."""
         K, n = self.mesh.K, self.basis.n_nodes
         offset = np.arange(K)[:, None] - np.arange(K)[None, :] + K - 1
         B4 = self.toeplitz_blocks()[offset]               # (K, K, n, n)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from jsonschema import Draft202012Validator
 from .meshbasis import MAX_DEGREE, FieldVector, eval_field
 from .models import CROSS_COUPLED, EXAMPLES, SemiDiscreteProblem, build_problem, make_example
 from .ddg_spatial import FluxParams
-from .timestep import RunControl, integrate
+from .timestep import RunControl, cfl_timestep, integrate
 
 
 def _one_or_list(kind: str, **bounds) -> dict:
@@ -105,7 +105,7 @@ def load_config(path: str) -> RunConfig:
     if "beta0" in raw or "beta1" in raw:
         if "beta0" not in raw:
             raise ConfigError("beta1 given without beta0")
-        flux = FluxParams(raw["beta0"], raw.get("beta1", 0.0))
+        flux = FluxParams(**{k: raw[k] for k in ("beta0", "beta1") if k in raw})
     return RunConfig(
         problem=raw["problem"],
         alphas=_as_list(raw["alpha"]),
@@ -202,7 +202,7 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
 
     t0 = time.perf_counter()
     dt_cap = problem.stable_dt_cap()
-    dt_cfl = control.cfl_c * problem.mesh.dx ** alpha
+    dt_cfl = cfl_timestep(replace(control, dt_override=None), problem.mesh.dx, alpha)
     dt_bound = ("override" if cfg.dt_override is not None
                 else "cap" if dt_cap < dt_cfl else "cfl")
     state, snaps, dt, n_steps = integrate(

@@ -15,11 +15,13 @@ through a float view of their pairs.
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
 for the mass matrix (classical limit).  ``BlockOperator`` applies E from the
-blocks of A (block tridiagonal) and B (block Toeplitz, through FFTs)
-without forming it, so no size cap remains; at alpha = 2 it runs only the
-DDG stage at every size, and no dense E is formed.  For alpha < 2, E is
-fused into one dense matrix below ``MATRIX_FREE_MIN_DOF`` DOFs per field.
-Both paths agree to round-off.  Nonlinear products are formed at Gauss
+blocks of A (block tridiagonal) and B (block Toeplitz, through FFTs) without
+forming it, so no size cap remains; at alpha = 2 it runs only the DDG stage
+at every size, and no dense E is formed.  For alpha < 2 below
+``MATRIX_FREE_MIN_DOF`` DOFs per field, E is dense; it is centrosymmetric (a
+uniform mesh, a symmetric nodal basis, a two-sided integral), so only its
+top half is fused, and from ``FOLD_MIN_DOF`` on E is kept as that folded
+half.  The paths agree to round-off.  Nonlinear products are formed at Gauss
 points and projected back, and manufactured forcing terms are separable
 T(t) h(x) pairs whose spatial profiles are projected once at setup.
 
@@ -78,14 +80,18 @@ from .specfun import MAX_QUAD_POINTS, gamma_fn, gauss_legendre
 _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
            "nls": (1, True), "coupled_nls": (2, True)}
 
-# Crossover in DOFs per component, used for alpha < 2 only (alpha = 2
-# always applies the BlockOperator DDG stage).  Measured as the complete RHS
-# in an erk4_step loop (a dense E past the 2 MB L2 cache is read from memory
-# at every stage) on a 2-core x86 host over N = 1..3 and 1, 2 or 4 real
-# rows, BlockOperator takes 1.42-2.0x the dense time at n = 384, 1.09-1.42x
-# at 448, and wins every case from 512 on (0.73-0.88x; 0.51-0.72x at 576):
-# 512 is the crossover, kept at 576 until a bench round of its own.
+# Crossover in DOFs per component, used for alpha < 2 only (alpha = 2 always
+# applies the BlockOperator DDG stage).  In an erk4_step loop of the whole RHS
+# (2-core x86 host, 2 MB L2 per core; N = 1..3; 1, 2 or 4 real rows),
+# BlockOperator takes 1.42-1.68x the folded dense time at n = 512, 1.12-1.66x
+# at 576-600, and at 608-640 0.90-1.35x (1-2 rows) or 0.57-0.73x (4 rows,
+# whose halves leave L2).  576 stays: 608 raised manakov_soliton's peak RSS 8%.
 MATRIX_FREE_MIN_DOF = 576
+
+# From here the dense E is applied as its folded half, unfolded at build below:
+# in the same sweep plus one complex row, the folded RHS takes 0.33-1.15x the
+# unfolded time at n = 352-384 and wins every case from 400 on (0.61-0.99x).
+FOLD_MIN_DOF = 400
 
 # RK4's stability radius for a family's spectrum, keyed by is_complex
 RK4_RADIUS = {False: 2.6155, True: 2.0 * math.sqrt(2.0)}
@@ -212,7 +218,6 @@ class SemiDiscreteProblem:
     mesh: object
     basis: object
     qop: DdgOperators
-    E_dense: Optional[np.ndarray] = field(repr=False)  # None where a BlockOperator applies E
     apply_E: Callable = field(repr=False)  # E applied to every row of an array
     forcing: tuple = field(repr=False)     # (time_fns, H: projected profiles)
     c_eps: complex = field(repr=False)     # eps, or i eps for the complex families
@@ -232,9 +237,9 @@ class SemiDiscreteProblem:
 
     @property
     def E(self):
-        """E_dense, else a scipy LinearOperator over apply_E (no run reads it)."""
-        if self.E_dense is not None:
-            return self.E_dense
+        """Dense E (unfolded from a folded half), else a scipy LinearOperator."""
+        if not isinstance(self.apply_E, BlockOperator):
+            return self.apply_E(np.eye(self.n)).T
         from scipy.sparse.linalg import LinearOperator
         return LinearOperator((self.n, self.n), matvec=self.apply_E, dtype=float,
                               matmat=lambda V: self.apply_E(V.T).T)
@@ -407,13 +412,30 @@ class BlockOperator:
         return np.fft.irfft(ph, n=self.fft_len)[..., :self.K]
 
 
+def _folded_E(top: np.ndarray, n: int) -> Callable:
+    """E on every row from its top h = ceil(n / 2) rows: as J E J = E (J reverses
+    the DOFs), E u is P s + Q d on top and, reversed, P s - Q d below, with
+    s, d = u1 +- J u2 on the float columns (an odd n's middle DOF only in s)
+    and the h x h halves P, Q = (E11 +- E12 J) / 2."""
+    h = len(top)
+    mirror = np.pad(top[:, :h - 1:-1], ((0, 0), (0, 2 * h - n)))   # E12 J
+    P, Q = 0.5 * (top[:, :h] + mirror), 0.5 * (top[:, :h] - mirror)
+
+    def apply(X):
+        V = _pairs(X.T).reshape(n, -1) if np.iscomplexobj(X) else np.atleast_2d(X).T
+        ps, qd = P @ (V[:h] + V[::-1][:h]), Q @ (V[:h] - V[::-1][:h])
+        out = np.concatenate([ps + qd, (ps - qd)[:n - h][::-1]])
+        return (out.view(complex) if np.iscomplexobj(X) else out).T.reshape(X.shape)
+    return apply
+
+
 def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
-    For alpha < 2, E is fused into a dense matrix below
-    ``MATRIX_FREE_MIN_DOF`` DOFs per field, from M^-1 B and the blocks of
-    M^-1 A (``BlockOperator.compose``); from there on, and at alpha = 2 at
-    every size, a ``BlockOperator`` applies it.
+    For alpha < 2 below ``MATRIX_FREE_MIN_DOF`` DOFs per field, E's top half
+    is fused from M^-1 B and the blocks of M^-1 A (``BlockOperator.compose``),
+    unfolded below ``FOLD_MIN_DOF`` and applied folded (``_folded_E``) from
+    it; from there on, and at alpha = 2 at every size, a ``BlockOperator``.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
@@ -421,13 +443,20 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     qop = assemble_q_operator(mesh, basis, spec.flux or default_flux(spec.N))
     fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
-    ndof = mesh.K * basis.n_nodes
-    if fop is not None and ndof < MATRIX_FREE_MIN_DOF:
-        E = BlockOperator(qop, None).compose(mass_solve_mat(mesh, basis, fop.B))
-        apply_E = lambda X: ((E @ _pairs(X.T).reshape(ndof, -1)).view(complex).T.reshape(X.shape)
-                             if np.iscomplexobj(X) else X @ E.T)
+    n = mesh.K * basis.n_nodes
+    if fop is not None and n < MATRIX_FREE_MIN_DOF:
+        K, p, h = mesh.K, basis.n_nodes, (n + 1) // 2
+        T = mass_solve_mat(mesh, basis, fop.toeplitz_blocks())
+        k, i, l, j = np.ogrid[:(K + 1) // 2, :p, :K, :p]   # M^-1 B's top cell rows
+        top = BlockOperator(qop, None).compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
+        if n < FOLD_MIN_DOF:
+            E = np.concatenate([top, top[:n - h, ::-1][::-1]])    # J E J = E
+            apply_E = lambda X: ((E @ _pairs(X.T).reshape(n, -1)).view(complex).T.reshape(X.shape)
+                                 if np.iscomplexobj(X) else X @ E.T)
+        else:
+            apply_E = _folded_E(top, n)
     else:
-        E, apply_E = None, BlockOperator(qop, fop)
+        apply_E = BlockOperator(qop, fop)
 
     forcing = (tuple(f for f, _h in spec.forcing),
                np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing],
@@ -444,7 +473,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     back = (w[:, None] * L) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
-                               E_dense=E, apply_E=apply_E, forcing=forcing,
+                               apply_E=apply_E, forcing=forcing,
                                c_eps=1j * spec.eps if spec.is_complex else spec.eps,
                                quad_eval=L.T, quad_back=1j * back, lift_nodal=lift_nodal)
 

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from ddgfrac.models import FOLD_MIN_DOF
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")
 
@@ -20,17 +22,20 @@ CHILD = os.path.join(ROOT, "bench", "child.py")
 # (ex3's are zero); manakov goes through ``run``, as the bench's
 # manakov_soliton does: ``converge`` writes no snapshots and rejects
 # snapshot_times.  The complex states reach the E kernel (``@ problem.E.T``)
-# through the dense E (ex7, alpha = 1.5), the DDG stage alone (manakov,
-# alpha = 2) and, at K = 288, N = 1 (576 DOFs, the first matrix-free size),
-# the FFT stage (manakov, alpha = 1.6)
+# through the dense E (ex7, alpha = 1.5), at N = 1 and the first folded size
+# (``FOLD_MIN_DOF``) the dense E unfolded from its folded half, the DDG stage
+# alone (manakov, alpha = 2) and, at K = 288, N = 1 (576 DOFs, the first
+# matrix-free size), the FFT stage (manakov, alpha = 1.6)
 @pytest.mark.parametrize("command,config", [
     ("converge", {"problem": "ex3", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}),
     ("converge", {"problem": "ex4", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}),
     ("run", {"problem": "manakov", "alpha": 2.0, "N": 1, "K": 16, "T": 0.1,
              "cross_coupling": 1.0, "snapshot_times": [0.05]}),
     ("converge", {"problem": "ex7", "alpha": 1.5, "N": 1, "K": 8, "T": 0.05}),
+    ("converge", {"problem": "ex7", "alpha": 1.5, "N": 1, "K": FOLD_MIN_DOF // 2,
+                  "T": 0.002}),
     ("run", {"problem": "manakov", "alpha": 1.6, "N": 1, "K": 288, "T": 0.02}),
-], ids=["ex3", "ex4", "manakov", "ex7", "manakov_fft"])
+], ids=["ex3", "ex4", "manakov", "ex7", "ex7_folded", "manakov_fft"])
 def test_traced_bench_child_runs(tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -1,6 +1,7 @@
 """Config validation, convergence tables, snapshots, CLI and determinism."""
 
 import glob
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import ddgfrac
 from ddgfrac import harness
 from ddgfrac.cli import main as cli_main
-from ddgfrac.ddg_spatial import FluxParams
+from ddgfrac.ddg_spatial import FluxParams, check_admissibility
 from ddgfrac.harness import (
     ConfigError,
     RunConfig,
@@ -24,11 +25,13 @@ from ddgfrac.harness import (
     load_config,
     run_convergence,
     run_single,
+    simulate,
     snapshot_grid,
     write_snapshot,
 )
 from ddgfrac.meshbasis import FieldVector, eval_field
 from ddgfrac.models import EXAMPLES, build_problem, make_example
+from ddgfrac.timestep import RunControl, cfl_timestep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -195,6 +198,36 @@ def test_converge_deterministic_modulo_walltime(tmp_path):
         return ["," .join(l.split(",")[:-1]) for l in lines]
 
     assert strip_wall("a") == strip_wall("b")
+
+
+def test_dt_cfl_is_the_cfl_rule_with_or_without_an_override():
+    # diagnostics' dt_cfl is timestep.cfl_timestep without the override: an
+    # override sets dt and dt_bound, not the CFL step reported beside them
+    diags = [simulate(RunConfig(problem="ex1", alphas=[1.5], N_list=[1], K_list=[8],
+                                T=0.01, dt_override=dt), 1.5, 1, 8)[3]
+             for dt in (None, 1e-3)]
+    spec = make_example("ex1", 1.5, 8, 1)
+    want = cfl_timestep(RunControl(T=spec.T, cfl_c=spec.cfl_c), 2.0 / 8, 1.5)
+    assert diags[0]["dt_cfl"] == diags[1]["dt_cfl"] == want
+    assert diags[1]["dt"] == 1e-3 and diags[1]["dt_bound"] == "override"
+
+
+def test_flux_and_admissibility_defaults_have_one_owner(tmp_path):
+    # a flag or key left out takes FluxParams' and check_admissibility's own
+    # defaults, and the witness records the values the check used
+    defaults = inspect.signature(check_admissibility).parameters
+    for extra, want in (([], (FluxParams(0.1).beta1, defaults["gamma"].default,
+                              defaults["mu_pen"].default)),
+                        (["--beta1", "0.05", "--gamma", "0.4", "--mu", "0.2"], (0.05, 0.4, 0.2))):
+        out = tmp_path / f"adm{len(extra)}"
+        argv = ["admissibility", "--N", "2", "--beta0", "0.1", "--out", str(out)]
+        assert cli_main(argv + extra) == 4
+        witness = json.loads((out / "admissibility_witness.json").read_text())
+        assert (witness["beta0"], witness["N"]) == (0.1, 2)
+        assert (witness["beta1"], witness["gamma"], witness["mu"]) == want
+    cfg = _write(tmp_path, "flux.json", {"problem": "ex1", "alpha": 1.3, "N": 1, "K": 8,
+                                         "beta0": 2.0})
+    assert load_config(cfg).flux == FluxParams(2.0)
 
 
 def test_run_writes_snapshots_and_diagnostics(tmp_path, monkeypatch):

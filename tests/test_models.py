@@ -20,6 +20,7 @@ from ddgfrac.meshbasis import (
 )
 from ddgfrac.models import (
     EXAMPLES,
+    FOLD_MIN_DOF,
     MATRIX_FREE_MIN_DOF,
     RK4_RADIUS,
     _BURGERS,
@@ -95,7 +96,7 @@ def _per_field_rhs(prob, t, comps):
     + g for a complex one, in complex arithmetic, each factor written as
     sum_k W[j][k] rho_k and each coupling as a sum over the fields.  It
     builds its own Gauss rule, Lagrange values and mass matrix, and applies
-    E as ``comps @ E_dense.T``."""
+    E as ``comps @ _dense_E(prob).T``."""
     spec, basis = prob.spec, prob.basis
     g = sum((f(t) * h.project_onto(prob.mesh, basis, spec.alpha) for f, h in spec.forcing), 0.0)
     F = comps @ _dense_E(prob).T
@@ -684,7 +685,7 @@ def _assert_matches_dense_fusion(prob):
     problem with E fused into the dense M^-1 B M^-1 A."""
     assert isinstance(prob.E, LinearOperator)
     E = _dense_E(prob)
-    dense = dataclasses.replace(prob, E_dense=E, apply_E=lambda X: X @ E.T)
+    dense = dataclasses.replace(prob, apply_E=lambda X: X @ E.T)
 
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, prob.n))
@@ -751,6 +752,43 @@ def test_dense_E_takes_complex_rows_as_pairs():
         assert _rel(prob.apply_E(Z), Z @ E.T) <= 1e-13
         assert _rel(prob.apply_E(Z[1]), E @ Z[1]) <= 1e-13
         assert _rel(prob.apply_E(Z.real), Z.real @ E.T) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_E_is_centrosymmetric(alpha):
+    # J E J = E for the DOF reversal J, on the dense product the fold does
+    # not build: a uniform mesh, a symmetric nodal basis and a two-sided
+    # integral, for any flux; odd and even K, so odd n at even N
+    for N in range(5):
+        for K in (7, 8):
+            for flux in (None, FluxParams(1.0, 1.0 / 12.0), FluxParams(3.0, 0.3)):
+                E = _dense_E(build_problem(make_example("ex1", alpha, K, N, flux=flux)))
+                assert _rel(E[::-1, ::-1], E) <= 1e-14, (N, K, flux)
+
+
+def test_folded_E_matches_the_dense_product():
+    # E unfolded at build below FOLD_MIN_DOF and kept as its folded half from
+    # it, on both sides of the threshold and up to the largest dense size,
+    # odd n included: E itself and real and complex (n,) and (m, n) rows
+    # against the dense product
+    rng = np.random.default_rng(4)
+    odd_K = lambda p: -(-FOLD_MIN_DOF // p) | 1    # the first odd K with n >= it
+    for name, alpha, N, K in (("ex1", 1.5, 2, 9), ("ex1", 1.5, 1, FOLD_MIN_DOF // 2 - 1),
+                              ("ex7", 1.3, 1, FOLD_MIN_DOF // 2), ("ex8", 1.6, 2, odd_K(3)),
+                              ("ex1", 1.1, 4, odd_K(5)),
+                              ("ex7", 1.9, 3, (MATRIX_FREE_MIN_DOF - 1) // 4)):
+        prob = build_problem(make_example(name, alpha, K, N))
+        assert not isinstance(prob.apply_E, BlockOperator)
+        folded = prob.apply_E.__qualname__.startswith("_folded_E.")
+        assert folded == (prob.n >= FOLD_MIN_DOF), (K, N)
+        E = _dense_E(prob)
+        assert _rel(prob.E, E) <= 1e-13
+        X = rng.standard_normal((3, prob.n))
+        for Z in (X, X + 1j * rng.standard_normal(X.shape)):
+            for rows in (Z[:1], Z, Z[1]):
+                got = prob.apply_E(rows)
+                assert got.shape == rows.shape and got.dtype == rows.dtype
+                assert _rel(got, rows @ E.T) <= 1e-13, (K, N, rows.shape)
 
 
 def test_manakov_bench_cell_is_matrix_free():
