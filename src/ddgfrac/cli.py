@@ -29,11 +29,6 @@ EXIT_NUMERIC = 3
 EXIT_INADMISSIBLE = 4
 
 
-def _add_common(p):
-    p.add_argument("--config", required=True, help="path to a JSON run config")
-    p.add_argument("--out", default="out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ddgfrac",
                                  description="1D direct DG solver for fractional "
@@ -41,11 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
                                              "equations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute one simulation per grid cell")
-    _add_common(run)
-
-    conv = sub.add_parser("converge", help="convergence study over (alpha, N, K)")
-    _add_common(conv)
+    for name, handler, help_text in (
+            ("run", _cmd_run, "execute one simulation per grid cell"),
+            ("converge", _cmd_converge, "convergence study over (alpha, N, K)")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="path to a JSON run config")
+        p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(handler=handler)
 
     adm = sub.add_parser("admissibility", help="check a numerical-flux pair",
                          argument_default=argparse.SUPPRESS)  # the callee owns each default
@@ -55,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     adm.add_argument("--gamma", type=float)
     adm.add_argument("--mu", type=float, dest="mu_pen")
     adm.add_argument("--out", default="out")
+    adm.set_defaults(handler=_cmd_admissibility)
     return ap
 
 
@@ -114,13 +112,7 @@ def _cmd_admissibility(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
-        if args.command == "admissibility":
-            return _cmd_admissibility(args)
-        raise AssertionError(args.command)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

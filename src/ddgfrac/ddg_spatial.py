@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .meshbasis import ElementBasis, FieldVector, Mesh1D, build_basis
+from .meshbasis import ElementBasis, FieldVector, Mesh1D, build_basis, mass_solve_mat
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class DdgOperators:
     closure built into A.  On the uniform mesh A is block tridiagonal:
     every interior cell row holds (lower, diag, upper), and the two
     boundary cells replace diag with ``first``/``last`` (one block when
-    K = 1).  ``A`` gathers the dense matrix on request.
+    K = 1).  ``A`` gathers the dense matrix on request, and ``compose``
+    multiplies a dense matrix by M^-1 A from the blocks.
     """
 
     lower: np.ndarray
@@ -83,6 +84,20 @@ class DdgOperators:
         A4[0, :, 0, :] = self.first
         A4[-1, :, -1, :] = self.last
         return A4.reshape(K * n, K * n)
+
+    def compose(self, MB: np.ndarray) -> np.ndarray:
+        """MB M^-1 A in O(n^2 p), summed as the dense product sums: cell column
+        j is MB's zero-padded cell columns j - 1, j, j + 1 times the stacked
+        upper, diagonal (first, last at j = 0, K - 1) and lower M^-1 blocks."""
+        n = self.basis.n_nodes
+        blocks = np.concatenate([self.diag, self.lower, self.upper, self.first, self.last])
+        D, lo, up, first, last = mass_solve_mat(self.mesh, self.basis, blocks).reshape(5, n, n)
+        W = np.pad(MB, ((0, 0), (n, n)))
+        win = np.lib.stride_tricks.sliding_window_view(W, 3 * n, axis=1)[:, ::n]
+        E = win @ np.concatenate([up, D, lo])
+        E[:, 0] = win[:, 0] @ np.concatenate([up, first, lo])
+        E[:, -1] = win[:, -1] @ np.concatenate([up, last, lo])
+        return E.reshape(MB.shape)
 
 
 def _interior_face(basis: ElementBasis, flux: FluxParams, h: float):

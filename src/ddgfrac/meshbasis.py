@@ -46,8 +46,6 @@ def _lgl_nodes(N: int) -> np.ndarray:
     """Legendre-Gauss-Lobatto points: roots of (1 - t^2) P_N'(t)."""
     if N == 0:
         return np.array([0.0])
-    if N == 1:
-        return np.array([-1.0, 1.0])
     cN = np.zeros(N + 1)
     cN[N] = 1.0
     interior = npleg.legroots(npleg.legder(cN))

@@ -74,7 +74,7 @@ from .meshbasis import (
     mass_solve_mat,
     project,
 )
-from .specfun import MAX_QUAD_POINTS, gamma_fn, gauss_legendre
+from .specfun import gamma_fn, gauss_legendre
 
 # (number of physical fields = state rows, whether they are complex) per family
 _LAYOUT = {"diffusion": (1, False), "convection_diffusion": (1, False),
@@ -108,7 +108,8 @@ class ForcingProfile:
 
     Carrying the polynomial structure lets the setup project the weakly
     singular fractional part exactly (endpoint Gauss-Jacobi rules) instead
-    of hitting the quadrature floor of a plain Legendre rule.
+    of hitting the quadrature floor of a plain Legendre rule; a ``poly``
+    past ``gauss_legendre``'s point limit raises its ValueError.
     """
 
     poly: np.ndarray
@@ -116,7 +117,7 @@ class ForcingProfile:
     base: Optional[np.ndarray] = None
 
     def project_onto(self, mesh, basis, alpha: float) -> np.ndarray:
-        n_quad = min(max(basis.N + 2, (self.poly.size + basis.N) // 2 + 2), MAX_QUAD_POINTS)
+        n_quad = max(basis.N + 2, (self.poly.size + basis.N) // 2 + 2)
         dofs = project(_polyval(self.poly), mesh, basis, n_quad=n_quad).values
         if self.base is not None and self.frac_scale != 0.0:
             dofs = dofs + self.frac_scale * project_riesz_poly(alpha, self.base, mesh, basis)
@@ -140,11 +141,11 @@ class ProblemSpec:
     ``convection_diffusion``.  ``flux=None`` is ``default_flux(N)`` at
     assembly.
 
-    ``ic`` and ``exact`` hold one callable per field (``n_components``),
-    complex valued for the complex families.  ``forcing`` is one tuple of
-    separable terms (time_fn, ForcingProfile), g = sum T(t) h(x), added to
-    every field.  ``lift`` is one (time_fn, linear poly coeffs) pair for
-    problems posed with inhomogeneous Dirichlet data; every evolved field is
+    ``ic`` and ``exact`` hold one callable per field, ``n_components`` of
+    them (checked), complex valued for the complex families.  ``forcing`` is
+    one tuple of separable terms (time_fn, ForcingProfile), g = sum T(t) h(x),
+    added to every field.  ``lift`` is one (time_fn, linear poly coeffs) pair
+    for problems posed with inhomogeneous Dirichlet data; every evolved field is
     then the field minus T(t) l(x), with zero data.  ``bcs`` is not an
     input: it is derived from ``lift``, one function per field of t giving
     (T(t) l(a), T(t) l(b)), or (0.0, 0.0) without a lift.  The spec is
@@ -189,6 +190,9 @@ class ProblemSpec:
             if w is not None:
                 w.flags.writeable = False
             couplings.append(w)
+        for name, value in (("ic", self.ic), ("exact", self.exact)):
+            if value is not None and len(value) != m:
+                raise ValueError(f"{name} must hold one callable per field ({m}), got {len(value)}")
         bc = lambda t: (0.0, 0.0)
         if self.lift is not None:
             (a, b), (f, c) = self.domain, self.lift
@@ -274,7 +278,7 @@ class SemiDiscreteProblem:
         if spec.conv is not None and spec.ic is not None:
             nodes = cell_centers_and_points(self.mesh, self.basis.ref_nodes)
             u0 = self.full_fields(spec.ic[0](nodes).ravel(), 0.0)
-            speed = 1.5 * float(np.abs(spec.conv.df(u0)).max()) + 1e-30
+            speed = 1.5 * float(np.abs(spec.conv.df(u0)).max())
             rho_eff += speed * (self.basis.N + 1) ** 2 / self.mesh.dx
         return 0.9 * RK4_RADIUS[spec.is_complex] / rho_eff
 
@@ -351,7 +355,7 @@ class BlockOperator:
     fractional stage M^-1 B is block Toeplitz, applied as a circulant of
     length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one n x n product
     per frequency (``symbol``, (n, n, L // 2 + 1)), irfft.  At alpha = 2
-    only the DDG stage runs; ``compose`` fuses a dense E from its blocks.
+    only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
@@ -360,7 +364,6 @@ class BlockOperator:
         fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
         blocks = [qop.diag, qop.lower, qop.upper, qop.first - qop.diag, fix_last]
         self.stencil = mass_solve_mat(mesh, basis, np.concatenate(blocks))
-        self.ends = mass_solve_mat(mesh, basis, np.vstack([qop.first, qop.last]))
         self.symbol = None
         self.fft_len = L = _fast_len(2 * K - 1)
         if fop is not None:
@@ -380,19 +383,6 @@ class BlockOperator:
         c = np.ascontiguousarray(V.transpose(2, 0, 3, 1)).reshape(self.n, -1, self.K)
         c = self._frac(self._ddg(c)).reshape(self.n, len(V), -1, self.K).transpose(1, 3, 0, 2)
         return np.array(c, order="C").view(X.dtype).reshape(X.shape)
-
-    def compose(self, MB: np.ndarray) -> np.ndarray:
-        """MB M^-1 A in O(n^2 p), summed as the dense product sums: cell column
-        j is MB's zero-padded cell columns j - 1, j, j + 1 times the stacked
-        upper, diagonal (``ends`` at j = 0, K - 1) and lower M^-1 blocks."""
-        n = self.n
-        (D, lo, up), (first, last) = self.stencil.reshape(5, n, n)[:3], self.ends.reshape(2, n, n)
-        W = np.pad(MB, ((0, 0), (n, n)))
-        win = np.lib.stride_tricks.sliding_window_view(W, 3 * n, axis=1)[:, ::n]
-        E = win @ np.concatenate([up, D, lo])
-        E[:, 0] = win[:, 0] @ np.concatenate([up, first, lo])
-        E[:, -1] = win[:, -1] @ np.concatenate([up, last, lo])
-        return E.reshape(MB.shape)
 
     def _ddg(self, c: np.ndarray) -> np.ndarray:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
@@ -433,7 +423,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
     For alpha < 2 below ``MATRIX_FREE_MIN_DOF`` DOFs per field, E's top half
-    is fused from M^-1 B and the blocks of M^-1 A (``BlockOperator.compose``),
+    is fused from M^-1 B and the blocks of M^-1 A (``DdgOperators.compose``),
     unfolded below ``FOLD_MIN_DOF`` and applied folded (``_folded_E``) from
     it; from there on, and at alpha = 2 at every size, a ``BlockOperator``.
     """
@@ -448,7 +438,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         K, p, h = mesh.K, basis.n_nodes, (n + 1) // 2
         T = mass_solve_mat(mesh, basis, fop.toeplitz_blocks())
         k, i, l, j = np.ogrid[:(K + 1) // 2, :p, :K, :p]   # M^-1 B's top cell rows
-        top = BlockOperator(qop, None).compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
+        top = qop.compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
         if n < FOLD_MIN_DOF:
             E = np.concatenate([top, top[:n - h, ::-1][::-1]])    # J E J = E
             apply_E = lambda X: ((E @ _pairs(X.T).reshape(n, -1)).view(complex).T.reshape(X.shape)
@@ -468,7 +458,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         lift_nodal = P.polyval(nodes, spec.lift[1]).ravel()
 
     # enough points for exact projection of cubic products of the fields
-    t, w = gauss_legendre(min(2 * basis.N + 3, MAX_QUAD_POINTS))
+    t, w = gauss_legendre(2 * basis.N + 3)
     L = basis.eval_matrix(t)
     back = (w[:, None] * L) @ basis.mass_inv.T
 

@@ -25,6 +25,7 @@ from ddgfrac.models import (
     RK4_RADIUS,
     _BURGERS,
     BlockOperator,
+    ForcingProfile,
     ProblemSpec,
     _manufactured,
     build_problem,
@@ -340,6 +341,14 @@ def test_forcing_ex2_anchor_value():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_a_profile_past_the_rule_limit_is_rejected_by_the_rule():
+    # degree 130 at N = 2 needs 68 Gauss points; gauss_legendre owns the
+    # 64-point limit and names it, where a cap would under-integrate
+    profile = ForcingProfile(np.ones(131))
+    with pytest.raises(ValueError, match=r"point count must be in \[1, 64\], got 68"):
+        profile.project_onto(build_mesh(-1.0, 1.0, 4), build_basis(2), 1.5)
+
+
 def test_forcing_unknown_name():
     with pytest.raises(KeyError):
         make_example("nope", 1.5, 4, 1)
@@ -451,6 +460,14 @@ def test_problem_spec_validation():
     for terms in ({"coupling": [[3.0]]}, {"nl_coupling": [[5.0]]}):
         with pytest.raises(ValueError, match="takes no coupling"):
             dataclasses.replace(make_example("ex1", 1.5, 16, 2), **terms)
+    # ic and exact hold one callable per field: a short exact tuple would
+    # make zip drop a field's error, a short ic would fail inside rhs
+    ex8, ex7 = make_example("ex8", 1.5, 8, 2), make_example("ex7", 1.5, 8, 2)
+    for spec, name, value in ((ex8, "exact", ex8.exact[:1]), (ex8, "ic", ex8.ic[:1]),
+                              (ex7, "exact", ex7.exact * 2), (ex7, "ic", ex7.ic * 2)):
+        with pytest.raises(ValueError, match=rf"{name} must hold one callable per field "
+                                             rf"\({spec.n_components}\)"):
+            dataclasses.replace(spec, **{name: value})
 
 
 def test_a_replaced_degree_takes_its_own_default_flux():
@@ -734,7 +751,7 @@ def test_dense_E_is_fused_from_the_ddg_blocks():
                 mesh, basis = qop.mesh, qop.basis
                 MB = mass_solve_mat(mesh, basis, fop.B)
                 want = MB @ mass_solve_mat(mesh, basis, qop.A)
-                got = BlockOperator(qop, None).compose(MB)
+                got = qop.compose(MB)
                 assert _rel(got, want) <= 1e-13, (K, N, alpha)
 
 

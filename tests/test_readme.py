@@ -5,6 +5,7 @@ import os
 import re
 
 import ddgfrac
+from ddgfrac import models
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -32,3 +33,12 @@ def test_readme_library_use_runs():
     spec, prob, state = scope["spec"], scope["prob"], scope["state"]
     assert state.shape == (spec.n_components, prob.n) and state.dtype == complex
     assert max(prob.field_errors(state, spec.T)) < 1e-5
+
+
+def test_readme_size_constants_match_models():
+    # every `NAME = value` the README quotes for the E-path sizes is the
+    # value build_problem reads
+    quoted = re.findall(r"`(MATRIX_FREE_MIN_DOF|FOLD_MIN_DOF) = ([\d,]+)`", _readme())
+    assert {name for name, _ in quoted} == {"MATRIX_FREE_MIN_DOF", "FOLD_MIN_DOF"}
+    for name, value in quoted:
+        assert int(value.replace(",", "")) == getattr(models, name), name
