@@ -15,10 +15,10 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from operator import ge, gt, le, lt
 from typing import Optional
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .meshbasis import MAX_DEGREE, FieldVector, eval_field
 from .models import CROSS_COUPLED, EXAMPLES, SemiDiscreteProblem, build_problem, make_example
@@ -26,39 +26,30 @@ from .ddg_spatial import FluxParams
 from .timestep import RunControl, cfl_timestep, integrate
 
 
-def _one_or_list(kind: str, **bounds) -> dict:
-    """One ``kind`` value within ``bounds``, or a non-empty list of them.
-
-    Bounds act on numbers and ``items`` on arrays, so a bad value is
-    reported with the bound it breaks.
-    """
-    return {"type": [kind, "array"], **bounds, "minItems": 1,
-            "items": {"type": kind, **bounds}}
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem", "alpha", "N", "K"],
-    "properties": {
-        "problem": {"type": "string"},
-        "alpha": _one_or_list("number", exclusiveMinimum=1, maximum=2),
-        "N": _one_or_list("integer", minimum=1, maximum=MAX_DEGREE),
-        "K": _one_or_list("integer", minimum=1),
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "cfl_c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "dt_override": {"type": "number", "exclusiveMinimum": 0},
-        "beta0": {"type": "number", "exclusiveMinimum": 0},
-        "beta1": {"type": "number"},
-        "cross_coupling": {"type": "number"},
-        "snapshot_times": {"type": "array", "items": {"type": "number"}},
-        "points_per_cell": {"type": "integer", "minimum": 1, "maximum": 64},
-    },
+# Per key: its kind (JSON true is a bool, so no number; 2.0 is an integer), its form (one
+# value, one_or_list: that or a non-empty list, or a list only) and each value's bounds.
+CONFIG_KEYS = {
+    "problem": ("string", "one", ()),
+    "alpha": ("number", "one_or_list", ((gt, 1), (le, 2))),
+    "N": ("integer", "one_or_list", ((ge, 1), (le, MAX_DEGREE))),
+    "K": ("integer", "one_or_list", ((ge, 1),)),
+    "T": ("number", "one", ((gt, 0),)),
+    "cfl_c": ("number", "one", ((gt, 0), (lt, 1))),
+    "dt_override": ("number", "one", ((gt, 0),)),
+    "beta0": ("number", "one", ((gt, 0),)),
+    "beta1": ("number", "one", ()),
+    "cross_coupling": ("number", "one", ()),
+    "snapshot_times": ("number", "list", ()),
+    "points_per_cell": ("integer", "one", ((ge, 1), (le, 64))),
 }
+_KINDS = {"string": lambda v: type(v) is str, "number": lambda v: type(v) in (int, float),
+          "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer())}
+_BROKEN = {gt: "less than or equal to the minimum", ge: "less than the minimum",
+           lt: "greater than or equal to the maximum", le: "greater than the maximum"}
 
 class ConfigError(ValueError):
-    """An unreadable config, a schema violation, an unknown problem, a grid that
-    repeats a cell, snapshot times outside (0, T] or sharing a file tag, converge
+    """An unreadable config, a key that breaks ``CONFIG_KEYS``, an unknown problem, a grid
+    that repeats a cell, snapshot times outside (0, T] or sharing a file tag, converge
     without an exact solution, or a misplaced cross_coupling or beta1 (flux)."""
 
 
@@ -79,22 +70,31 @@ class RunConfig:
     points_per_cell: int = 8
 
 
-def _as_list(v):
-    return list(v) if isinstance(v, (list, tuple)) else [v]
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw),
-                    key=lambda e: e.path)
+    if type(raw) is not dict:
+        raise ConfigError(f"config {path}: {raw!r} is not of type 'object'")
+    errors = [f"{key!r} is missing or an empty list" for key in ("problem", "alpha", "N", "K")
+              if raw.get(key, []) == []]
+    errors += [f"{key!r} was unexpected" for key in raw if key not in CONFIG_KEYS]
+    values = {}  # each given key's values as a list
+    for key in sorted(CONFIG_KEYS.keys() & raw):
+        kind, form, bounds = CONFIG_KEYS[key]
+        value = raw[key]
+        if form == "list" and type(value) is not list:
+            errors.append(f"{key}: {value!r} is not of type 'array'")
+        values[key] = value if form != "one" and type(value) is list else [value]
+        for v in values[key]:
+            if not _KINDS[kind](v):
+                errors.append(f"{key}: {v!r} is not of type {kind!r}")
+                continue
+            errors += [f"{key}: {v!r} is {_BROKEN[op]} of {b}" for op, b in bounds if not op(v, b)]
     if errors:
-        msgs = "; ".join(f"{'/'.join(map(str, e.path))}: {e.message}" if e.path
-                         else e.message for e in errors)
-        raise ConfigError(f"config schema violation: {msgs}")
+        raise ConfigError(f"config {path}: {'; '.join(errors)}")
     if raw["problem"] not in EXAMPLES:
         raise ConfigError(f"unknown problem {raw['problem']!r}; "
                           f"known: {', '.join(EXAMPLES)}")
@@ -108,9 +108,9 @@ def load_config(path: str) -> RunConfig:
         flux = FluxParams(**{k: raw[k] for k in ("beta0", "beta1") if k in raw})
     return RunConfig(
         problem=raw["problem"],
-        alphas=_as_list(raw["alpha"]),
-        N_list=[int(N) for N in _as_list(raw["N"])],  # the schema takes 2.0 as an integer
-        K_list=[int(K) for K in _as_list(raw["K"])],
+        alphas=values["alpha"],
+        N_list=[int(N) for N in values["N"]],  # CONFIG_KEYS takes 2.0 as an integer
+        K_list=[int(K) for K in values["K"]],
         T=raw.get("T"),
         cfl_c=raw.get("cfl_c"),
         dt_override=raw.get("dt_override"),

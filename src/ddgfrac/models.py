@@ -134,12 +134,12 @@ class ProblemSpec:
         i (u_j)_t = eps (-lap)^(alpha/2) u_j - sum_k coupling[j][k] u_k
                     - (sum_k nl_coupling[j][k] rho_k) u_j + i g
 
-    with densities rho_k = |u_k|^2.  ``eps`` is a scalar shared by every
-    field; ``coupling`` and ``nl_coupling`` (the density weights, required by
-    the complex families and rejected by the real ones) are fields x fields
-    matrices, kept as read-only float arrays.  ``conv`` is given exactly for
-    ``convection_diffusion``.  ``flux=None`` is ``default_flux(N)`` at
-    assembly.
+    with densities rho_k = |u_k|^2.  ``eps`` > 0 (|eps| > 0 for a complex family)
+    is shared by every field; ``coupling`` and ``nl_coupling`` (the density
+    weights, required by the complex families and rejected by the real ones)
+    are fields x fields matrices, kept as read-only float arrays.  ``conv`` is
+    given exactly for ``convection_diffusion``.  ``flux=None`` is
+    ``default_flux(N)`` at assembly.
 
     ``ic`` and ``exact`` hold one callable per field, ``n_components`` of
     them (checked), complex valued for the complex families.  ``forcing`` is
@@ -175,6 +175,8 @@ class ProblemSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
+        if not (abs(self.eps) if self.is_complex else self.eps) > 0:
+            raise ValueError(f"eps must be > 0 (|eps| for a complex family), got {self.eps}")
         if (self.conv is None) == (self.family == "convection_diffusion"):
             raise ValueError(f"{self.family} {'takes no' if self.conv else 'requires a'} "
                              "convective flux")

@@ -76,7 +76,7 @@ def test_config_unknown_problem(tmp_path):
 
 
 def test_shipped_configs_load_and_build():
-    # every prepared config passes the schema and builds a problem spec for
+    # every prepared config passes CONFIG_KEYS and builds a problem spec for
     # each grid cell (nothing is run), so a renamed key or example shows here
     paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))
                    + glob.glob(os.path.join(ROOT, "bench", "configs", "*.json")))
@@ -131,7 +131,7 @@ def test_converge_returns_the_cell_records_with_per_field_orders(tmp_path, capsy
 
 
 def test_integral_floats_for_N_and_K_run_as_ints(tmp_path, capsys):
-    # the schema counts 2.0 as an integer; load_config makes it one, so the
+    # CONFIG_KEYS counts 2.0 as an integer; load_config makes it one, so the
     # outputs are those of 2, and a repeated K is caught as one
     base = {"problem": "ex1", "alpha": 1.5, "T": 0.02}
     for i, (N, K, ppc) in enumerate(((2, [4, 8], 4), (2.0, [4.0, 8.0], 4.0))):
@@ -339,14 +339,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and limit in err
+    raw = {"problem": "ex1", "alpha": 1.3, "N": 1, "K": 8, "T": 0.05}
     for key, value, limit in (
             ("alpha", 2.5, "2.5 is greater than the maximum of 2"),
             ("alpha", [1.5, 1.0], "1.0 is less than or equal to the minimum of 1"),
             ("N", 9, "9 is greater than the maximum of 8"),
             ("N", [2, 12], "12 is greater than the maximum of 8"),
-            ("beta0", 0, "0 is less than or equal to the minimum of 0")):
-        cfg = _write(tmp_path, "range.json", {"problem": "ex1", "alpha": 1.3, "N": 1,
-                                              "K": 8, "T": 0.05, key: value})
+            ("beta0", 0, "0 is less than or equal to the minimum of 0"),
+            ("K", 0, "K: 0 is less than the minimum of 1"),
+            ("K", [8, 0], "K: 0 is less than the minimum of 1"),
+            ("T", 0, "T: 0 is less than or equal to the minimum of 0"),
+            ("cfl_c", 1, "cfl_c: 1 is greater than or equal to the maximum of 1"),
+            ("dt_override", 0, "dt_override: 0 is less than or equal to the minimum of 0"),
+            ("points_per_cell", 65, "points_per_cell: 65 is greater than the maximum of 64"),
+            ("N", True, "N: True is not of type 'integer'"),
+            ("K", 2.5, "K: 2.5 is not of type 'integer'"),
+            ("snapshot_times", 0.5, "snapshot_times: 0.5 is not of type 'array'"),
+            ("K", [], "'K' is missing or an empty list"),
+            # no key: the value is the whole config
+            (None, ["ex1", 1.3, 1, 8], "['ex1', 1.3, 1, 8] is not of type 'object'")):
+        cfg = _write(tmp_path, "range.json", value if key is None else {**raw, key: value})
         for command in ("run", "converge"):
             assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "r4")]) == 2
             assert limit in capsys.readouterr().err
@@ -373,8 +385,10 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_import_and_run_load_no_scipy(tmp_path):
     # the solver needs numpy only: Gauss-Jacobi rules come from Golub-Welsch
-    # in numpy, and SemiDiscreteProblem.E imports scipy only when it is read.
-    # Loading scipy would add about 0.3 s and 27 MB to every CLI process.
+    # in numpy, SemiDiscreteProblem.E imports scipy only when it is read, and
+    # harness.CONFIG_KEYS checks a config, so no third-party package but
+    # numpy is loaded (no scipy, no schema validator).  Loading scipy would
+    # add about 0.3 s and 27 MB to every CLI process.
     # alpha = 2 applies E through a BlockOperator at every size; ex1 at
     # alpha = 1.5 assembles the Riesz blocks and its forcing with Jacobi rules
     configs = [_write(tmp_path, "m.json", {"problem": "manakov", "alpha": 2.0, "N": 1,
@@ -386,9 +400,14 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = textwrap.dedent("""
         import sys
-        from ddgfrac import cli
+        before = set(sys.modules)
         def loaded():
-            print("scipy:", [m for m in sys.modules if m.split(".")[0] == "scipy"])
+            # top-level modules loaded since start-up, less the stdlib and the
+            # entries Cython-built extensions add (cython_runtime, _cython_*)
+            tops = {m.split(".")[0] for m in set(sys.modules) - before}
+            print("loaded:", sorted(m for m in tops - set(sys.stdlib_module_names)
+                                    if not m.startswith(("cython_runtime", "_cython_"))))
+        from ddgfrac import cli
         loaded()
         for i, cfg in enumerate(sys.argv[2:]):
             assert cli.main(["run", "--config", cfg, "--out", sys.argv[1] + str(i)]) == 0
@@ -397,7 +416,8 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *configs],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120).stdout
-    assert [line for line in out.splitlines() if line.startswith("scipy")] == ["scipy: []"] * 2
+    assert ([line for line in out.splitlines() if line.startswith("loaded")]
+            == ["loaded: ['ddgfrac', 'numpy']"] * 2)
     assert len(glob.glob(str(tmp_path / "out[01]" / "*" / "diagnostics.json"))) == 2
 
 

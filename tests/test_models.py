@@ -470,6 +470,19 @@ def test_problem_spec_validation():
             dataclasses.replace(spec, **{name: value})
 
 
+def test_problem_spec_rejects_an_eps_out_of_range():
+    # stable_dt_cap divides by |eps| rho(E), so eps = 0 is rejected.  A
+    # negative eps runs a real family's diffusion backwards (ex1 at K = 16
+    # ends T = 0.5 at max |u| 153 against 0.61 for +eps, with no failure
+    # raised), and only flips a complex family's dispersion (see the dt cap
+    # scaling test)
+    for name, eps in (("ex1", 0.0), ("ex1", -0.0), ("ex1", float("nan")),
+                      ("ex1", -0.05), ("ex3", -1.0), ("ex7", 0.0), ("ex8", -0.0)):
+        with pytest.raises(ValueError, match=r"eps must be > 0 \(\|eps\| for a complex"):
+            dataclasses.replace(make_example(name, 1.5, 8, 2), eps=eps)
+    dataclasses.replace(make_example("ex8", 1.5, 8, 2), eps=-0.5)
+
+
 def test_a_replaced_degree_takes_its_own_default_flux():
     # flux=None is resolved at assembly, so an edit of N does not keep the
     # old degree's beta0 (4.5 at N = 2 against 12.5 at N = 4); a flux that
