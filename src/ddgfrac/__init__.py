@@ -2,6 +2,8 @@
 and (coupled) Schrodinger equations with a Riesz fractional Laplacian of order
 alpha in (1, 2]."""
 
+from types import ModuleType as _ModuleType
+
 from .ddg_spatial import (
     ConvectionFlux,
     DdgOperators,
@@ -35,5 +37,6 @@ from .models import (
 from .specfun import gamma_fn, gauss_jacobi, gauss_legendre
 from .timestep import IntegrationError, RunControl, erk4_step, integrate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()  # the submodules are no exports
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -36,8 +36,10 @@ class FluxParams:
     beta1: float = 0.0
 
     def __post_init__(self):
-        if self.beta0 < 0:
-            raise ValueError(f"beta0 must be non-negative, got {self.beta0}")
+        if not 0 <= self.beta0 < np.inf:
+            raise ValueError(f"beta0 must be non-negative and finite, got {self.beta0}")
+        if not np.isfinite(self.beta1):
+            raise ValueError(f"beta1 must be finite, got {self.beta1}")
 
 
 def default_flux(N: int) -> FluxParams:

@@ -10,6 +10,7 @@ between runs).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,8 @@ from .ddg_spatial import FluxParams
 from .timestep import RunControl, cfl_timestep, integrate
 
 
-# Per key: its kind (JSON true is a bool, so no number; 2.0 is an integer), its form (one
-# value, one_or_list: that or a non-empty list, or a list only) and each value's bounds.
+# Per key: its kind (JSON true is no number, nor are NaN and Infinity; 2.0 is an integer),
+# its form (one value, one_or_list: that or a non-empty list, or a list only) and bounds.
 CONFIG_KEYS = {
     "problem": ("string", "one", ()),
     "alpha": ("number", "one_or_list", ((gt, 1), (le, 2))),
@@ -42,15 +43,16 @@ CONFIG_KEYS = {
     "snapshot_times": ("number", "list", ()),
     "points_per_cell": ("integer", "one", ((ge, 1), (le, 64))),
 }
-_KINDS = {"string": lambda v: type(v) is str, "number": lambda v: type(v) in (int, float),
+_KINDS = {"string": lambda v: type(v) is str,
+          "number": lambda v: type(v) in (int, float) and math.isfinite(v),
           "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer())}
 _BROKEN = {gt: "less than or equal to the minimum", ge: "less than the minimum",
            lt: "greater than or equal to the maximum", le: "greater than the maximum"}
 
 class ConfigError(ValueError):
-    """An unreadable config, a key that breaks ``CONFIG_KEYS``, an unknown problem, a grid
-    that repeats a cell, snapshot times outside (0, T] or sharing a file tag, converge
-    without an exact solution, or a misplaced cross_coupling or beta1 (flux)."""
+    """An unreadable config, a key that breaks ``CONFIG_KEYS`` (a non-finite number too),
+    an unknown problem, a misplaced cross_coupling or beta1 (flux), a grid that
+    ``grid_cells`` rejects, or converge without an exact solution or with snapshot times."""
 
 
 @dataclass
@@ -129,6 +131,8 @@ def compute_order(errors, h_values) -> list:
         raise ValueError("errors and mesh sizes must pair up")
     if any(e <= 0 for e in errors):
         raise ValueError("orders need positive errors")
+    if any(h <= 0 for h in h_values) or any(a == b for a, b in zip(h_values, h_values[1:])):
+        raise ValueError(f"orders need positive mesh sizes, no two successive equal: {h_values}")
     orders = [None]
     for i in range(1, len(errors)):
         orders.append(math.log(errors[i - 1] / errors[i])
@@ -154,43 +158,34 @@ def write_rows_csv(path: str, cells, field: int) -> None:
                      f"{d['wall_time_ms']}\n")
 
 
-def case_tag(cfg: RunConfig, alpha: float, N: int, K: int) -> str:
-    """Name of one grid cell, also its case directory under ``run``."""
-    return f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
-
-
 def grid_cells(cfg: RunConfig) -> list:
-    """The config's (alpha, N, K) cells; no two may share a case tag."""
-    cells, seen = [], set()
-    for alpha in cfg.alphas:
-        for N in cfg.N_list:
-            for K in cfg.K_list:
-                tag = case_tag(cfg, alpha, N, K)
-                if tag in seen:
-                    raise ConfigError(f"grid repeats the cell {tag} (case tags "
-                                      "give alpha to 6 significant digits)")
-                seen.add(tag)
-                cells.append((alpha, N, K))
-    return cells
+    """The config's grid as (case tag, ProblemSpec) pairs, K varying fastest.
+
+    Every grid-level check runs here, before any cell steps: no two cells may
+    share a case tag (also the cell's case directory under ``run``), and every
+    snapshot time must lie in (0, T] and get a file tag of its own.
+    """
+    cells = {}
+    for alpha, N, K in itertools.product(cfg.alphas, cfg.N_list, cfg.K_list):
+        tag = f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
+        if tag in cells:
+            raise ConfigError(f"grid repeats the cell {tag} (case tags "
+                              "give alpha to 6 significant digits)")
+        cells[tag] = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
+                                  cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
+    for T in dict.fromkeys(spec.T for spec in cells.values()):
+        tags = {f"{T:.6f}": T}
+        for t in sorted(set(cfg.snapshot_times) - {T}):
+            if not 0.0 < t <= T:
+                raise ConfigError(f"snapshot time {t!r} lies outside (0, T = {T!r}]")
+            if tags.setdefault(f"{t:.6f}", t) != t:
+                raise ConfigError(f"snapshot times {tags[f'{t:.6f}']!r} and {t!r} share "
+                                  f"the file tag snapshot_t{t:.6f}")
+    return list(cells.items())
 
 
-def cell_spec(cfg: RunConfig, alpha: float, N: int, K: int):
-    """The ProblemSpec of one grid cell."""
-    return make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
-                        cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
-
-
-def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
-    """One simulation; returns (problem, final state, snapshots, diagnostics)."""
-    spec = cell_spec(cfg, alpha, N, K)
-    # every requested snapshot is reached and gets a file of its own
-    tags = {f"{spec.T:.6f}": spec.T}
-    for t in sorted(set(cfg.snapshot_times) - {spec.T}):
-        if not 0.0 < t <= spec.T:
-            raise ConfigError(f"snapshot time {t!r} lies outside (0, T = {spec.T!r}]")
-        if tags.setdefault(f"{t:.6f}", t) != t:
-            raise ConfigError(f"snapshot times {tags[f'{t:.6f}']!r} and {t!r} share "
-                              f"the file tag snapshot_t{t:.6f}")
+def simulate(cfg: RunConfig, spec):
+    """Run one spec of grid_cells; returns (problem, final state, snapshots, diagnostics)."""
     problem = build_problem(spec)
     control = RunControl(T=spec.T, cfl_c=spec.cfl_c,
                          dt_override=cfg.dt_override,
@@ -202,18 +197,18 @@ def simulate(cfg: RunConfig, alpha: float, N: int, K: int):
 
     t0 = time.perf_counter()
     dt_cap = problem.stable_dt_cap()
-    dt_cfl = cfl_timestep(replace(control, dt_override=None), problem.mesh.dx, alpha)
+    dt_cfl = cfl_timestep(replace(control, dt_override=None), problem.mesh.dx, spec.alpha)
     dt_bound = ("override" if cfg.dt_override is not None
                 else "cap" if dt_cap < dt_cfl else "cfl")
     state, snaps, dt, n_steps = integrate(
         problem.rhs, problem.initial_state(), control,
-        problem.mesh.dx, alpha, observer=observer,
+        problem.mesh.dx, spec.alpha, observer=observer,
         dt_cap=dt_cap, labels=problem.roles,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
     diagnostics = {
-        "problem": cfg.problem, "alpha": alpha, "N": N, "K": K,
+        "problem": cfg.problem, "alpha": spec.alpha, "N": spec.N, "K": spec.K,
         "T": spec.T, "dt": dt, "n_steps": n_steps,
         "dt_cfl": dt_cfl, "dt_cap": dt_cap, "dt_bound": dt_bound,
         "wall_time_ms": wall_ms,
@@ -258,11 +253,10 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, state: np.ndarray,
 
 def run_single(cfg: RunConfig, out_dir: str) -> list:
     """Execute the config's (alpha, N, K) grid as plain runs with snapshots."""
-    cells = grid_cells(cfg)
     results = []
-    for alpha, N, K in cells:
-        problem, state, snaps, diag = simulate(cfg, alpha, N, K)
-        case_dir = os.path.join(out_dir, case_tag(cfg, alpha, N, K))
+    for tag, spec in grid_cells(cfg):
+        problem, state, snaps, diag = simulate(cfg, spec)
+        case_dir = os.path.join(out_dir, tag)
         os.makedirs(case_dir, exist_ok=True)
         # T is in snaps too when it was requested: one file per time
         files = []
@@ -284,12 +278,12 @@ def run_convergence(cfg: RunConfig, out_dir: str) -> list:
         raise ConfigError("converge writes no snapshots; remove snapshot_times "
                           "or use run")
     cells = grid_cells(cfg)
-    for alpha, N, K in cells:
-        if cell_spec(cfg, alpha, N, K).exact is None:
+    for tag, spec in cells:
+        if spec.exact is None:
             raise ConfigError(f"problem {cfg.problem!r} has no exact solution at "
-                              f"{case_tag(cfg, alpha, N, K)}; convergence studies need one")
+                              f"{tag}; convergence studies need one")
     os.makedirs(out_dir, exist_ok=True)
-    diags = [simulate(cfg, alpha, N, K)[3] for alpha, N, K in cells]
+    diags = [simulate(cfg, spec)[3] for _, spec in cells]
     for i in range(0, len(diags), len(cfg.K_list)):  # K innermost: a slice per (alpha, N)
         group = diags[i:i + len(cfg.K_list)]
         orders = [compute_order(errs, [1.0 / d["K"] for d in group])

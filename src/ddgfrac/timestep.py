@@ -34,12 +34,12 @@ class RunControl:
     snapshot_times: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValueError(f"need T > 0, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"need T > 0 and finite, got {self.T}")
         if not 0.0 < self.cfl_c < 1.0:
             raise ValueError(f"cfl_c must lie in (0, 1), got {self.cfl_c}")
-        if self.dt_override is not None and self.dt_override <= 0:
-            raise ValueError("dt_override must be positive")
+        if self.dt_override is not None and not 0 < self.dt_override < np.inf:
+            raise ValueError(f"dt_override must be positive and finite, got {self.dt_override}")
 
 
 def erk4_step(rhs: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:

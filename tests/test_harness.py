@@ -19,7 +19,6 @@ from ddgfrac.ddg_spatial import FluxParams, check_admissibility
 from ddgfrac.harness import (
     ConfigError,
     RunConfig,
-    cell_spec,
     compute_order,
     grid_cells,
     load_config,
@@ -52,6 +51,11 @@ def test_compute_order_examples():
         compute_order([1.0, -1.0], [2.0, 1.0])
     with pytest.raises(ValueError):
         compute_order([1.0, 1.0], [2.0])
+    # two equal successive sizes would divide by log(1), a non-positive one has no log
+    for h in ([1e-3, 5e-4, 5e-4], [0.5, -0.25], [0.5, 0.0]):
+        with pytest.raises(ValueError, match="orders need positive mesh sizes") as exc:
+            compute_order([0.5] * len(h), h)
+        assert str(exc.value).endswith(f": {h}")
 
 
 def test_config_schema_rejects_unknown_keys(tmp_path):
@@ -83,10 +87,8 @@ def test_shipped_configs_load_and_build():
     assert len(paths) >= 20
     for path in paths:
         cfg = load_config(path)
-        for alpha, N, K in grid_cells(cfg):
-            spec = make_example(cfg.problem, alpha, K, N, flux=cfg.flux, T=cfg.T,
-                                cfl_c=cfg.cfl_c, cross_coupling=cfg.cross_coupling)
-            assert (spec.alpha, spec.N, spec.K) == (alpha, N, K)
+        assert [(spec.alpha, spec.N, spec.K) for _, spec in grid_cells(cfg)] == [
+            (alpha, N, K) for alpha in cfg.alphas for N in cfg.N_list for K in cfg.K_list]
 
 
 def test_converge_produces_orders(tmp_path):
@@ -130,6 +132,24 @@ def test_converge_returns_the_cell_records_with_per_field_orders(tmp_path, capsy
     assert lines[0].endswith("order=-") and not lines[1].endswith("order=-")
 
 
+def test_run_and_converge_build_one_spec_per_cell(tmp_path, monkeypatch):
+    # grid_cells builds each cell's ProblemSpec once, K varying fastest, and
+    # run and converge check and run the specs it returns
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_example(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_example", counting)
+    cfg = RunConfig(problem="ex1", alphas=[1.3, 1.6], N_list=[1, 2], K_list=[4, 8], T=0.01)
+    want = [("ex1", alpha, K, N) for alpha in (1.3, 1.6) for N in (1, 2) for K in (4, 8)]
+    for run in (run_convergence, run_single):
+        calls.clear()
+        assert len(run(cfg, str(tmp_path / run.__name__))) == len(want)
+        assert calls == want
+
+
 def test_integral_floats_for_N_and_K_run_as_ints(tmp_path, capsys):
     # CONFIG_KEYS counts 2.0 as an integer; load_config makes it one, so the
     # outputs are those of 2, and a repeated K is caught as one
@@ -166,8 +186,8 @@ def test_config_flux_reaches_every_cell(tmp_path, capsys):
                                                   "N": [1, 2], "K": 4,
                                                   "beta0": 3, "beta1": 0.05}))
     assert cfg.flux == FluxParams(3.0, 0.05)
-    for cell in grid_cells(cfg):
-        assert build_problem(cell_spec(cfg, *cell)).qop.flux == FluxParams(3.0, 0.05)
+    for _, spec in grid_cells(cfg):
+        assert build_problem(spec).qop.flux == FluxParams(3.0, 0.05)
     bad = _write(tmp_path, "b.json", {"problem": "ex1", "alpha": 1.3, "N": 1, "K": 4,
                                       "beta1": 0.05})
     capsys.readouterr()
@@ -203,10 +223,10 @@ def test_converge_deterministic_modulo_walltime(tmp_path):
 def test_dt_cfl_is_the_cfl_rule_with_or_without_an_override():
     # diagnostics' dt_cfl is timestep.cfl_timestep without the override: an
     # override sets dt and dt_bound, not the CFL step reported beside them
+    spec = make_example("ex1", 1.5, 8, 1, T=0.01)
     diags = [simulate(RunConfig(problem="ex1", alphas=[1.5], N_list=[1], K_list=[8],
-                                T=0.01, dt_override=dt), 1.5, 1, 8)[3]
+                                T=0.01, dt_override=dt), spec)[3]
              for dt in (None, 1e-3)]
-    spec = make_example("ex1", 1.5, 8, 1)
     want = cfl_timestep(RunControl(T=spec.T, cfl_c=spec.cfl_c), 2.0 / 8, 1.5)
     assert diags[0]["dt_cfl"] == diags[1]["dt_cfl"] == want
     assert diags[1]["dt"] == 1e-3 and diags[1]["dt_bound"] == "override"
@@ -334,7 +354,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     for args, limit in ((["--gamma", "1.5"], "gamma must lie in (0, 1)"),
                         (["--mu", "0"], "mu_pen in (0, 1]"),
                         (["--N", "12"], "degree must be in [0, 8], got 12"),
-                        (["--beta0", "-1"], "beta0 must be non-negative")):
+                        (["--beta0", "-1"], "beta0 must be non-negative"),
+                        (["--beta0", "nan"], "beta0 must be non-negative and finite, got nan"),
+                        (["--beta0", "inf"], "beta0 must be non-negative and finite, got inf"),
+                        (["--beta1", "nan"], "beta1 must be finite, got nan")):
         argv = ["admissibility", "--N", "1", "--beta0", "1"] + args
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
@@ -355,6 +378,15 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("N", True, "N: True is not of type 'integer'"),
             ("K", 2.5, "K: 2.5 is not of type 'integer'"),
             ("snapshot_times", 0.5, "snapshot_times: 0.5 is not of type 'array'"),
+            # JSON has no NaN or Infinity, though Python's json reads them
+            ("T", float("inf"), "T: inf is not of type 'number'"),
+            ("alpha", [1.5, float("nan")], "alpha: nan is not of type 'number'"),
+            ("beta0", float("-inf"), "beta0: -inf is not of type 'number'"),
+            ("beta1", float("inf"), "beta1: inf is not of type 'number'"),
+            ("dt_override", float("nan"), "dt_override: nan is not of type 'number'"),
+            ("cross_coupling", float("nan"), "cross_coupling: nan is not of type 'number'"),
+            ("snapshot_times", [float("nan")], "snapshot_times: nan is not of type 'number'"),
+            ("K", float("inf"), "K: inf is not of type 'integer'"),
             ("K", [], "'K' is missing or an empty list"),
             # no key: the value is the whole config
             (None, ["ex1", 1.3, 1, 8], "['ex1', 1.3, 1, 8] is not of type 'object'")):

@@ -171,6 +171,13 @@ def test_control_validation():
         RunControl(T=1.0, cfl_c=1.5)
     with pytest.raises(ValueError):
         RunControl(T=1.0, cfl_c=0.1, dt_override=-0.1)
+    # a non-finite T or step is an input error, not a run of no or one step
+    for T in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="need T > 0 and finite"):
+            RunControl(T=T, cfl_c=0.1)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt_override must be positive and finite"):
+            RunControl(T=1.0, cfl_c=0.1, dt_override=dt)
     # the CFL constant has no default here: the family's default belongs to
     # ProblemSpec (0.05 for the Schrodinger families, 0.1 otherwise)
     with pytest.raises(TypeError):
