@@ -54,7 +54,7 @@ def default_flux(N: int) -> FluxParams:
     return FluxParams(beta0=max(1.0, 0.5 * (N + 1.0) ** 2), beta1=0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DdgOperators:
     """Assembled weak second-derivative operator, closed for zero data.
 
@@ -62,8 +62,9 @@ class DdgOperators:
     closure built into A.  On the uniform mesh A is block tridiagonal:
     every interior cell row holds (lower, diag, upper), and the two
     boundary cells replace diag with ``first``/``last`` (one block when
-    K = 1).  ``A`` gathers the dense matrix on request, and ``compose``
-    multiplies a dense matrix by M^-1 A from the blocks.
+    K = 1).  ``solved`` is derived: the blocks mass-solved once, as (diag,
+    lower, upper, first, last) in one (5, n, n) array that ``compose`` and
+    ``models.BlockOperator`` read.  ``A`` gathers the dense matrix on request.
     """
 
     lower: np.ndarray
@@ -74,6 +75,11 @@ class DdgOperators:
     flux: FluxParams
     mesh: Mesh1D
     basis: ElementBasis
+    solved: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        blocks = np.stack([self.diag, self.lower, self.upper, self.first, self.last])
+        object.__setattr__(self, "solved", mass_solve_mat(self.mesh, self.basis, blocks))
 
     @property
     def A(self) -> np.ndarray:
@@ -90,10 +96,9 @@ class DdgOperators:
     def compose(self, MB: np.ndarray) -> np.ndarray:
         """MB M^-1 A in O(n^2 p), summed as the dense product sums: cell column
         j is MB's zero-padded cell columns j - 1, j, j + 1 times the stacked
-        upper, diagonal (first, last at j = 0, K - 1) and lower M^-1 blocks."""
+        upper, diagonal (first, last at j = 0, K - 1) and lower solved blocks."""
         n = self.basis.n_nodes
-        blocks = np.concatenate([self.diag, self.lower, self.upper, self.first, self.last])
-        D, lo, up, first, last = mass_solve_mat(self.mesh, self.basis, blocks).reshape(5, n, n)
+        D, lo, up, first, last = self.solved
         W = np.pad(MB, ((0, 0), (n, n)))
         win = np.lib.stride_tricks.sliding_window_view(W, 3 * n, axis=1)[:, ::n]
         E = win @ np.concatenate([up, D, lo])

@@ -145,7 +145,7 @@ def _fmt(x) -> str:
 
 
 def field_suffix(field: int, n_fields: int) -> str:
-    """Names a field's convergence CSV: none for one field, else _u1, _u2."""
+    """Names a field's files (CSV, snapshots): none for one field, else _u1, _u2."""
     return "" if n_fields == 1 else f"_u{field + 1}"
 
 
@@ -165,6 +165,9 @@ def grid_cells(cfg: RunConfig) -> list:
     share a case tag (also the cell's case directory under ``run``), and every
     snapshot time must lie in (0, T] and get a file tag of its own.
     """
+    for name in ("alphas", "N_list", "K_list"):
+        if not len(getattr(cfg, name)):
+            raise ConfigError(f"{name} is an empty list, so the grid has no cells")
     cells = {}
     for alpha, N, K in itertools.product(cfg.alphas, cfg.N_list, cfg.K_list):
         tag = f"{cfg.problem}_a{alpha:g}_N{N}_K{K}"
@@ -232,17 +235,17 @@ def write_snapshot(path: str, problem: SemiDiscreteProblem, state: np.ndarray,
                    t: float, points_per_cell: int) -> list:
     """Plot-ready columns of the (m, n) state; complex fields write (x, re, im).
 
-    Writes one file per physical field, and returns their paths: a single
-    field uses ``path`` itself, several get ``_u1``, ``_u2`` suffixes.
+    Writes one file per physical field, and returns their paths: ``path``
+    with each field's ``field_suffix`` before the extension.
     """
     xs = snapshot_grid(problem, points_per_cell)
     full = problem.full_fields(state, t)
     base, ext = os.path.splitext(path)
     written = []
-    for u, name in zip(full, problem.roles):
+    for j, u in enumerate(full):
         parts = (u.real, u.imag) if problem.spec.is_complex else (u,)
         cols = [eval_field(FieldVector(c, problem.mesh, problem.basis), xs) for c in parts]
-        fp = f"{base}_{name}{ext}" if len(full) > 1 else path
+        fp = f"{base}{field_suffix(j, len(full))}{ext}"
         # np.savetxt(fmt="%.17g")'s bytes, in one format call
         row = " ".join(["%.17g"] * (1 + len(cols))) + "\n"
         with open(fp, "w") as fh:

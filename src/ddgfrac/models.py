@@ -9,8 +9,8 @@ directly.  As in the paper's coupled system and its manufactured tests,
 every field shares one fractional coefficient, one forcing and one lift,
 and two matrices couple the fields and their densities.  One right-hand
 side serves every family, in the state's own arithmetic.  E stays real:
-(re, im) pairs appear only inside ``apply_E``, which takes complex rows
-through a float view of their pairs.
+each E path maps real columns (``E_columns``), and only ``apply_E`` turns
+rows into columns, a complex row as the float columns of its (re, im) pairs.
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -97,11 +97,6 @@ FOLD_MIN_DOF = 400
 RK4_RADIUS = {False: 2.6155, True: 2.0 * math.sqrt(2.0)}
 
 
-def _pairs(X: np.ndarray) -> np.ndarray:
-    """The (re, im) pairs of complex X as a float view, shape X.shape + (2,)."""
-    return np.ascontiguousarray(X, complex).view(float).reshape(*X.shape, 2)
-
-
 @dataclass(frozen=True)
 class ForcingProfile:
     """Spatial profile poly(x) + frac_scale * (-lap)^(alpha/2) base(x).
@@ -175,8 +170,9 @@ class ProblemSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not (abs(self.eps) if self.is_complex else self.eps) > 0:
-            raise ValueError(f"eps must be > 0 (|eps| for a complex family), got {self.eps}")
+        if not 0 < (abs(self.eps) if self.is_complex else self.eps) < np.inf:
+            raise ValueError(f"eps must be > 0 (|eps| for a complex family) and finite, "
+                             f"got {self.eps}")
         if (self.conv is None) == (self.family == "convection_diffusion"):
             raise ValueError(f"{self.family} {'takes no' if self.conv else 'requires a'} "
                              "convective flux")
@@ -187,8 +183,8 @@ class ProblemSpec:
         m, couplings = self.n_components, []
         for name in ("coupling", "nl_coupling"):
             w = None if getattr(self, name) is None else np.array(getattr(self, name), float)
-            if w is not None and w.shape != (m, m):
-                raise ValueError(f"{name} must have shape ({m}, {m}), got {w.shape}")
+            if w is not None and (w.shape != (m, m) or not np.isfinite(w).all()):
+                raise ValueError(f"{name} must be a finite ({m}, {m}) matrix, got {w.tolist()}")
             if w is not None:
                 w.flags.writeable = False
             couplings.append(w)
@@ -224,7 +220,7 @@ class SemiDiscreteProblem:
     mesh: object
     basis: object
     qop: DdgOperators
-    apply_E: Callable = field(repr=False)  # E applied to every row of an array
+    E_columns: Callable = field(repr=False)  # E on every column of a real (n, c) array
     forcing: tuple = field(repr=False)     # (time_fns, H: projected profiles)
     c_eps: complex = field(repr=False)     # eps, or i eps for the complex families
     quad_eval: np.ndarray = field(repr=False)  # nodal -> Gauss-point values
@@ -244,11 +240,19 @@ class SemiDiscreteProblem:
     @property
     def E(self):
         """Dense E (unfolded from a folded half), else a scipy LinearOperator."""
-        if not isinstance(self.apply_E, BlockOperator):
-            return self.apply_E(np.eye(self.n)).T
+        if not isinstance(self.E_columns, BlockOperator):
+            return self.E_columns(np.eye(self.n))
         from scipy.sparse.linalg import LinearOperator
         return LinearOperator((self.n, self.n), matvec=self.apply_E, dtype=float,
                               matmat=lambda V: self.apply_E(V.T).T)
+
+    def apply_E(self, X: np.ndarray) -> np.ndarray:
+        """E on every row of X, (n,) or (m, n): real rows as the columns X.T,
+        complex ones as the float columns of their (re, im) pairs."""
+        if not np.iscomplexobj(X):
+            return self.E_columns(X.T).T
+        V = np.ascontiguousarray(X.T, complex).view(float).reshape(self.n, -1)
+        return np.ascontiguousarray(self.E_columns(V)).view(complex).T.reshape(X.shape)
 
     def stable_dt_cap(self) -> float:
         """Step bound 0.9 r / rho from the stiff part's spectral radius rho.
@@ -347,26 +351,22 @@ def _fast_len(n: int) -> int:
 
 
 class BlockOperator:
-    """E = M^-1 B M^-1 A applied from its blocks, without forming E.
+    """E = M^-1 B M^-1 A on real columns, applied from its blocks, unformed.
 
-    Both stages act along the cell axis of one (n, rows, K) copy gathered
-    from the rows' float view, a complex row as its (re, im) parts.  The DDG
-    stage M^-1 A is block tridiagonal: one (5n, n) product by ``stencil``
-    (diagonal, lower, upper blocks, two boundary-cell corrections) gives
-    every cell's terms, the lower and upper ones added one cell over.  The
-    fractional stage M^-1 B is block Toeplitz, applied as a circulant of
-    length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one n x n product
-    per frequency (``symbol``, (n, n, L // 2 + 1)), irfft.  At alpha = 2
-    only the DDG stage runs.
+    Both stages act along the cell axis of one (n, columns, K) copy of the
+    columns.  The DDG stage M^-1 A is block tridiagonal: one (5n, n) product
+    by ``stencil`` (``DdgOperators.solved``) gives every cell's terms, the
+    boundary cells' from their own blocks and the lower and upper ones added
+    one cell over.  The fractional stage M^-1 B is block Toeplitz, applied as
+    a circulant of length L = ``fft_len`` = ``_fast_len(2K - 1)``: rfft, one
+    n x n product per frequency (``symbol``, (n, n, L // 2 + 1)), irfft.  At
+    alpha = 2 only the DDG stage runs.
     """
 
     def __init__(self, qop: DdgOperators, fop: Optional[FracOperator]):
         mesh, basis = qop.mesh, qop.basis
         self.K, self.n = K, n = mesh.K, basis.n_nodes
-        fix_last = qop.last - qop.diag if K > 1 else np.zeros((n, n))
-        blocks = [qop.diag, qop.lower, qop.upper, qop.first - qop.diag, fix_last]
-        self.stencil = mass_solve_mat(mesh, basis, np.concatenate(blocks))
-        self.symbol = None
+        self.stencil, self.symbol = qop.solved.reshape(5 * n, n), None
         self.fft_len = L = _fast_len(2 * K - 1)
         if fop is not None:
             # M^-1 B's blocks and their FFT in long double (80-bit on x86):
@@ -377,23 +377,18 @@ class BlockOperator:
             symbol = np.fft.rfft(mass_solve_mat(mesh, basis, circ), axis=0)
             self.symbol = np.ascontiguousarray(symbol.transpose(1, 2, 0), dtype=complex)
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """E applied to every row of X, shape (K*n,) or (m, K*n).  Both stages
-        run on one (n, rows, K) copy of the float view of X."""
-        X = np.ascontiguousarray(X, complex if np.iscomplexobj(X) else float)
-        V = X.view(float).reshape(-1, self.K, self.n, X.itemsize // 8)
-        c = np.ascontiguousarray(V.transpose(2, 0, 3, 1)).reshape(self.n, -1, self.K)
-        c = self._frac(self._ddg(c)).reshape(self.n, len(V), -1, self.K).transpose(1, 3, 0, 2)
-        return np.array(c, order="C").view(X.dtype).reshape(X.shape)
+    def __call__(self, V: np.ndarray) -> np.ndarray:
+        """E applied to every column of the real V, shape (K*n,) or (K*n, c)."""
+        c = np.ascontiguousarray(V.reshape(self.K, self.n, -1).transpose(1, 2, 0))
+        return self._frac(self._ddg(c)).transpose(2, 0, 1).reshape(V.shape)
 
     def _ddg(self, c: np.ndarray) -> np.ndarray:
         G = (self.stencil @ c.reshape(self.n, -1)).reshape(5, -1, self.K)
-        G[1, :, -1] = G[2, :, 0] = 0.0     # else the flat shifts cross rows
         q = G[0]
+        q[:, 0], q[:, -1] = G[3, :, 0], G[4, :, -1]
+        G[1, :, -1] = G[2, :, 0] = 0.0     # else the flat shifts cross rows
         q.reshape(-1)[1:] += G[1].reshape(-1)[:-1]
         q.reshape(-1)[:-1] += G[2].reshape(-1)[1:]
-        q[:, 0] += G[3, :, 0]
-        q[:, -1] += G[4, :, -1]
         return q.reshape(c.shape)
 
     def _frac(self, q: np.ndarray) -> np.ndarray:
@@ -405,28 +400,26 @@ class BlockOperator:
 
 
 def _folded_E(top: np.ndarray, n: int) -> Callable:
-    """E on every row from its top h = ceil(n / 2) rows: as J E J = E (J reverses
-    the DOFs), E u is P s + Q d on top and, reversed, P s - Q d below, with
-    s, d = u1 +- J u2 on the float columns (an odd n's middle DOF only in s)
-    and the h x h halves P, Q = (E11 +- E12 J) / 2."""
+    """E on every real column from its top h = ceil(n / 2) rows: as J E J = E
+    (J reverses the DOFs), E u is P s + Q d on top and, reversed, P s - Q d
+    below, with s, d = u1 +- J u2 (an odd n's middle DOF only in s) and the
+    h x h halves P, Q = (E11 +- E12 J) / 2."""
     h = len(top)
     mirror = np.pad(top[:, :h - 1:-1], ((0, 0), (0, 2 * h - n)))   # E12 J
     P, Q = 0.5 * (top[:, :h] + mirror), 0.5 * (top[:, :h] - mirror)
 
-    def apply(X):
-        V = _pairs(X.T).reshape(n, -1) if np.iscomplexobj(X) else np.atleast_2d(X).T
+    def columns(V):
         ps, qd = P @ (V[:h] + V[::-1][:h]), Q @ (V[:h] - V[::-1][:h])
-        out = np.concatenate([ps + qd, (ps - qd)[:n - h][::-1]])
-        return (out.view(complex) if np.iscomplexobj(X) else out).T.reshape(X.shape)
-    return apply
+        return np.concatenate([ps + qd, (ps - qd)[:n - h][::-1]])
+    return columns
 
 
 def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     """Assemble mesh, basis, DDG and fractional operators, and forcing DOFs.
 
-    For alpha < 2 below ``MATRIX_FREE_MIN_DOF`` DOFs per field, E's top half
-    is fused from M^-1 B and the blocks of M^-1 A (``DdgOperators.compose``),
-    unfolded below ``FOLD_MIN_DOF`` and applied folded (``_folded_E``) from
+    ``E_columns``: for alpha < 2 below ``MATRIX_FREE_MIN_DOF`` DOFs per field,
+    E's top half is fused from M^-1 B and the blocks of M^-1 A (``compose``),
+    unfolded into E @ V below ``FOLD_MIN_DOF`` and folded (``_folded_E``) from
     it; from there on, and at alpha = 2 at every size, a ``BlockOperator``.
     """
     a, b = spec.domain
@@ -443,12 +436,11 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
         top = qop.compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
         if n < FOLD_MIN_DOF:
             E = np.concatenate([top, top[:n - h, ::-1][::-1]])    # J E J = E
-            apply_E = lambda X: ((E @ _pairs(X.T).reshape(n, -1)).view(complex).T.reshape(X.shape)
-                                 if np.iscomplexobj(X) else X @ E.T)
+            E_columns = lambda V: E @ V
         else:
-            apply_E = _folded_E(top, n)
+            E_columns = _folded_E(top, n)
     else:
-        apply_E = BlockOperator(qop, fop)
+        E_columns = BlockOperator(qop, fop)
 
     forcing = (tuple(f for f, _h in spec.forcing),
                np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing],
@@ -465,7 +457,7 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     back = (w[:, None] * L) @ basis.mass_inv.T
 
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
-                               apply_E=apply_E, forcing=forcing,
+                               E_columns=E_columns, forcing=forcing,
                                c_eps=1j * spec.eps if spec.is_complex else spec.eps,
                                quad_eval=L.T, quad_back=1j * back, lift_nodal=lift_nodal)
 

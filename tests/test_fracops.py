@@ -137,7 +137,7 @@ def test_dense_view_gathers_toeplitz_blocks():
 
 def _frac_applies(mesh, basis, alpha):
     """M^-1 B as the dense matrix and as the FFT stage of ``BlockOperator``,
-    which acts along the cell axis of an (n, rows, K) array."""
+    which acts along the cell axis of an (n, columns, K) array."""
     op = assemble_frac_operator(mesh, basis, alpha)
     MB = mass_solve_mat(mesh, basis, op.B)
     block = BlockOperator(assemble_q_operator(mesh, basis, default_flux(basis.N)), op)

@@ -150,6 +150,19 @@ def test_run_and_converge_build_one_spec_per_cell(tmp_path, monkeypatch):
         assert calls == want
 
 
+def test_an_empty_grid_is_a_config_error(tmp_path):
+    # load_config rejects an empty list, but a RunConfig built in code can
+    # hold one; grid_cells names it before run or converge makes a directory
+    grid = {"alphas": [1.5], "N_list": [1], "K_list": [8]}
+    for name in grid:
+        cfg = RunConfig(problem="ex1", T=0.01, **{**grid, name: []})
+        for run in (run_single, run_convergence):
+            out = tmp_path / f"{run.__name__}_{name}"
+            with pytest.raises(ConfigError, match=f"^{name} is an empty list"):
+                run(cfg, str(out))
+            assert not out.exists()
+
+
 def test_integral_floats_for_N_and_K_run_as_ints(tmp_path, capsys):
     # CONFIG_KEYS counts 2.0 as an integer; load_config makes it one, so the
     # outputs are those of 2, and a repeated K is caught as one

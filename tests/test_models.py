@@ -131,7 +131,7 @@ def _assert_rhs_matches_reference(specs, rng, initial=True):
     and a random one, at t = 0 and 0.3, without writing to the state."""
     for spec in specs:
         prob = build_problem(spec)
-        assert isinstance(prob.apply_E, BlockOperator) == (
+        assert isinstance(prob.E_columns, BlockOperator) == (
             spec.alpha == 2.0 or prob.n >= MATRIX_FREE_MIN_DOF)
         # distinct random fields, so that no weight multiplies equal rows
         shape = (spec.n_components, prob.n)
@@ -451,6 +451,13 @@ def test_problem_spec_validation():
     for w in ([[1.0, 2.0, 3.0]], None):
         with pytest.raises(ValueError, match="nl_coupling"):
             dataclasses.replace(spec, nl_coupling=w)
+    # a non-finite weight is an input error, not a non-finite first rhs
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for name in ("coupling", "nl_coupling"):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+                dataclasses.replace(spec, **{name: [[1.0, bad], [bad, 1.0]]})
+        with pytest.raises(ValueError, match="^nl_coupling must be a finite"):
+            make_example("manakov", 2.0, 16, 1, T=0.05, cross_coupling=bad)
     with pytest.raises(ValueError, match="convective flux"):
         dataclasses.replace(make_example("ex4", 1.4, 12, 3), conv=None)
     # terms a family ignores are rejected: a convective flux outside
@@ -476,8 +483,13 @@ def test_problem_spec_rejects_an_eps_out_of_range():
     # ends T = 0.5 at max |u| 153 against 0.61 for +eps, with no failure
     # raised), and only flips a complex family's dispersion (see the dt cap
     # scaling test)
+    # An infinite eps would give ex1 a cap of 0.0 and a run that fails with
+    # "computed time step is not positive"
+    inf = float("inf")
     for name, eps in (("ex1", 0.0), ("ex1", -0.0), ("ex1", float("nan")),
-                      ("ex1", -0.05), ("ex3", -1.0), ("ex7", 0.0), ("ex8", -0.0)):
+                      ("ex1", -0.05), ("ex3", -1.0), ("ex7", 0.0), ("ex8", -0.0),
+                      ("ex1", inf), ("ex3", inf), ("ex7", inf), ("ex8", -inf),
+                      ("ex7", float("nan"))):
         with pytest.raises(ValueError, match=r"eps must be > 0 \(\|eps\| for a complex"):
             dataclasses.replace(make_example(name, 1.5, 8, 2), eps=eps)
     dataclasses.replace(make_example("ex8", 1.5, 8, 2), eps=-0.5)
@@ -630,10 +642,9 @@ def _ddg_by_blocks(qop, X):
     mesh, basis = qop.mesh, qop.basis
     c = X.reshape(X.shape[0], mesh.K, -1)
     q = c @ qop.diag.T
+    q[:, 0], q[:, -1] = c[:, 0] @ qop.first.T, c[:, -1] @ qop.last.T
     q[:, 1:] += c[:, :-1] @ qop.lower.T
     q[:, :-1] += c[:, 1:] @ qop.upper.T
-    q[:, 0] += c[:, 0] @ (qop.first - qop.diag).T
-    q[:, -1] += c[:, -1] @ (qop.last - qop.diag).T
     return ((2.0 / mesh.dx) * q @ basis.mass_inv.T).reshape(X.shape)
 
 
@@ -649,6 +660,11 @@ def _frac_by_offsets(fop, X):
     return p.reshape(X.shape)
 
 
+def _on_rows(columns):
+    """A map on the columns of an array, applied to the rows of X."""
+    return lambda X: columns(X.T).T
+
+
 def test_block_operator_matches_dense_view():
     # N = 0..8, every alpha, 1/2/4 components.  For K <= 128 the whole apply
     # is checked against the dense views A and B.  At K = 1024 the dense
@@ -662,12 +678,12 @@ def test_block_operator_matches_dense_view():
             for alpha in AGREE_ALPHAS:
                 qop, fop = _operators(K, N, alpha)
                 mesh, basis = qop.mesh, qop.basis
-                op = BlockOperator(qop, fop)
+                op = _on_rows(BlockOperator(qop, fop))
                 X = rng.standard_normal((4, K * (N + 1)))
                 if K == 1024:
                     # the DDG stage alone is BlockOperator(qop, None); the
                     # FFT stage is checked on that stage's own output
-                    ddg = BlockOperator(qop, None) if fop is not None else op
+                    ddg = _on_rows(BlockOperator(qop, None)) if fop is not None else op
                     q, ref_q = ddg(X), _ddg_by_blocks(qop, X)
                     pairs = [(ddg(X[:m]), ref_q[:m]) for m in (1, 2, 4)]
                     ref = ref_q
@@ -697,8 +713,8 @@ def test_alpha_2_E_is_the_block_ddg_stage():
             prob = build_problem(make_example("manakov", 2.0, K, N))
             E = mass_solve_mat(prob.mesh, prob.basis, prob.qop.A)
             assert isinstance(prob.E, LinearOperator)
-            assert isinstance(prob.apply_E, BlockOperator)
-            assert prob.apply_E.symbol is None
+            assert isinstance(prob.E_columns, BlockOperator)
+            assert prob.E_columns.symbol is None
             assert _rel(prob.E @ np.eye(prob.n), E) <= 1e-13
             X = rng.standard_normal((4, prob.n))
             for m in (1, 2, 4):
@@ -715,7 +731,7 @@ def _assert_matches_dense_fusion(prob):
     problem with E fused into the dense M^-1 B M^-1 A."""
     assert isinstance(prob.E, LinearOperator)
     E = _dense_E(prob)
-    dense = dataclasses.replace(prob, apply_E=lambda X: X @ E.T)
+    dense = dataclasses.replace(prob, E_columns=lambda V: E @ V)
 
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, prob.n))
@@ -739,7 +755,7 @@ def test_problem_above_crossover_matches_dense_path(name, alpha):
 def test_circulant_is_padded_to_a_fast_length():
     # K = 193: 2K = 386 = 2 * 193 is padded to 400 = 2^4 5^2
     prob = build_problem(make_example("manakov", 1.6, 193, 2))
-    assert prob.n >= MATRIX_FREE_MIN_DOF and prob.apply_E.fft_len == 400
+    assert prob.n >= MATRIX_FREE_MIN_DOF and prob.E_columns.fft_len == 400
     _assert_matches_dense_fusion(prob)
 
 
@@ -808,8 +824,8 @@ def test_folded_E_matches_the_dense_product():
                               ("ex1", 1.1, 4, odd_K(5)),
                               ("ex7", 1.9, 3, (MATRIX_FREE_MIN_DOF - 1) // 4)):
         prob = build_problem(make_example(name, alpha, K, N))
-        assert not isinstance(prob.apply_E, BlockOperator)
-        folded = prob.apply_E.__qualname__.startswith("_folded_E.")
+        assert not isinstance(prob.E_columns, BlockOperator)
+        folded = prob.E_columns.__qualname__.startswith("_folded_E.")
         assert folded == (prob.n >= FOLD_MIN_DOF), (K, N)
         E = _dense_E(prob)
         assert _rel(prob.E, E) <= 1e-13
@@ -821,10 +837,47 @@ def test_folded_E_matches_the_dense_product():
                 assert _rel(got, rows @ E.T) <= 1e-13, (K, N, rows.shape)
 
 
+# one cell per E path: (example, alpha, K, N, path); K = 1 on the dense
+# and the DDG-only path, odd n on the folded one, and two complex fields
+E_PATH_CELLS = [("ex1", 1.5, 1, 2, "dense"), ("ex8", 1.5, 17, 2, "dense"),
+                ("ex1", 1.5, 135, 2, "folded"), ("ex8", 1.6, 134, 2, "folded"),
+                ("ex1", 1.5, 300, 1, "fft"), ("manakov", 1.6, 200, 2, "fft"),
+                ("manakov", 2.0, 1, 3, "ddg"), ("ex7", 2.0, 16, 2, "ddg")]
+
+
+@pytest.mark.parametrize("name,alpha,K,N,path", E_PATH_CELLS)
+def test_every_E_path_is_a_real_column_map(name, alpha, K, N, path):
+    # apply_E alone turns rows into columns: a real row is one column and a
+    # complex row the columns of its real and imaginary parts, and E_columns
+    # maps them, bit for bit.  The dense fusion and the DDG stage both read
+    # DdgOperators.solved, the mass-solved blocks, which is derived
+    prob = build_problem(make_example(name, alpha, K, N))
+    E_columns, qop = prob.E_columns, prob.qop
+    got_path = (("ddg" if E_columns.symbol is None else "fft")
+                if isinstance(E_columns, BlockOperator)
+                else "folded" if E_columns.__qualname__.startswith("_folded_E.") else "dense")
+    assert got_path == path
+    for i, block in enumerate((qop.diag, qop.lower, qop.upper, qop.first, qop.last)):
+        assert np.array_equal(qop.solved[i], mass_solve_mat(prob.mesh, prob.basis, block))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        qop.solved = qop.solved
+    rng = np.random.default_rng(K)
+    X = rng.standard_normal((3, prob.n))
+    for Z in (X, X + 1j * rng.standard_normal(X.shape)):
+        for rows in (Z[0], Z[:1], Z):
+            parts = [p for r in np.atleast_2d(rows)
+                     for p in ((r.real, r.imag) if np.iscomplexobj(Z) else (r,))]
+            W = E_columns(np.column_stack(parts))
+            want = W[:, 0::2] + 1j * W[:, 1::2] if np.iscomplexobj(Z) else W
+            got = prob.apply_E(rows)
+            assert got.dtype == rows.dtype
+            assert np.array_equal(got, want.T.reshape(rows.shape)), (path, rows.shape)
+
+
 def test_manakov_bench_cell_is_matrix_free():
     # the bench's manakov_soliton alpha = 1.6 cell (K = 200, N = 2: n = 600)
     prob = build_problem(make_example("manakov", 1.6, 200, 2, cross_coupling=1.0))
-    assert prob.n == 600 >= MATRIX_FREE_MIN_DOF and prob.apply_E.fft_len == 2 * 200
+    assert prob.n == 600 >= MATRIX_FREE_MIN_DOF and prob.E_columns.fft_len == 2 * 200
     _assert_matches_dense_fusion(prob)
 
 
