@@ -174,6 +174,10 @@ def assemble_q_operator(mesh: Mesh1D, basis: ElementBasis,
                         last=last, flux=flux, mesh=mesh, basis=basis)
 
 
+# a face's (minus, plus) pair to its average and to minus its half jump
+_MEAN, _HALF_JUMP = np.array([0.5, 0.5]), np.array([0.5, -0.5])
+
+
 @dataclass(frozen=True)
 class ConvectionFlux:
     """Convective flux function f(u) and its derivative f'(u)."""
@@ -187,30 +191,34 @@ def convection_rhs(
     conv: ConvectionFlux,
     bc: Callable[[float], tuple],
     t: float = 0.0,
-) -> FieldVector:
-    """-M^-1 of the weak divergence of f(u), with a global Lax-Friedrichs flux.
+) -> np.ndarray:
+    """-M^-1 of the weak divergence of f(u), with a global Lax-Friedrichs flux,
+    as a new (K * n,) array.
 
     Cell k gets (2/h) M^-1 ((f(u), dphi/dx) - f*_{k+1} phi(1) + f*_k phi(-1)),
     f* = {f} - (c/2) [u] on the face's (minus, plus) states, the outer two
     being the Dirichlet data (left, right) = ``bc(t)``, and c = max |f'|
-    over all of them.  f and f' run once on the (K + 1, 2) state array;
-    ``basis.trace`` and ``basis.conv_apply`` do the rest in one product each.
+    over all of them.  ``basis.trace`` ([v_L, v_R]) writes every cell's
+    traces into one vector S = [left, l_0, r_0, ..., r_{K-1}, right], whose
+    (K + 1, 2) view holds each face's (minus, plus) pair, so f and f' run
+    once on it; ``basis.conv_apply`` maps the cells' f values and face
+    fluxes to the DOFs in one product.
     """
-    mesh, basis = u.mesh, u.basis
     cells = u.by_cell
-    traces = cells @ basis.trace                # (K, 2): right, left trace
-
-    states = np.empty((mesh.K + 1, 2))          # (minus, plus) at each face
-    states[1:, 0] = traces[:, 0]
-    states[:-1, 1] = traces[:, 1]
-    states[0, 0], states[-1, 1] = bc(t)
-
-    speed = np.abs(conv.df(states)).max()
-    f_states = conv.f(states)
-    fstar = 0.5 * (f_states[:, 0] + f_states[:, 1] - speed * (states[:, 1] - states[:, 0]))
-    weak = np.concatenate([conv.f(cells), fstar[1:, None], fstar[:-1, None]], axis=1)
-    out = (2.0 / mesh.dx) * (weak @ basis.conv_apply)
-    return FieldVector(out.ravel(), mesh, basis)
+    K, n = cells.shape
+    S = np.empty(2 * K + 2)
+    np.dot(cells, u.basis.trace, out=S[1:-1].reshape(K, 2))
+    S[0], S[-1] = bc(t)
+    faces = S.reshape(K + 1, 2)
+    # np.dot: these products are too small for matmul's extra call cost
+    fstar = np.dot(conv.f(faces), _MEAN) + np.abs(conv.df(S)).max() * np.dot(faces, _HALF_JUMP)
+    weak = np.empty((K, n + 2))
+    weak[:, :n] = conv.f(cells)
+    weak[:, n] = fstar[1:]
+    weak[:, n + 1] = fstar[:-1]
+    out = np.dot(weak, u.basis.conv_apply)
+    out *= 2.0 / u.mesh.dx
+    return out.reshape(-1)
 
 
 @dataclass

@@ -82,9 +82,10 @@ class ElementBasis:
     ``trace_left``/``trace_right`` stack the value, first- and
     second-derivative evaluation rows at the endpoints (reference
     derivatives; multiply by (2/dx)^order for physical ones).  For the
-    convection kernel, ``trace`` (n, 2) is [v_R, v_L] and ``conv_apply``
-    (n + 2, n) is [M D; -v_R; v_L] M^-1^T: a cell's f values and its right
-    and left face fluxes to its DOFs.
+    convection kernel, ``trace`` (n, 2) is [v_L, v_R], so a cell's traces
+    come out in mesh order, and ``conv_apply`` (n + 2, n) is
+    [M D; -v_R; v_L] M^-1^T: a cell's f values and its right and left face
+    fluxes to its DOFs.
     """
 
     N: int
@@ -133,7 +134,7 @@ def build_basis(N: int) -> ElementBasis:
     return ElementBasis(
         N=N, ref_nodes=nodes, mass=mass, diff=diff,
         trace_left=trace_left, trace_right=trace_right, mass_inv=mass_inv,
-        bary_w=bary, trace=np.column_stack([vr, vl]),
+        bary_w=bary, trace=np.column_stack([vl, vr]),
         conv_apply=np.vstack([mass @ diff, -vr, vl]) @ mass_inv.T,
     )
 

@@ -10,7 +10,8 @@ every field shares one fractional coefficient, one forcing and one lift,
 and two matrices couple the fields and their densities.  One right-hand
 side serves every family, in the state's own arithmetic.  E stays real:
 each E path maps real columns (``E_columns``), and only ``apply_E`` turns
-rows into columns, a complex row as the float columns of its (re, im) pairs.
+rows into columns, a complex row as the float columns of its (re, im) pairs;
+the unfolded dense E on a real row also carries the forcing (``E_forced``).
 
 The fractional Laplacian enters every family through the same composition
 F c = E c with E = M^-1 B M^-1 A, with no boundary term; alpha = 2 swaps B
@@ -226,6 +227,8 @@ class SemiDiscreteProblem:
     quad_eval: np.ndarray = field(repr=False)  # nodal -> Gauss-point values
     quad_back: np.ndarray = field(repr=False)  # i P: Gauss points -> nodal DOFs
     lift_nodal: Optional[np.ndarray] = field(repr=False, default=None)
+    # [E | H^T / eps], (n, n + m), where E is unfolded dense and the rows real
+    E_forced: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -304,29 +307,34 @@ class SemiDiscreteProblem:
         """d/dt of the (m, n) state, which is only read, in the state's own
         arithmetic: u_t = c_eps F + i P(f u) + i coupling u + g - f(u)_x, with
         c_eps = eps (real families) or i eps (complex ones), f = nl_coupling
-        rho.  The terms are added in this order."""
+        rho.  The terms are added in this order.  With ``E_forced`` the first
+        two real terms are one product, eps [E | H^T / eps] [u; T(t)]."""
         spec = self.spec
         time_fns, H = self.forcing
         full = self.full_fields(comps, t)
-        d = self.c_eps * self.apply_E(comps)
-        if spec.nl_coupling is not None:
-            # f u is formed at quadrature points and L2-projected back (P):
-            # keeps Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing
-            # of high-degree products
-            U = full.reshape(-1, len(self.quad_eval)) @ self.quad_eval
-            f = np.dot(spec.nl_coupling, (U * U.conj()).real.reshape(len(comps), -1))
-            d += ((f.reshape(U.shape) * U) @ self.quad_back).reshape(d.shape)
-        if spec.coupling is not None:
-            d += 1j * np.dot(spec.coupling, full)
-        # g = sum T_i(t) h_i, shared by every field.  As (1, n) rows, g and
-        # the convection term add to one field without numpy's broadcast
-        # path, 0.8 us more per add at n = 192
-        if time_fns:
-            d += np.dot([f(t) for f in time_fns], H)[None]
+        if self.E_forced is not None:
+            d = np.dot(self.E_forced, np.concatenate((comps[0], [f(t) for f in time_fns])))[None]
+            d *= spec.eps
+        else:
+            d = self.c_eps * self.apply_E(comps)
+            if spec.nl_coupling is not None:
+                # f u is formed at quadrature points and L2-projected back (P):
+                # keeps Re <u, i P(f u)> = 0 exact and avoids the nodal aliasing
+                # of high-degree products
+                U = full.reshape(-1, len(self.quad_eval)) @ self.quad_eval
+                f = np.dot(spec.nl_coupling, (U * U.conj()).real.reshape(len(comps), -1))
+                d += ((f.reshape(U.shape) * U) @ self.quad_back).reshape(d.shape)
+            if spec.coupling is not None:
+                d += 1j * np.dot(spec.coupling, full)
+            # g = sum T_i(t) h_i, shared by every field.  As (1, n) rows, g and
+            # the convection term add to one field without numpy's broadcast
+            # path, 0.8 us more per add at n = 192
+            if time_fns:
+                d += np.dot([f(t) for f in time_fns], H)[None]
         if spec.conv is not None:
             # convection_rhs already carries the -d/dx f(u) sign
             u = FieldVector(full[0], self.mesh, self.basis)
-            d += convection_rhs(u, spec.conv, spec.bcs[0], t).values[None]
+            d += convection_rhs(u, spec.conv, spec.bcs[0], t)[None]
         return d
 
     def field_errors(self, comps: np.ndarray, t: float) -> list:
@@ -421,6 +429,10 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     E's top half is fused from M^-1 B and the blocks of M^-1 A (``compose``),
     unfolded into E @ V below ``FOLD_MIN_DOF`` and folded (``_folded_E``) from
     it; from there on, and at alpha = 2 at every size, a ``BlockOperator``.
+    Unfolded E on real rows is the first n columns of one (n, n + m) array
+    ``E_forced`` = [E | H^T / eps], whose last m columns are the forcing
+    profiles H, so ``rhs`` forms eps E u + g as one product; ``E_columns``
+    and ``E`` read the first n columns as a view.
     """
     a, b = spec.domain
     mesh = build_mesh(a, b, spec.K)
@@ -428,15 +440,19 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     qop = assemble_q_operator(mesh, basis, spec.flux or default_flux(spec.N))
     fop = None if spec.alpha == 2.0 else assemble_frac_operator(mesh, basis, spec.alpha)
 
-    n = mesh.K * basis.n_nodes
+    n, m, E_forced = mesh.K * basis.n_nodes, len(spec.forcing), None
     if fop is not None and n < MATRIX_FREE_MIN_DOF:
         K, p, h = mesh.K, basis.n_nodes, (n + 1) // 2
         T = mass_solve_mat(mesh, basis, fop.toeplitz_blocks())
         k, i, l, j = np.ogrid[:(K + 1) // 2, :p, :K, :p]   # M^-1 B's top cell rows
         top = qop.compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
         if n < FOLD_MIN_DOF:
-            E = np.concatenate([top, top[:n - h, ::-1][::-1]])    # J E J = E
+            # real rows carry the forcing as E's last m columns, H^T / eps
+            EH = np.empty((n, n if spec.is_complex else n + m))
+            E = EH[:, :n]
+            E[:h], E[h:] = top, top[:n - h, ::-1][::-1]    # J E J = E
             E_columns = lambda V: E @ V
+            E_forced = None if spec.is_complex else EH
         else:
             E_columns = _folded_E(top, n)
     else:
@@ -444,7 +460,9 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
 
     forcing = (tuple(f for f, _h in spec.forcing),
                np.array([h.project_onto(mesh, basis, spec.alpha) for _f, h in spec.forcing],
-                        dtype=complex if spec.is_complex else float))
+                        dtype=complex if spec.is_complex else float).reshape(m, n))
+    if E_forced is not None:
+        E_forced[:, n:] = forcing[1].T / spec.eps
 
     lift_nodal = None
     if spec.lift is not None:
@@ -459,7 +477,8 @@ def build_problem(spec: ProblemSpec) -> SemiDiscreteProblem:
     return SemiDiscreteProblem(spec=spec, mesh=mesh, basis=basis, qop=qop,
                                E_columns=E_columns, forcing=forcing,
                                c_eps=1j * spec.eps if spec.is_complex else spec.eps,
-                               quad_eval=L.T, quad_back=1j * back, lift_nodal=lift_nodal)
+                               quad_eval=L.T, quad_back=1j * back, lift_nodal=lift_nodal,
+                               E_forced=E_forced)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,24 @@ class RunControl:
 
 
 def erk4_step(rhs: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical four-stage RK4 step from t to t + dt."""
+    """One classical four-stage RK4 step from t to t + dt.
+
+    state + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is summed in place in one new
+    array, in its own order up to exact commutations, so it rounds as the
+    plain expression does; no stage result is written to."""
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
     k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
     k4 = rhs(t + dt, state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    out = np.multiply(k2, 2.0, dtype=np.result_type(state, k1, k2, k3, k4))
+    out += k1
+    out += 2.0 * k3
+    out += k4
+    out *= dt / 6.0
+    out += state
+    if not np.isfinite(out).all():
         raise IntegrationError(
             f"non-finite state after step at t = {t:.6g}, dt = {dt:.3g}", out)
     return out

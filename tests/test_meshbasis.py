@@ -87,6 +87,8 @@ def test_basis_traces_exact_for_polynomials():
         d2 = np.polynomial.polynomial.polyval(1.0, np.polynomial.polynomial.polyder(coeffs, 2))
         assert b.trace_left[1] @ vals == pytest.approx(d1, rel=1e-12, abs=1e-12)
         assert b.trace_right[2] @ vals == pytest.approx(d2, rel=1e-12, abs=1e-12)
+        # the convection kernel's (n, 2) trace is [v_L, v_R], in mesh order
+        assert np.array_equal(b.trace, np.column_stack([b.trace_left[0], b.trace_right[0]]))
 
 
 def test_basis_range_error():

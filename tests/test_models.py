@@ -32,7 +32,7 @@ from ddgfrac.models import (
     make_example,
 )
 from ddgfrac.specfun import gamma_fn
-from ddgfrac.timestep import RunControl, integrate
+from ddgfrac.timestep import RunControl, erk4_step, integrate
 from test_ddg_spatial import _convection_face_by_face
 
 RIESZ_X11_A11_X1 = -44.458853207226804721
@@ -133,6 +133,8 @@ def _assert_rhs_matches_reference(specs, rng, initial=True):
         prob = build_problem(spec)
         assert isinstance(prob.E_columns, BlockOperator) == (
             spec.alpha == 2.0 or prob.n >= MATRIX_FREE_MIN_DOF)
+        assert (prob.E_forced is not None) == (
+            not spec.is_complex and spec.alpha < 2.0 and prob.n < FOLD_MIN_DOF)
         # distinct random fields, so that no weight multiplies equal rows
         shape = (spec.n_components, prob.n)
         noise = _complex_normal(rng, shape) if spec.is_complex else rng.standard_normal(shape)
@@ -180,17 +182,22 @@ def test_schrodinger_rhs_matches_per_field_reference():
 
 
 def test_real_rhs_matches_per_field_reference():
-    # the dense E, Burgers convection with (ex4) and without (ex3, ex5) a
-    # lift, and alpha = 2
+    # the dense E with its forcing columns (``E_forced``) on ex1, ex2 and
+    # ex4 (both lifted, so with nonzero boundary data), Burgers convection
+    # with (ex4) and without (ex3, ex5) a lift, and alpha = 2
     rng = np.random.default_rng(13)
-    cases = [make_example("ex1", 1.3, 12, 2), make_example("ex3", 1.5, 16, 2),
+    cases = [make_example("ex1", 1.3, 12, 2), make_example("ex2", 1.7, 10, 3),
+             make_example("ex3", 1.5, 16, 2),
              make_example("ex4", 1.4, 12, 3), make_example("ex5", 1.6, 20, 2),
              make_example("ex4", 2.0, 12, 2)]
     _assert_rhs_matches_reference(cases, rng)
-    # the matrix-free E on a random state: on ex1's smooth initial state at
-    # K = 300, max |E u| is 3.9e-5 of max |E| |u|, and the two sides'
-    # difference of 7e-16 |E| |u| reads 3.4e-12 of the result
-    _assert_rhs_matches_reference([make_example("ex1", 1.6, 300, 2)], rng, initial=False)
+    # the matrix-free E, and the largest burgers_table cell, on a random
+    # state: on ex1's smooth initial state at K = 300, max |E u| is 3.9e-5
+    # of max |E| |u|, and the two sides' difference of 7e-16 |E| |u| reads
+    # 3.4e-12 of the result; ex3's at K = 128, N = 2 reads 2.0e-13 of it,
+    # with or without the forcing columns
+    _assert_rhs_matches_reference([make_example("ex1", 1.6, 300, 2),
+                                   make_example("ex3", 1.5, 128, 2)], rng, initial=False)
 
 
 def test_nls_semidiscrete_norm_balance():
@@ -243,20 +250,64 @@ def test_schrodinger_term_conserves_the_g_norm():
 
 def test_stacked_forcing_is_the_sum_of_its_terms():
     # g = T(t) @ H, H stacking the projected profiles, on a zero state with
-    # no other term left: rhs(t, 0) = g.  ex4's Burgers term gives way to a
-    # zero flux, whose convection term is exactly zero
-    for name in ("ex1", "ex2", "ex4", "ex7"):
-        spec = make_example(name, 1.4, 12, 3)
+    # no other term left: rhs(t, 0) = g.  ex3's and ex4's Burgers terms give
+    # way to a zero flux, whose convection term is exactly zero.  The real
+    # dense cells add g as E_forced's last columns, H^T / eps, times eps;
+    # the folded ex1 and the complex ex7 add T(t) @ H
+    for name, K in (("ex1", 12), ("ex2", 12), ("ex3", 12), ("ex4", 12), ("ex7", 12),
+                    ("ex1", FOLD_MIN_DOF // 4)):
+        spec = make_example(name, 1.4, K, 3)
         if spec.conv is not None:
             spec = dataclasses.replace(spec, conv=ConvectionFlux(np.zeros_like, np.zeros_like))
         prob = build_problem(spec)
         H = prob.forcing[1]
         assert H.shape == (len(spec.forcing), prob.n)
+        if prob.E_forced is not None:
+            assert prob.E_forced.shape == (prob.n, prob.n + len(H))
+            assert np.array_equal(prob.E_forced[:, prob.n:], H.T / spec.eps)
         z = np.zeros((1, prob.n), dtype=complex if spec.is_complex else float)
         for t in (0.0, 0.3, 0.9):
             want = sum(f(t) * h.project_onto(prob.mesh, prob.basis, spec.alpha)
                        for f, h in spec.forcing)
             assert _rel(prob.rhs(t, z), want) <= 1e-14
+        # no forcing term at all: m = 0 columns, a zero right-hand side, and
+        # an RK4 step that stays at zero
+        unforced = build_problem(dataclasses.replace(spec, forcing=()))
+        assert unforced.forcing[1].shape == (0, prob.n)
+        if unforced.E_forced is not None:
+            assert unforced.E_forced.shape == (prob.n, prob.n)
+        assert np.abs(unforced.rhs(0.3, z)).max() == 0.0
+        assert np.abs(erk4_step(unforced.rhs, z, 0.3, 1e-3)).max() == 0.0
+
+
+def _unfolded_E(prob):
+    """The dense E as its own (n, n) array: the fused top half and its mirror,
+    concatenated; the reference for ``E_forced``'s first n columns."""
+    mesh, basis, qop, K = prob.mesh, prob.basis, prob.qop, prob.mesh.K
+    n, p, h = prob.n, basis.n_nodes, (prob.n + 1) // 2
+    fop = assemble_frac_operator(mesh, basis, prob.spec.alpha)
+    T = mass_solve_mat(mesh, basis, fop.toeplitz_blocks())
+    k, i, l, j = np.ogrid[:(K + 1) // 2, :p, :K, :p]
+    top = qop.compose(T[k - l + K - 1, i, j].reshape(-1, n))[:h]
+    return np.concatenate([top, top[:n - h, ::-1][::-1]])
+
+
+@pytest.mark.parametrize("name,alpha,K,N", [
+    ("ex1", 1.5, 1, 2), ("ex2", 1.7, 10, 3), ("ex3", 1.5, 32, 1), ("ex3", 1.5, 128, 2),
+    ("ex4", 1.4, 7, 2), ("ex1", 1.5, FOLD_MIN_DOF // 2 - 1, 1)])
+def test_dense_real_E_is_the_first_columns_of_E_forced(name, alpha, K, N):
+    # below FOLD_MIN_DOF on real rows, E is the first n columns of one
+    # (n, n + m) array whose last m columns are H^T / eps; E, and its apply
+    # on (n,), (1, n) and (3, n) rows, are bitwise the separate unfolded E's
+    prob = build_problem(make_example(name, alpha, K, N))
+    n, H = prob.n, prob.forcing[1]
+    assert prob.E_forced.shape == (n, n + len(H))
+    want = _unfolded_E(prob)
+    assert prob.E.shape == (n, n) and np.array_equal(prob.E, want)
+    assert np.array_equal(prob.E_forced[:, :n], want)
+    X = np.random.default_rng(K).standard_normal((3, n))
+    for rows in (X[0], X[:1], X):
+        assert np.array_equal(prob.apply_E(rows), (want @ rows.T).T)
 
 
 def test_gauge_covariance_of_cubic_term():

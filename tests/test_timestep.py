@@ -40,6 +40,43 @@ def test_cosine_quadrature_oracle():
     assert abs(state[0] - math.sin(1.0)) <= 1e-5
 
 
+def test_step_combine_is_bitwise_the_plain_expression():
+    # the in-place combine against state + (dt/6)(k1 + 2 k2 + 2 k3 + k4) on
+    # real and complex states, with an RHS that returns its own argument
+    # and one that returns an array it keeps: no input or stage is written
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((5, 5))
+    kept = rng.standard_normal((2, 5))
+
+    def plain(rhs, state, t, dt):
+        k1 = rhs(t, state)
+        k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+        k4 = rhs(t + dt, state + dt * k3)
+        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    rhss = (lambda t, u: np.cos(t) * (u @ A), lambda t, u: u, lambda t, u: kept)
+    for state in (rng.standard_normal((2, 5)),
+                  rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))):
+        for rhs in rhss:
+            seen = []
+
+            def recorded(t, u):
+                k = rhs(t, u)
+                seen.append((u, u.copy(), k, np.array(k, copy=True)))
+                return k
+
+            before, kept_before = state.copy(), kept.copy()
+            got = erk4_step(recorded, state, 0.3, 0.07)
+            want = plain(rhs, state, 0.3, 0.07)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert state.tobytes() == before.tobytes()
+            assert kept.tobytes() == kept_before.tobytes()
+            assert not np.shares_memory(got, state) and not np.shares_memory(got, kept)
+            for u, u0, k, k0 in seen:
+                assert u.tobytes() == u0.tobytes() and k.tobytes() == k0.tobytes()
+
+
 def test_nan_raises_with_diagnostic():
     def rhs(t, u):
         return u * np.inf
