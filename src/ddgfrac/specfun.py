@@ -2,13 +2,17 @@
 
 Provides the Gamma function on the positive axis, Gauss-Legendre and
 Gauss-Jacobi rules on [-1, 1] as (nodes, weights) arrays, both from numpy,
-and exact re-centering of polynomials in shifted-monomial form.  The Jacobi
+and exact re-centering of polynomials in shifted-monomial form.  Each rule
+is built once per argument tuple and process and handed out read-only, so
+every caller shares it and none can write to it; the memo keeps one entry
+(at most 1 KB) per distinct tuple, and a run reads a few dozen.  The Jacobi
 rules carry the weight (1-t)^a_exp (1+t)^b_exp, which is what makes the
 weakly singular kernels |x - s|^(mu-1) integrable exactly after an affine map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,17 +32,25 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the n-point Gauss-Legendre rule, exact for
-    polynomials of degree 2n-1."""
+    polynomials of degree 2n-1 (read-only, shared between calls)."""
     if not 1 <= n <= MAX_QUAD_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_QUAD_POINTS}], got {n}")
-    return leggauss(n)
+    return _read_only(*leggauss(n))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
-    (1-t)^a_exp (1+t)^b_exp.
+    (1-t)^a_exp (1+t)^b_exp (read-only, shared between calls).
 
     Exact for (1-t)^a_exp (1+t)^b_exp p(t) with deg p <= 2n-1.  Golub-Welsch
     (Math. Comp. 23, 1969): nodes and weights from the eigenpairs of the Jacobi
@@ -56,7 +68,7 @@ def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.nda
                  4 * k * (k + a) * (k + b) * (k + a + b) / (s[2:] ** 2 * (s[2:] ** 2 - 1))]
     nodes, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2[:n - 1]), -1))
     mu0 = 2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
-    return nodes, mu0 * v[0] ** 2
+    return _read_only(nodes, mu0 * v[0] ** 2)
 
 
 def polynomial_in_shifted_basis(coeffs_t, scale: float, shift: float) -> np.ndarray:

@@ -428,6 +428,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "r7").exists()
 
 
+_FRESH_CLI = textwrap.dedent("""
+    import json, sys
+    before = set(sys.modules)
+    def loaded():
+        # top-level modules loaded since start-up, less the stdlib and the
+        # entries Cython-built extensions add (cython_runtime, _cython_*)
+        tops = {m.split(".")[0] for m in set(sys.modules) - before}
+        print("loaded:", sorted(m for m in tops - set(sys.stdlib_module_names)
+                                if not m.startswith(("cython_runtime", "_cython_"))))
+        print("numpy.random:", "numpy.random" in sys.modules)
+    from ddgfrac import cli
+    loaded()
+    for i, argv in enumerate(json.loads(sys.argv[2])):
+        assert cli.main([*argv, "--out", sys.argv[1] + str(i)]) == 0
+    loaded()
+""")
+
+
+def _fresh_cli(tmp_path, calls):
+    """Import ddgfrac.cli in a fresh interpreter and run cli.main on each
+    argument list; returns the child's report lines after the import and
+    after the calls."""
+    src = os.path.dirname(os.path.dirname(ddgfrac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _FRESH_CLI, str(tmp_path / "out"),
+                           json.dumps(calls)], env=env, check=True, capture_output=True,
+                          text=True, timeout=120).stdout.splitlines()
+
+
 def test_cli_import_and_run_load_no_scipy(tmp_path):
     # the solver needs numpy only: Gauss-Jacobi rules come from Golub-Welsch
     # in numpy, SemiDiscreteProblem.E imports scipy only when it is read, and
@@ -440,30 +470,32 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
                                            "K": 8, "T": 0.01, "cross_coupling": 1.0}),
                _write(tmp_path, "e.json", {"problem": "ex1", "alpha": 1.5, "N": 2,
                                            "K": 8, "T": 0.01})]
-    src = os.path.dirname(os.path.dirname(ddgfrac.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = textwrap.dedent("""
-        import sys
-        before = set(sys.modules)
-        def loaded():
-            # top-level modules loaded since start-up, less the stdlib and the
-            # entries Cython-built extensions add (cython_runtime, _cython_*)
-            tops = {m.split(".")[0] for m in set(sys.modules) - before}
-            print("loaded:", sorted(m for m in tops - set(sys.stdlib_module_names)
-                                    if not m.startswith(("cython_runtime", "_cython_"))))
-        from ddgfrac import cli
-        loaded()
-        for i, cfg in enumerate(sys.argv[2:]):
-            assert cli.main(["run", "--config", cfg, "--out", sys.argv[1] + str(i)]) == 0
-        loaded()
-    """)
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *configs],
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=120).stdout
-    assert ([line for line in out.splitlines() if line.startswith("loaded")]
+    out = _fresh_cli(tmp_path, [["run", "--config", cfg] for cfg in configs])
+    assert ([line for line in out if line.startswith("loaded")]
             == ["loaded: ['ddgfrac', 'numpy']"] * 2)
     assert len(glob.glob(str(tmp_path / "out[01]" / "*" / "diagnostics.json"))) == 2
+
+
+def test_cli_runs_never_load_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of resident memory per process, and no
+    # CLI path needs it: the dt cap starts its Arnoldi estimate from a fixed
+    # Weyl sequence.  run on the three families that step (ex3 with
+    # convection, ex7 complex, manakov with two fields) and converge on an
+    # ex7 grid, then check that neither the import nor the runs loaded it
+    runs = [("ex3", {"alpha": 1.5, "N": 1, "K": 8}),
+            ("ex7", {"alpha": 1.3, "N": 2, "K": 8}),
+            ("manakov", {"alpha": 1.6, "N": 1, "K": 8, "cross_coupling": 1.0})]
+    calls = [["run", "--config", _write(tmp_path, f"{name}.json",
+                                        {"problem": name, "T": 0.01, **keys})]
+             for name, keys in runs]
+    calls.append(["converge", "--config", _write(
+        tmp_path, "grid.json", {"problem": "ex7", "alpha": 1.1, "N": 1, "K": [4, 8],
+                                "T": 0.01})])
+    out = _fresh_cli(tmp_path, calls)
+    assert [line for line in out if line.startswith("numpy.random")] == \
+        ["numpy.random: False"] * 2
+    assert len(glob.glob(str(tmp_path / "out[012]" / "*" / "diagnostics.json"))) == 3
+    assert os.path.exists(tmp_path / "out3" / "convergence.csv")
 
 
 def test_cli_rejects_grid_cells_that_share_a_case_tag(tmp_path, capsys):

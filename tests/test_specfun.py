@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from ddgfrac import fracops, meshbasis, models, specfun
 from ddgfrac.specfun import (
     gamma_fn,
     gauss_jacobi,
@@ -151,6 +152,57 @@ def test_rules_have_increasing_interior_nodes_and_positive_weights():
         assert x.shape == w.shape == (x.size,)
         assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
         assert np.all(w > 0)
+
+
+def test_rules_are_built_once_and_read_only():
+    # each rule is memoised per argument tuple, so every caller shares one
+    # pair of arrays; a write to them would corrupt every later caller, so
+    # it must raise
+    for rule, args in ((gauss_legendre, (7,)), (gauss_jacobi, (5, 0.0, 0.4))):
+        x, w = rule(*args)
+        before = (x.copy(), w.copy())
+        for a in (x, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        again = rule(*args)
+        assert again[0] is x and again[1] is w
+        assert np.array_equal(x, before[0]) and np.array_equal(w, before[1])
+    # an equal argument of another numeric type reads the same rule
+    assert gauss_jacobi(5, 0, 0.4)[0] is gauss_jacobi(5, 0.0, 0.4)[0]
+    # bad arguments still raise on every call: errors are not memoised
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
+
+
+def test_rules_are_called_through_each_module_binding(monkeypatch):
+    # the traced bench counts rule calls by replacing the name that each
+    # module binds (bench/child.py), so the memo must sit behind those names:
+    # a build that reads a rule still calls every module's binding, and a
+    # second build calls them as often as the first
+    calls, seen = {}, []
+    for module in (meshbasis, fracops, models):
+        for name in ("gauss_legendre", "gauss_jacobi"):
+            rule = getattr(module, name, None)
+            if rule is None:
+                continue
+            assert rule is getattr(specfun, name)
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+
+            def counted(*args, _rule=rule, _key=key):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _rule(*args)
+            monkeypatch.setattr(module, name, counted)
+    for _ in range(2):
+        calls.clear()
+        models.build_problem(models.make_example("ex1", 1.5, 8, 2)).initial_state()
+        seen.append(dict(calls))
+    assert sorted(seen[0]) == ["fracops.gauss_jacobi", "fracops.gauss_legendre",
+                               "meshbasis.gauss_legendre", "models.gauss_legendre"]
+    assert seen[1] == seen[0]
 
 
 def test_shift_x_squared():
